@@ -9,6 +9,7 @@ constants ``kappa_mH`` bound the model curvature along unit directions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,14 +162,28 @@ def directional_bound_aligned(L_hess, delta):
     return _nonnegative(L_hess, "L_hess") * _positive(delta, "delta") / 3.0
 
 
+def _positive_elementwise(x, name):
+    a = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise InvalidInputError(f"{name} must be positive and finite")
+    return a
+
+
 def directional_bound_cross(kappa_ef, L_hess, delta, norm_di, norm_dj):
-    """Bound between two distinct sampled directions of a symmetric set."""
+    """Bound between two distinct sampled directions of a symmetric set.
+
+    ``norm_di`` and ``norm_dj`` broadcast against each other, so one call
+    with ``norms[:, None]`` and ``norms[None, :]`` gives the whole m x m
+    table; each entry equals the scalar call on its pair exactly.  Scalar
+    norms give a float.
+    """
     kef = _nonnegative(kappa_ef, "kappa_ef")
     L = _nonnegative(L_hess, "L_hess")
     d = _positive(delta, "delta")
-    ni = _positive(norm_di, "norm_di")
-    nj = _positive(norm_dj, "norm_dj")
-    return 4.0 * kef * d ** 2 / (ni * nj) + (2.0 * L / 3.0) * d ** 3 / (ni * nj)
+    ni = _positive_elementwise(norm_di, "norm_di")
+    nj = _positive_elementwise(norm_dj, "norm_dj")
+    bound = 4.0 * kef * d ** 2 / (ni * nj) + (2.0 * L / 3.0) * d ** 3 / (ni * nj)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def _coefficient_ratio(v):
@@ -252,6 +267,26 @@ def gsh_error_bound_global(hess_norm, L_hess, S):
     return ratio * hn * pinv_sq + (L / 3.0) * pinv_sq * (ratio + 1.0) * radius
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_ball_draw(n, k):
+    """Unit directions and radial factors of the first ``k`` Halton points.
+
+    Built once per ``(n, k)`` and shared by every caller, so both arrays are
+    read-only.  Only the radius-free factors are cached: scaling happens per
+    call, in the same operation order as an uncached draw.
+    """
+    u = qmc.Halton(d=n + 1, scramble=True, seed=_HALTON_SEED).random(k)
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    z = ndtri(u[:, :n])
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    unit = z / norms[:, None]
+    rad = u[:, n] ** (1.0 / n)
+    unit.flags.writeable = False
+    rad.flags.writeable = False
+    return unit, rad
+
+
 def ball_points(x0, delta, n_samples=DEFAULT_SAMPLES):
     """Deterministic low-discrepancy sample of the closed ball B(x0, delta).
 
@@ -260,17 +295,12 @@ def ball_points(x0, delta, n_samples=DEFAULT_SAMPLES):
     """
     x0 = linalg.as_vector(x0, "x0")
     delta = _positive(delta, "delta")
-    n = x0.size
     k = int(n_samples)
     if k < 1:
         raise InvalidInputError("n_samples must be at least 1")
-    u = qmc.Halton(d=n + 1, scramble=True, seed=_HALTON_SEED).random(k)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    z = ndtri(u[:, :n])
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = delta * u[:, n] ** (1.0 / n)
-    pts = x0[None, :] + (z / norms[:, None]) * radii[:, None]
+    unit, rad = _unit_ball_draw(x0.size, k)
+    radii = delta * rad
+    pts = x0[None, :] + unit * radii[:, None]
     return np.vstack([x0[None, :], pts])
 
 

@@ -60,11 +60,17 @@ def _build_parser():
     return parser
 
 
-def _parse_x0(text):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise _UsageError(f"bad --x0 value {text!r}") from None
+def _x0_option(merged):
+    """Center from ``--x0`` text ("0.2,-0.1") or a config-file list; None if unset."""
+    x0 = merged.get("x0")
+    if isinstance(x0, str):
+        try:
+            return tuple(float(v) for v in x0.split(","))
+        except ValueError:
+            raise _UsageError(f"bad --x0 value {x0!r}") from None
+    if x0 is not None:
+        return tuple(float(v) for v in x0)
+    return None
 
 
 def _load_config(path):
@@ -143,11 +149,7 @@ def _require(merged, *keys):
 def cmd_model(args):
     merged = _merged(args, ("function", "x0", "set", "model", "out", "format", "seed"))
     _require(merged, "function", "set", "model")
-    x0 = merged.get("x0")
-    if isinstance(x0, str):
-        x0 = _parse_x0(x0)
-    elif x0 is not None:
-        x0 = tuple(float(v) for v in x0)
+    x0 = _x0_option(merged)
     tol = _tol_from_env()
     set_spec = merged["set"]
 
@@ -197,11 +199,7 @@ def cmd_sweep(args):
     merged = _merged(args, ("function", "x0", "set", "model", "deltas", "samples",
                             "out", "format", "jobs", "seed"))
     _require(merged, "function", "set", "model", "deltas")
-    x0 = merged.get("x0")
-    if isinstance(x0, str):
-        x0 = _parse_x0(x0)
-    elif x0 is not None:
-        x0 = tuple(float(v) for v in x0)
+    x0 = _x0_option(merged)
     deltas = merged["deltas"]
     if isinstance(deltas, str):
         deltas = parse_deltas(deltas)

@@ -35,11 +35,15 @@ def _validate_directions(D):
     norms = np.linalg.norm(D, axis=0)
     if np.any(norms == 0.0):
         raise InvalidInputError("zero direction in sample set")
-    for i in range(D.shape[1]):
-        for j in range(i + 1, D.shape[1]):
-            gap = np.linalg.norm(D[:, i] - D[:, j])
-            if gap <= _DUP_RTOL * max(norms[i], norms[j]):
-                raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
+    # One pass per column against every later column.  The gaps are direct
+    # differences: a Gram-matrix distance cancels to ~1e-8 ||d||, far above
+    # the duplicate threshold, and an all-pairs difference tensor is m*m*n.
+    for i in range(D.shape[1] - 1):
+        gaps = np.linalg.norm(D[:, i + 1:] - D[:, i:i + 1], axis=0)
+        dup = gaps <= _DUP_RTOL * np.maximum(norms[i], norms[i + 1:])
+        if dup.any():
+            j = i + 1 + int(np.argmax(dup))
+            raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
 
 
 @dataclass(frozen=True)
@@ -100,17 +104,19 @@ class SampleSet:
         offsets = np.asarray(points, dtype=float) - x0[None, :]
         if offsets.ndim != 2 or offsets.shape[1] != x0.size:
             raise InvalidInputError("points must be rows of the same dimension as x0")
-        scale = float(np.max(np.linalg.norm(offsets, axis=1), initial=0.0))
+        lengths = np.linalg.norm(offsets, axis=1)
+        scale = float(np.max(lengths, initial=0.0))
         if scale == 0.0:
             raise InvalidInputError("no nonzero offsets among the points")
-        kept = []
+        offsets = offsets[lengths > 1e-14 * scale]
+        kept = np.empty_like(offsets)
+        count = 0
         for off in offsets:
-            if np.linalg.norm(off) <= 1e-14 * scale:
+            if count and np.min(np.linalg.norm(kept[:count] - off, axis=1)) <= 1e-10 * scale:
                 continue
-            if any(np.linalg.norm(off - k) <= 1e-10 * scale for k in kept):
-                continue
-            kept.append(off)
-        return cls(x0, np.asarray(kept).T)
+            kept[count] = off
+            count += 1
+        return cls(x0, kept[:count].T)
 
     @classmethod
     def from_json_dict(cls, doc):

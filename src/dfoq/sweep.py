@@ -247,12 +247,9 @@ def _build_row(tf, frame, family, delta, samples, tol):
             bound_f = consts.kappa_ef * radius ** 2
             bound_g = consts.kappa_eg * radius
             norms = np.linalg.norm(meas_Y.D, axis=0)
-            cross_bound_table = np.array([
-                [bounds.directional_bound_cross(
-                    consts.kappa_ef, lip.L_hess, radius, norms[i], norms[j])
-                 for j in range(meas_Y.m)]
-                for i in range(meas_Y.m)
-            ])
+            cross_bound_table = bounds.directional_bound_cross(
+                consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :]
+            )
     else:
         preset = family.split(":", 1)[1]
         if poised:

@@ -41,10 +41,9 @@ class TestFunction:
             )
         self.region_radius = float(region_radius)
         self._lipschitz_on = lipschitz_on
-        self.lipschitz = lipschitz_on(self.x0, self.region_radius)
 
     def lipschitz_on(self, x0, radius):
-        """Constants for a ball other than the registered default."""
+        """Constants valid on the ball ``B(x0, radius)``."""
         return self._lipschitz_on(np.asarray(x0, dtype=float), float(radius))
 
     def __repr__(self):

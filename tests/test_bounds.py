@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from dfoq import bounds, linalg, testbed
 from dfoq.errors import DirectionDomainError, InvalidInputError, NotPoisedError
@@ -124,6 +126,21 @@ def test_cross_bound():
         bounds.directional_bound_cross(1.0, 1.0, 1.0, 0.0, 1.0)
 
 
+def test_cross_bound_table_matches_scalar_calls():
+    norms = np.append(np.random.default_rng(3).uniform(0.1, 3.0, 11), 1e-7)
+    kef, L, d = 2.7, 5.3, 0.37
+    table = bounds.directional_bound_cross(kef, L, d, norms[:, None], norms[None, :])
+    assert table.shape == (12, 12)
+    for i in range(12):
+        for j in range(12):
+            scalar = bounds.directional_bound_cross(kef, L, d, norms[i], norms[j])
+            assert isinstance(scalar, float)
+            assert table[i, j] == scalar
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidInputError):
+            bounds.directional_bound_cross(kef, L, d, np.array([1.0, bad])[:, None], norms)
+
+
 def test_general_bound_at_sample_direction():
     # square frame: the expansion of d^i is exactly e^i, so the opening
     # term of the bound drops out
@@ -196,6 +213,18 @@ def test_gsh_bounds():
         assert bounds.directional_bound_gsh_general(hn, L, S, d) <= glob * (1 + 1e-12)
 
 
+def _ball_draw_reference(x0, delta, k):
+    """Fresh scrambled-Halton draw with the ball sample's frozen seed."""
+    n = x0.size
+    u = qmc.Halton(d=n + 1, scramble=True, seed=54709).random(k)
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    z = ndtri(u[:, :n])
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = delta * u[:, n] ** (1.0 / n)
+    return np.vstack([x0[None, :], x0[None, :] + (z / norms[:, None]) * radii[:, None]])
+
+
 def test_ball_points_contract():
     x0 = np.array([1.0, -2.0, 0.5])
     pts = bounds.ball_points(x0, 0.75, n_samples=100)
@@ -206,6 +235,18 @@ def test_ball_points_contract():
     assert np.array_equal(pts, again)
     with pytest.raises(InvalidInputError):
         bounds.ball_points(x0, 0.75, n_samples=0)
+
+    # the shared draw is scaled per call exactly as a fresh draw would be
+    for center in (x0, np.array([0.3, 0.0, -7.0])):
+        for delta in (0.75, 3e-8):
+            got = bounds.ball_points(center, delta, n_samples=100)
+            assert np.array_equal(got, _ball_draw_reference(center, delta, 100))
+
+    # a caller writing into its result does not reach the next call, and the
+    # shared draw itself cannot be written
+    pts[:] = 0.0
+    assert np.array_equal(bounds.ball_points(x0, 0.75, n_samples=100), again)
+    assert not any(a.flags.writeable for a in bounds._unit_ball_draw(3, 100))
 
 
 def test_measure_errors_exact_quadratic():

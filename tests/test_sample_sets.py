@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfoq.errors import InvalidInputError
-from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices, poisedness
+from dfoq.sample_sets import (
+    SampleSet,
+    StructuredSet,
+    _validate_directions,
+    kkt_matrices,
+    poisedness,
+)
 from dfoq.simplex import delta_f
 
 E1 = np.array([1.0, 0.0])
@@ -76,6 +83,86 @@ def test_points_and_from_points_roundtrip():
 def test_from_points_needs_offsets():
     with pytest.raises(InvalidInputError):
         SampleSet.from_points(np.zeros(2), np.zeros((3, 2)))
+
+
+# Pairwise loops that the vectorized passes replaced, kept as the reference.
+def _validate_directions_loop(D):
+    if D.shape[1] < 1:
+        raise InvalidInputError("a sample set needs at least one direction")
+    norms = np.linalg.norm(D, axis=0)
+    if np.any(norms == 0.0):
+        raise InvalidInputError("zero direction in sample set")
+    for i in range(D.shape[1]):
+        for j in range(i + 1, D.shape[1]):
+            gap = np.linalg.norm(D[:, i] - D[:, j])
+            if gap <= 1e-12 * max(norms[i], norms[j]):
+                raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
+
+
+def _from_points_loop(x0, points):
+    """Kept offsets, one per row, in the order ``from_points`` keeps them."""
+    offsets = np.asarray(points, dtype=float) - x0[None, :]
+    scale = float(np.max(np.linalg.norm(offsets, axis=1), initial=0.0))
+    if scale == 0.0:
+        raise InvalidInputError("no nonzero offsets among the points")
+    kept = []
+    for off in offsets:
+        if np.linalg.norm(off) <= 1e-14 * scale:
+            continue
+        if any(np.linalg.norm(off - k) <= 1e-10 * scale for k in kept):
+            continue
+        kept.append(off)
+    return np.asarray(kept)
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+# Relative offsets on either side of the duplicate (1e-12), merge (1e-10) and
+# center (1e-14) thresholds.
+_NEAR = (0.5e-12, 2e-12, 0.5e-10, 2e-10)
+_NEAR_CENTER = (0.0, 0.5e-14, 2e-14)
+
+
+@st.composite
+def _near_duplicate_sets(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    D = rng.standard_normal((n, m)) * draw(st.sampled_from((1.0, 1e-6, 1e3)))
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), st.sampled_from(_NEAR))
+    for src, dst, rel in draw(st.lists(pairs, max_size=4)):
+        if src != dst:
+            u = rng.standard_normal(n)
+            D[:, dst] = D[:, src] + rel * np.linalg.norm(D[:, src]) * u / np.linalg.norm(u)
+    centers = draw(st.lists(st.sampled_from(_NEAR_CENTER), max_size=3))
+    return D, centers
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_near_duplicate_sets(), x0_seed=st.integers(0, 1000))
+def test_vectorized_validation_matches_pairwise_loops(case, x0_seed):
+    D, centers = case
+    n = D.shape[0]
+    assert _verdict(_validate_directions, D) == _verdict(_validate_directions_loop, D)
+
+    rng = np.random.default_rng(x0_seed)
+    x0 = rng.standard_normal(n)
+    scale = float(np.max(np.linalg.norm(D, axis=0)))
+    rows = [x0 + d for d in D.T]
+    for rel in centers:
+        u = rng.standard_normal(n)
+        rows.insert(int(rng.integers(0, len(rows) + 1)),
+                    x0 + rel * scale * u / np.linalg.norm(u))
+    points = np.array(rows)
+    expected = _from_points_loop(x0, points)
+    Y = SampleSet.from_points(x0, points)
+    assert np.array_equal(Y.D, expected.T)
 
 
 def test_json_roundtrip(tmp_path):
