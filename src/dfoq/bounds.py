@@ -140,10 +140,15 @@ def kappa_generic(L_grad, kappa_mH, Y: SampleSet):
 
     kappa_ef = (L + kappa_mH)/2 * (sqrt(n) ||pinv(Dbar)||_1 + 1)
     kappa_eg = 2 kappa_ef + 2 kappa_mH
+
+    Raises NotPoisedError when the directions do not span R^n: no model
+    interpolating on them carries gradient information off their span.
     """
     L = _nonnegative(L_grad, "L_grad")
     kmh = _nonnegative(kappa_mH, "kappa_mH")
-    pinv_norm = linalg.matrix_norm(linalg.pinv(Y.normalized()), "op1")
+    rank, pinv_norm = Y.normalized_rank_and_pinv_norm
+    if rank < Y.n:
+        raise NotPoisedError(f"directions span {rank} of {Y.n} dimensions: set not poised")
     kappa_ef = 0.5 * (L + kmh) * np.sqrt(Y.n) * pinv_norm + 0.5 * (L + kmh)
     kappa_eg = 2.0 * kappa_ef + 2.0 * kmh
     return BoundConstants(kappa_mH=kmh, kappa_ef=float(kappa_ef), kappa_eg=float(kappa_eg), family="generic")

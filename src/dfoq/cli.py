@@ -69,7 +69,10 @@ def _x0_option(merged):
         except ValueError:
             raise _UsageError(f"bad --x0 value {x0!r}") from None
     if x0 is not None:
-        return tuple(float(v) for v in x0)
+        try:
+            return tuple(float(v) for v in x0)
+        except (TypeError, ValueError):
+            raise _UsageError(f"bad x0 value {x0!r}, want a list of numbers") from None
     return None
 
 
@@ -205,15 +208,17 @@ def cmd_sweep(args):
         deltas = parse_deltas(deltas)
     else:
         deltas = tuple(float(d) for d in deltas)
+    # only a missing value takes the default: an explicit 0 must reach validation
+    samples, jobs = merged.get("samples"), merged.get("jobs")
     config = SweepConfig(
         function=merged["function"],
         set_spec=merged["set"],
         model=merged["model"],
         deltas=deltas,
         x0=x0,
-        samples=merged.get("samples") or 512,
+        samples=512 if samples is None else samples,
         seed=merged.get("seed"),
-        jobs=merged.get("jobs") or 1,
+        jobs=1 if jobs is None else jobs,
         tol=_tol_from_env(),
     )
     rows, summary = run_sweep(config)

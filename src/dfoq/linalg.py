@@ -6,18 +6,22 @@ rank decisions are made with one consistent tolerance rule.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InfeasibleError, InvalidInputError
 
 __all__ = [
     "DEFAULT_RESIDUAL_TOL",
+    "Factorization",
     "pinv",
     "matrix_norm",
     "solve_min_norm",
     "null_space_basis",
     "constrained_least_norm",
     "numerical_rank",
+    "range_residual",
     "rank_tolerance",
 ]
 
@@ -54,35 +58,86 @@ def rank_tolerance(M, tol=None):
     ``None`` selects ``eps * max(rows, cols)``; singular values at or below
     ``cutoff * sigma_max`` are treated as zero.
     """
-    A = as_matrix(M)
+    return _relative_tolerance(as_matrix(M).shape, tol)
+
+
+def _relative_tolerance(shape, tol):
     if tol is None:
-        return _EPS * max(A.shape)
+        return _EPS * max(shape)
     tol = float(tol)
     if tol < 0:
         raise InvalidInputError("tolerance must be nonnegative")
     return tol
 
 
+def _rank(s, cutoff):
+    """Singular values above the absolute ``cutoff``; none of a zero matrix."""
+    if s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > cutoff))
+
+
+class Factorization:
+    """One SVD of a matrix, read by every consumer that needs it.
+
+    ``rank`` counts the singular values above ``cutoff``, the relative
+    tolerance of :func:`rank_tolerance` times the largest singular value, and
+    :meth:`pinv` drops the same values.  The SVD is thin unless
+    ``full_matrices`` asks for every left singular vector, which
+    :meth:`range_residual` needs when the matrix is tall.  For a square
+    matrix the thin and the full SVD are the same.
+    """
+
+    def __init__(self, M, tol=None, full_matrices=False):
+        A = as_matrix(M)
+        self.shape = A.shape
+        self.U, self.s, self.Vt = np.linalg.svd(A, full_matrices=full_matrices)
+        self.cutoff = _relative_tolerance(A.shape, tol) * self.s[0]
+
+    @functools.cached_property
+    def rank(self):
+        """Number of singular values above the cutoff (counted on first read)."""
+        return _rank(self.s, self.cutoff)
+
+    def pinv(self):
+        """Moore-Penrose pseudoinverse, truncated at the cutoff."""
+        s = self.s
+        if s[0] == 0.0:
+            return np.zeros((self.shape[1], self.shape[0]))
+        keep = s > self.cutoff
+        inv_s = np.zeros_like(s)
+        inv_s[keep] = 1.0 / s[keep]
+        k = s.size
+        return (self.Vt[:k].T * inv_s) @ self.U[:, :k].T
+
+    def range_residual(self, b):
+        """Norm of the component of ``b`` orthogonal to the numerical range.
+
+        This is the right consistency measure for ill-conditioned systems: it
+        is O(eps ||b||) whenever ``A x = b`` is solvable, independent of
+        cond(A), while the recomputed residual of a computed solution grows
+        with cond(A).
+        """
+        rhs = as_vector(b, "b")
+        if rhs.size != self.shape[0]:
+            raise InvalidInputError(f"shape mismatch: A is {self.shape}, b has length {rhs.size}")
+        if self.U.shape[1] < self.shape[0]:
+            raise InvalidInputError("the range residual of a tall matrix needs its full SVD")
+        if self.rank >= self.U.shape[1]:
+            return 0.0
+        return float(np.linalg.norm(self.U[:, self.rank:].T @ rhs))
+
+
 def pinv(M, tol=None):
     """Moore-Penrose pseudoinverse via SVD with relative truncation ``tol``."""
-    A = as_matrix(M)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    rel = rank_tolerance(A, tol)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    keep = s > rel * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return (Vt.T * inv_s) @ U.T
+    return Factorization(M, tol).pinv()
 
 
 def numerical_rank(M, tol=None):
     """Number of singular values above the relative cutoff."""
     A = as_matrix(M)
     s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tolerance(A, tol) * s[0]))
+    return _rank(s, _relative_tolerance(A.shape, tol) * s[0])
 
 
 def matrix_norm(M, kind="spectral"):
@@ -115,31 +170,17 @@ def solve_min_norm(A, b, tol=None):
 
 
 def range_residual(A, b, tol=None):
-    """Norm of the component of ``b`` orthogonal to the numerical range of ``A``.
-
-    This is the right consistency measure for ill-conditioned systems: it is
-    O(eps ||b||) whenever ``A x = b`` is solvable, independent of cond(A),
-    while the recomputed residual of a computed solution grows with cond(A).
-    """
+    """Norm of the component of ``b`` orthogonal to the numerical range of ``A``
+    (see :meth:`Factorization.range_residual`)."""
     M = as_matrix(A, "A")
-    rhs = as_vector(b, "b")
-    if rhs.size != M.shape[0]:
-        raise InvalidInputError(f"shape mismatch: A is {M.shape}, b has length {rhs.size}")
-    U, s, _ = np.linalg.svd(M, full_matrices=True)
-    cutoff = rank_tolerance(M, tol) * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    if rank >= U.shape[1]:
-        return 0.0
-    return float(np.linalg.norm(U[:, rank:].T @ rhs))
+    return Factorization(M, tol, full_matrices=M.shape[0] != M.shape[1]).range_residual(b)
 
 
 def null_space_basis(A, tol=None):
     """Orthonormal basis of the null space of ``A``, one column per direction."""
     M = as_matrix(A, "A")
     _, s, Vt = np.linalg.svd(M)
-    cutoff = rank_tolerance(M, tol) * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    return Vt[rank:].T.copy()
+    return Vt[_rank(s, _relative_tolerance(M.shape, tol) * s[0]):].T.copy()
 
 
 def constrained_least_norm(A, b, weights, tol=None):

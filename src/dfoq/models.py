@@ -145,6 +145,34 @@ def _interp_residual(model, f, Y):
     return max(worst, abs(model.c - f(Y.x0)))
 
 
+def _split_multiplier_system(Dbar, delta, r):
+    """The multiplier system of :func:`solve_mn`, split and rescaled.
+
+    The multiplier matrix D'D + (1/4)(D'D)^o2 carries gradient content at
+    radius^2 and curvature content at radius^4, so solving it head-on loses
+    accuracy like radius^-2.  Split along an eigenbasis of the normalized
+    Gram matrix and rescale each block to O(1).  The basis change is
+    orthogonal, so the minimum-norm multiplier is preserved, and feasibility
+    is decided by the part of the data outside the system's range (the
+    recomputed solve residual would inflate with the condition number).
+
+    Returns ``(M, rhs, Vr, Vp)``; the m x m Gram, quadratic and eigenvector
+    matrices are released before the caller factors ``M``.
+    """
+    gram = Dbar.T @ Dbar
+    P = 0.25 * gram ** 2
+    w, V = np.linalg.eigh(gram)
+    hi = w > linalg.rank_tolerance(gram) * max(float(w[-1]), 0.0)
+    Vr, Vp = V[:, hi], V[:, ~hi]
+    VrP, VpP = Vr.T @ P, Vp.T @ P  # each left product serves two blocks
+    M = np.block([
+        [np.diag(w[hi]) + r ** 2 * (VrP @ Vr), r ** 2 * (VrP @ Vp)],
+        [VpP @ Vr, np.diag(w[~hi]) / r ** 2 + VpP @ Vp],
+    ])
+    rhs = np.concatenate([Vr.T @ delta / r ** 2, Vp.T @ delta / r ** 4])
+    return M, rhs, Vr, Vp
+
+
 def solve_mn(f, Y: SampleSet, tol=None):
     """Quadratic minimizing ``||g||^2 + ||H||_F^2`` among interpolants of f on Y.
 
@@ -154,30 +182,14 @@ def solve_mn(f, Y: SampleSet, tol=None):
     f = as_oracle(f)
     delta = delta_f(f, Y.x0, Y.D)
     r = Y.radius
-    Dbar = Y.normalized()
-    gram = Dbar.T @ Dbar
-    P = 0.25 * gram ** 2
-    # The multiplier matrix D'D + (1/4)(D'D)^o2 carries gradient content at
-    # radius^2 and curvature content at radius^4, so solving it head-on loses
-    # accuracy like radius^-2.  Split along an eigenbasis of the normalized
-    # Gram matrix and rescale each block to O(1).  The basis change is
-    # orthogonal, so the minimum-norm multiplier is preserved, and feasibility
-    # is decided by the part of the data outside the system's range (the
-    # recomputed solve residual would inflate with the condition number).
-    w, V = np.linalg.eigh(gram)
-    hi = w > linalg.rank_tolerance(gram) * max(float(w[-1]), 0.0)
-    Vr, Vp = V[:, hi], V[:, ~hi]
-    M = np.block([
-        [np.diag(w[hi]) + r ** 2 * (Vr.T @ P @ Vr), r ** 2 * (Vr.T @ P @ Vp)],
-        [Vp.T @ P @ Vr, np.diag(w[~hi]) / r ** 2 + Vp.T @ P @ Vp],
-    ])
-    rhs = np.concatenate([Vr.T @ delta / r ** 2, Vp.T @ delta / r ** 4])
-    kkt_residual = linalg.range_residual(M, rhs)
+    M, rhs, Vr, Vp = _split_multiplier_system(Y.normalized(), delta, r)
+    fac = linalg.Factorization(M)
+    kkt_residual = fac.range_residual(rhs)
     if kkt_residual > _feasibility_tol(tol, rhs):
         raise InfeasibleError(
             f"no interpolating quadratic: multiplier system residual {kkt_residual:.3e}"
         )
-    z, _ = linalg.solve_min_norm(M, rhs)
+    z = fac.pinv() @ rhs
     lam = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
     model = QuadraticModel(Y.x0, f(Y.x0), Y.D @ lam, _hessian_from_multipliers(Y.D, lam))
     diag = SolveDiagnostics(
@@ -199,22 +211,22 @@ def solve_mfn(f, Y: SampleSet, tol=None):
     """
     f = as_oracle(f)
     delta = delta_f(f, Y.x0, Y.D)
-    km = kkt_matrices(Y)
+    # read before the bordered factors exist, so its own SVD adds no peak memory
+    poised = Y.mfn_poised
     rhs = np.concatenate([delta, np.zeros(Y.n)])
     # The raw bordered system mixes radius^4 and radius^1 blocks, so its
     # conditioning degrades like radius^-3.  The problem is scale-equivariant:
     # solve on unit-normalized directions (condition independent of radius)
     # and map the solution back.
-    kkt_residual = linalg.range_residual(km.F_unit, rhs)
+    fac = linalg.Factorization(kkt_matrices(Y).F_unit)
+    kkt_residual = fac.range_residual(rhs)
     if kkt_residual > _feasibility_tol(tol, delta):
         raise InfeasibleError(
             f"no interpolating quadratic: bordered system residual {kkt_residual:.3e}"
         )
-    z, _ = linalg.solve_min_norm(km.F_unit, rhs)
+    z = fac.pinv() @ rhs
     r = Y.radius
     lam, alpha = z[: Y.m] / r ** 4, z[Y.m:] / r
-    s = np.linalg.svd(km.F_scaled, compute_uv=False)
-    poised = bool(s[-1] > linalg.rank_tolerance(km.F_scaled) * s[0])
     model = QuadraticModel(Y.x0, f(Y.x0), alpha, _hessian_from_multipliers(Y.D, lam))
     diag = SolveDiagnostics(
         multipliers=lam,

@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
 from .models import QuadraticModel
-from .sample_sets import SampleSet, poisedness
+from .sample_sets import SampleSet
 from .simplex import (
     DirectionPack,
     Oracle,
@@ -23,7 +23,6 @@ from .simplex import (
     as_oracle,
     centred_gsg,
     delta_delta_f,
-    delta_f,
     gsg,
     gsh,
     shifted_frame,
@@ -162,9 +161,7 @@ def mfn_from_gsh(f, x0, S, T):
     S = linalg.as_matrix(S, "S")
     T = linalg.as_matrix(T, "T")
     pack = DirectionPack.shared(S, T)
-    Y = gsh_sample_set(model.x0, pack)
-    report = poisedness(Y, delta_f(f, Y.x0, Y.D))
-    return model, report.mfn_poised
+    return model, gsh_sample_set(model.x0, pack).mfn_poised
 
 
 def mn_shifted_frame(f, x0, S, ell):

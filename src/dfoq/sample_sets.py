@@ -7,6 +7,7 @@ stores only the half frame of a plus-minus symmetric set.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -78,6 +79,22 @@ class SampleSet:
     def normalized(self):
         """Directions divided by the set radius."""
         return self.D / self.radius
+
+    # The set caches only verdicts and norms: a factor of the (m+n)^2 systems
+    # would stay alive as long as the set, so each consumer's own function
+    # owns its factorization.
+
+    @functools.cached_property
+    def mfn_poised(self):
+        """Whether the bordered system ``F_scaled`` is nonsingular at the rank
+        tolerance; the minimum-Frobenius gradient is unique exactly then."""
+        return linalg.numerical_rank(kkt_matrices(self).F_scaled) == self.m + self.n
+
+    @functools.cached_property
+    def normalized_rank_and_pinv_norm(self):
+        """``(rank, ||pinv(Dbar)||_1)`` of the normalized directions, from one SVD."""
+        fac = linalg.Factorization(self.normalized())
+        return fac.rank, linalg.matrix_norm(fac.pinv(), "op1")
 
     def scale(self, t):
         """Same geometry with every direction multiplied by ``t > 0``."""
@@ -249,10 +266,9 @@ def poisedness(Y: SampleSet, fvals, tol=None) -> PoisednessReport:
     )
     mn_feasible = residual <= feas_tol
 
-    F_scaled = kkt_matrices(Y).F_scaled
-    s = np.linalg.svd(F_scaled, compute_uv=False)
-    mfn_poised = bool(s[-1] > linalg.rank_tolerance(F_scaled) * s[0])
+    mfn_poised = Y.mfn_poised
     if mfn_poised:
+        F_scaled = kkt_matrices(Y).F_scaled
         F_cond = float(
             np.linalg.norm(F_scaled, np.inf) * np.linalg.norm(np.linalg.inv(F_scaled), np.inf)
         )

@@ -169,7 +169,8 @@ def gsh(f, x0, pack: DirectionPack):
 
     With a shared frame the product form ``pinv(S^T) @ ddf @ pinv(T)`` is
     used; otherwise row i holds the gradient-estimate difference along
-    ``T_i`` and the stack is premultiplied by ``pinv(S^T)``.
+    ``T_i`` and the stack is premultiplied by ``pinv(S^T)``.  Both gradient
+    estimates of row i solve with ``T_i``, so its pseudoinverse is taken once.
     """
     f = as_oracle(f)
     x0 = linalg.as_vector(x0, "x0")
@@ -180,7 +181,8 @@ def gsh(f, x0, pack: DirectionPack):
     rows = np.empty((pack.p, pack.n))
     for i in range(pack.p):
         Ti = pack.Ts[i]
-        rows[i] = gsg(f, x0 + pack.S[:, i], Ti) - gsg(f, x0, Ti)
+        P = linalg.pinv(Ti.T)
+        rows[i] = P @ delta_f(f, x0 + pack.S[:, i], Ti) - P @ delta_f(f, x0, Ti)
     return linalg.pinv(pack.S.T) @ rows
 
 

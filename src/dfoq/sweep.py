@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, linalg, testbed
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NotPoisedError
 from .models import build_qs, interpolation_check, qs_preset, solve_mfn, solve_mn
-from .sample_sets import SampleSet, StructuredSet, poisedness
-from .simplex import Oracle, delta_f
+from .sample_sets import SampleSet, StructuredSet
+from .simplex import Oracle
 
 CSV_HEADER = (
     "delta,err_f,bound_f,err_g,bound_g,err_dir_aligned_max,"
@@ -213,8 +213,7 @@ def _build_row(tf, frame, family, delta, samples, tol):
         Y = st.expand()
         model, _ = (solve_mn if family == "mn" else solve_mfn)(f, Y, tol=tol)
         meas_Y = Y
-        report = poisedness(Y, delta_f(f, Y.x0, Y.D))
-        poised = report.mfn_poised
+        poised = Y.mfn_poised
     else:
         preset = family.split(":", 1)[1]
         spec = qs_preset(preset, st)
@@ -254,9 +253,12 @@ def _build_row(tf, frame, family, delta, samples, tol):
         preset = family.split(":", 1)[1]
         if poised:
             kqs = bounds.kappa_mH_qs(lip.L_grad, spec)
-            consts = bounds.kappa_generic(lip.L_grad, kqs, meas_Y)
-            bound_f = consts.kappa_ef * radius ** 2
-            bound_g = consts.kappa_eg * radius
+            try:
+                consts = bounds.kappa_generic(lip.L_grad, kqs, meas_Y)
+                bound_f = consts.kappa_ef * radius ** 2
+                bound_g = consts.kappa_eg * radius
+            except NotPoisedError:
+                pass  # the set does not span R^n: no fully linear bound holds
         if preset == "centred":
             # the centred preset's H is the structured-pack GSH, the one
             # case the directional theory covers among the presets

@@ -31,6 +31,14 @@ def test_kappa_generic_identity_frame():
         bounds.kappa_generic(-1.0, 0.0, Y)
 
 
+def test_kappa_generic_rejects_non_spanning_set():
+    Y = plus_minus_axes(3, count=2)
+    with pytest.raises(NotPoisedError):
+        bounds.kappa_generic(1.0, 1.0, Y)
+    # tiny but spanning directions still give constants
+    assert bounds.kappa_generic(1.0, 1.0, plus_minus_axes(3).scale(1e-8)).kappa_ef > 0
+
+
 def test_kappa_mfn_single_direction():
     Y = SampleSet(np.zeros(1), np.array([[1.0]]))
     # F = [[1/4, 1], [1, 0]], inverse [[0, 1], [1, -1/4]], inf-norm 5/4

@@ -141,6 +141,26 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_sweep_rejects_nonpositive_counts(capsys, flag, value):
+    code = main(["sweep", "--function", "sphere", "--x0", "0,0", "--set", "structured:2",
+                 "--model", "mn", "--deltas", "1:0.5:3", flag, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be positive\n"
+
+
+@pytest.mark.parametrize("x0", [3, ["a", 0.1], [[0.1], [0.2]]])
+def test_config_x0_must_be_a_list_of_numbers(tmp_path, capsys, x0):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "sphere", "set": "structured:2",
+                               "model": "mn", "x0": x0}))
+    assert main(["model", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad x0 value")
+    assert err.count("\n") == 1
+
+
 def test_tol_env(capsys, monkeypatch):
     monkeypatch.setenv("DFOQ_TOL", "abc")
     assert main(["verify", "examples"]) == 1

@@ -189,3 +189,80 @@ def test_constrained_least_norm_rejects_bad_weights():
         linalg.constrained_least_norm(np.eye(2), np.ones(2), np.array([1.0, -1.0]))
     with pytest.raises(InvalidInputError):
         linalg.constrained_least_norm(np.eye(2), np.ones(2), np.ones(3))
+
+
+def _svd_pinv(A):
+    # the standalone pseudoinverse before Factorization, kept as the oracle
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if s[0] == 0.0:
+        return np.zeros((A.shape[1], A.shape[0]))
+    keep = s > linalg.rank_tolerance(A) * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return (Vt.T * inv_s) @ U.T
+
+
+def _full_svd_range_residual(A, b):
+    # the standalone range residual before Factorization (full SVD)
+    U, s, _ = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.count_nonzero(s > linalg.rank_tolerance(A) * s[0]))
+    if rank >= U.shape[1]:
+        return 0.0
+    return float(np.linalg.norm(U[:, rank:].T @ b))
+
+
+def _square_cases():
+    rng = np.random.default_rng(2024)
+    for n in (3, 8, 31, 64, 200):
+        A = rng.standard_normal((n, n))
+        yield A                                                  # full rank
+        yield A + A.T                                            # symmetric
+        k = max(1, n // 3)
+        yield rng.standard_normal((n, k)) @ rng.standard_normal((k, n))  # rank k
+        B = rng.standard_normal((n, k))
+        yield B @ B.T                                            # symmetric, rank k
+    yield np.zeros((4, 4))
+    yield _straddling_cutoff()
+
+
+def _straddling_cutoff():
+    # singular values at 3, 1.5 and 0.5 times the cutoff eps * n * sigma_max
+    n = 8
+    tol = np.finfo(float).eps * n
+    Q1, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+    Q2, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((n, n)))
+    return (Q1 * np.array([1.0, 0.5, 3 * tol, 1.5 * tol, 0.5 * tol, 0.0, 0.0, 0.0])) @ Q2.T
+
+
+def test_factorization_matches_standalone_formulas():
+    assert linalg.Factorization(_straddling_cutoff()).rank == 4
+    rng = np.random.default_rng(7)
+    for A in _square_cases():
+        fac = linalg.Factorization(A)
+        assert np.array_equal(fac.pinv(), _svd_pinv(A))
+        assert np.array_equal(linalg.pinv(A), _svd_pinv(A))
+        assert fac.rank == linalg.numerical_rank(A)
+        inside = A @ rng.standard_normal(A.shape[1])
+        for b in (rng.standard_normal(A.shape[0]), inside):
+            want = _full_svd_range_residual(A, b)
+            assert fac.range_residual(b) == want
+            assert linalg.range_residual(A, b) == want
+            x, _ = linalg.solve_min_norm(A, b)
+            assert np.array_equal(x, _svd_pinv(A) @ b)
+
+
+def test_factorization_non_square():
+    rng = np.random.default_rng(8)
+    for shape in ((7, 3), (3, 7)):
+        A = rng.standard_normal(shape)
+        b = rng.standard_normal(shape[0])
+        assert np.array_equal(linalg.pinv(A), _svd_pinv(A))
+        # the wrapper keeps the full SVD for a non-square matrix
+        assert linalg.range_residual(A, b) == _full_svd_range_residual(A, b)
+        full = linalg.Factorization(A, full_matrices=True)
+        assert np.allclose(full.pinv(), _svd_pinv(A), atol=1e-12)
+    tall = linalg.Factorization(rng.standard_normal((7, 3)))
+    with pytest.raises(InvalidInputError):
+        tall.range_residual(np.ones(7))
+    with pytest.raises(InvalidInputError):
+        linalg.Factorization(np.eye(3)).range_residual(np.ones(4))

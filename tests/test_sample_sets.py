@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dfoq import linalg
 from dfoq.errors import InvalidInputError
 from dfoq.sample_sets import (
     SampleSet,
@@ -295,3 +296,53 @@ def test_poisedness_rejects_wrong_fvals_length():
     Y = SampleSet(np.zeros(2), np.eye(2))
     with pytest.raises(InvalidInputError):
         poisedness(Y, np.zeros(3))
+
+
+def _inline_mfn_verdict(Y):
+    # the verdict as solve_mfn and poisedness each computed it before it was cached
+    F = kkt_matrices(Y).F_scaled
+    s = np.linalg.svd(F, compute_uv=False)
+    return bool(s[-1] > linalg.rank_tolerance(F) * s[0])
+
+
+def test_mfn_poised_matches_inline_verdict():
+    rng = np.random.default_rng(90)
+    axes = np.column_stack([np.eye(3), -np.eye(3)])
+    sets = [SampleSet(np.zeros(3), t * axes) for t in (1.0, 1e-2, 1e-4, 1e-5, 1e-7)]
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, (n + 1) * (n + 2) // 2))
+        sets.append(SampleSet(rng.standard_normal(n), 10.0 ** -rng.integers(0, 7)
+                              * rng.standard_normal((n, m))))
+    verdicts = set()
+    for Y in sets:
+        want = _inline_mfn_verdict(Y)
+        assert Y.mfn_poised is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_set_caches_are_read_without_an_svd(monkeypatch):
+    Y = SampleSet(np.zeros(2), np.column_stack([E1, -E1, E2, -E2, E1 + E2]))
+    first = (Y.mfn_poised, Y.normalized_rank_and_pinv_norm)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert (Y.mfn_poised, Y.normalized_rank_and_pinv_norm) == first
+    assert calls == []
+    # a new set of the same geometry factors afresh
+    Z = Y.scale(0.5)
+    Z.mfn_poised
+    assert len(calls) == 1
+
+
+def test_normalized_rank_and_pinv_norm():
+    Y = SampleSet(np.zeros(3), np.column_stack([np.eye(3)[:, :2], -np.eye(3)[:, :2]]))
+    rank, norm = Y.normalized_rank_and_pinv_norm
+    assert rank == 2
+    assert norm == linalg.matrix_norm(linalg.pinv(Y.normalized()), "op1")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dfoq import linalg
 from dfoq.errors import EvaluationError, InvalidInputError
 from dfoq.simplex import (
     DirectionPack,
@@ -131,6 +132,24 @@ def test_gsh_per_direction_frames():
     pack = DirectionPack(S, tuple(-S[:, i:i + 1] for i in range(2)))
     H = gsh(sphere, np.zeros(3), pack)
     assert np.allclose(H, np.diag([2.0, 2.0, 0.0]), atol=TOL)
+
+
+def test_gsh_per_direction_frames_match_two_gsg_form():
+    # each T_i is factored once; the rows equal the two-gsg differences bit for bit
+    rng = np.random.default_rng(55)
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        S = rng.standard_normal((n, int(rng.integers(2, n + 1))))
+        Ts = tuple(rng.standard_normal((n, int(rng.integers(1, n + 1)))) for _ in range(S.shape[1]))
+        pack = DirectionPack(S, Ts)
+        assert pack.shared_T is None
+        x0 = rng.standard_normal(n)
+
+        def f(x):
+            return float(np.cos(x[0]) + x @ x * x[-1])
+
+        rows = np.array([gsg(f, x0 + S[:, i], Ts[i]) - gsg(f, x0, Ts[i]) for i in range(S.shape[1])])
+        assert np.array_equal(gsh(f, x0, pack), linalg.pinv(S.T) @ rows)
 
 
 def test_gsh_transpose_identity():

@@ -5,7 +5,8 @@ import pytest
 
 from dfoq import testbed
 from dfoq.errors import InvalidInputError
-from dfoq.sample_sets import SampleSet
+from dfoq.sample_sets import SampleSet, StructuredSet, poisedness
+from dfoq.simplex import Oracle, delta_f
 from dfoq.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -211,3 +212,34 @@ def test_summary_structure():
     assert summary["dim"] == 2
     assert 1.7 <= summary["slope_err_f"] <= 2.3
     assert summary["all_bounds_hold"]
+
+
+@pytest.mark.parametrize("model", ["mn", "mfn"])
+def test_sweep_poised_column_matches_poisedness(model):
+    # the sweep reads the set's cached verdict instead of calling poisedness()
+    config = SweepConfig("trigonometric", "structured:3", model, parse_deltas("1:0.1:8"))
+    rows, _ = run_sweep(config)
+    tf = testbed.get("trigonometric")
+    frame = resolve_frame("structured:3", tf.dim)
+    verdicts = []
+    for delta, row in zip(config.deltas, rows):
+        Y = StructuredSet(tf.x0, delta * frame).expand()
+        want = poisedness(Y, delta_f(Oracle(tf.f), Y.x0, Y.D)).mfn_poised
+        assert row.poised is want
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("model", ["qs:centred", "qs:adapted-0"])
+def test_qs_sweep_on_non_spanning_set_has_no_fully_linear_bounds(model):
+    # structured:2 in R^3 carries no gradient information along e_3, so no
+    # fully linear bound can hold; the directional bounds stay
+    rows, summary = run_sweep(SweepConfig("trigonometric", "structured:2", model,
+                                          parse_deltas("1:0.1:8")))
+    assert all(r.poised for r in rows)
+    assert all(r.bound_f is None and r.bound_g is None for r in rows)
+    assert summary["violations"] == []
+    if model == "qs:centred":
+        assert all(r.bound_dir_aligned is not None for r in rows)
+    # the model has no gradient along e_3, so err_g stays at |d f / d x_3|
+    assert min(r.err_g for r in rows) > 0.5
