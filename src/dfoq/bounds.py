@@ -201,10 +201,25 @@ def _coefficient_ratio(v):
     return (n1 ** 2 - ninf ** 2) / nrm2
 
 
-def _pinv_sq_and_radius(frame):
+def _require_full_row_rank(D):
+    if linalg.numerical_rank(D) < D.shape[0]:
+        raise DirectionDomainError("half frame must have full row rank")
+
+
+def _directional_bound(lead, w, L, frame, v=None):
+    """``ratio lead ||pinv(Fbar)||^2 + (L/3) ||pinv(Fbar)||^2 (w ratio + 1) Delta_F``.
+
+    ``Fbar`` is the frame divided by its radius ``Delta_F`` and ``ratio`` the
+    coefficient ratio of the direction's expansion ``v``; without ``v`` it is
+    the worst ratio over all directions, ``p - 1/p`` (the uniform expansion).
+    The interpolation bounds take ``lead = 4 kappa_ef, w = 2``, the centred
+    simplex-Hessian bounds ``lead = ||hess f||, w = 1``.
+    """
+    p = frame.shape[1]
+    ratio = p - 1.0 / p if v is None else _coefficient_ratio(v)
     radius = float(np.max(np.linalg.norm(frame, axis=0)))
-    bar = frame / radius
-    return linalg.matrix_norm(linalg.pinv(bar), "spectral") ** 2, radius
+    pinv_sq = linalg.matrix_norm(linalg.pinv(frame / radius), "spectral") ** 2
+    return ratio * lead * pinv_sq + (L / 3.0) * pinv_sq * (w * ratio + 1.0) * radius
 
 
 def directional_bound_general(kappa_ef, L_hess, Dhalf, d):
@@ -217,29 +232,18 @@ def directional_bound_general(kappa_ef, L_hess, Dhalf, d):
     L = _nonnegative(L_hess, "L_hess")
     D = linalg.as_matrix(Dhalf, "Dhalf")
     dvec = linalg.as_vector(d, "d")
-    if linalg.numerical_rank(D) < D.shape[0]:
-        raise DirectionDomainError("half frame must have full row rank")
-    v = linalg.pinv(D) @ dvec
-    ratio = _coefficient_ratio(v)
-    pinv_sq, radius = _pinv_sq_and_radius(D)
-    return 4.0 * ratio * kef * pinv_sq + (L / 3.0) * pinv_sq * (2.0 * ratio + 1.0) * radius
+    _require_full_row_rank(D)
+    return _directional_bound(4.0 * kef, 2.0, L, D, linalg.pinv(D) @ dvec)
 
 
 def hess_error_bound_global(kappa_ef, L_hess, Dhalf):
-    """Worst case of :func:`directional_bound_general` over all directions.
-
-    The coefficient ratio maximizes at ``p - 1/p`` (attained by the uniform
-    expansion), giving a direction-free bound.
-    """
+    """Worst case of :func:`directional_bound_general` over all directions,
+    a direction-free bound."""
     kef = _nonnegative(kappa_ef, "kappa_ef")
     L = _nonnegative(L_hess, "L_hess")
     D = linalg.as_matrix(Dhalf, "Dhalf")
-    if linalg.numerical_rank(D) < D.shape[0]:
-        raise DirectionDomainError("half frame must have full row rank")
-    p = D.shape[1]
-    ratio = p - 1.0 / p
-    pinv_sq, radius = _pinv_sq_and_radius(D)
-    return 4.0 * ratio * kef * pinv_sq + (L / 3.0) * pinv_sq * (2.0 * ratio + 1.0) * radius
+    _require_full_row_rank(D)
+    return _directional_bound(4.0 * kef, 2.0, L, D)
 
 
 def directional_bound_gsh_cross(hess_norm, L_hess, delta):
@@ -256,9 +260,7 @@ def directional_bound_gsh_general(hess_norm, L_hess, S, d, rtol=1e-8):
     v = linalg.pinv(frame) @ dvec
     if np.linalg.norm(frame @ v - dvec) > rtol * np.linalg.norm(dvec):
         raise DirectionDomainError("direction lies outside the span of the frame")
-    ratio = _coefficient_ratio(v)
-    pinv_sq, radius = _pinv_sq_and_radius(frame)
-    return ratio * hn * pinv_sq + (L / 3.0) * pinv_sq * (ratio + 1.0) * radius
+    return _directional_bound(hn, 1.0, L, frame, v)
 
 
 def gsh_error_bound_global(hess_norm, L_hess, S):
@@ -266,10 +268,7 @@ def gsh_error_bound_global(hess_norm, L_hess, S):
     hn = _nonnegative(hess_norm, "hess_norm")
     L = _nonnegative(L_hess, "L_hess")
     frame = linalg.as_matrix(S, "S")
-    p = frame.shape[1]
-    ratio = p - 1.0 / p
-    pinv_sq, radius = _pinv_sq_and_radius(frame)
-    return ratio * hn * pinv_sq + (L / 3.0) * pinv_sq * (ratio + 1.0) * radius
+    return _directional_bound(hn, 1.0, L, frame)
 
 
 @functools.lru_cache(maxsize=32)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import testbed, verify
 from .errors import EvaluationError, InfeasibleError, InvalidInputError, NotPoisedError
-from .models import build_qs, interpolation_check, qs_preset, solve_mfn, solve_mn
+from .models import build
 from .sample_sets import SampleSet, StructuredSet
 from .simplex import Oracle
 from .sweep import SweepConfig, parse_deltas, resolve_frame, rows_to_csv, row_to_json_dict, run_sweep
@@ -50,7 +50,6 @@ def _build_parser():
         if deltas:
             p.add_argument("--deltas", help="geometric grid start:factor:count")
             p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--jobs", type=int, default=None)
 
     common(sub.add_parser("model", help="solve one model and print it as JSON"))
     common(sub.add_parser("sweep", help="rebuild the model per radius, check bounds"),
@@ -161,38 +160,18 @@ def cmd_model(args):
         if x0 is not None:
             raise _UsageError("--x0 conflicts with file sets; the file carries the center")
         tf = testbed.get(merged["function"], dim=stored.n)
-        center, frame = stored.x0, stored.D
+        # mn and mfn solve on the stored set as it is; qs reads it as a half frame
+        st, Y = StructuredSet(stored.x0, stored.D), stored
     else:
         tf = testbed.get(merged["function"],
                          dim=len(x0) if x0 is not None else None, x0=x0)
-        center = tf.x0
         frame = resolve_frame(set_spec, tf.dim, fallback_seed=merged.get("seed"))
+        st, Y = StructuredSet(tf.x0, frame), None
 
     f = Oracle(tf.f)
-    name = merged["model"]
-    if name in ("mn", "mfn"):
-        if set_spec.startswith("file:"):
-            Y = SampleSet(center, frame)
-        else:
-            Y = StructuredSet(center, frame).expand()
-        model, diag = (solve_mn if name == "mn" else solve_mfn)(f, Y, tol=tol)
-        diagnostics = diag.to_json_dict()
-    elif name.startswith("qs:"):
-        st = StructuredSet(center, frame)
-        spec = qs_preset(name.split(":", 1)[1], st)
-        model = build_qs(f, center, spec)
-        Y = SampleSet.from_points(center, spec.points(center))
-        check = interpolation_check(model, f, Y, tol=tol)
-        diagnostics = {
-            "interpolation_max_violation": check.max_violation,
-            "interpolation_passed": check.passed,
-            "points": Y.m,
-        }
-    else:
-        raise _UsageError(f"unknown model {name!r}, want mn, mfn, or qs:<preset>")
-
-    doc = model.to_json_dict()
-    doc["diagnostics"] = diagnostics
+    built = build(merged["model"], f, st, Y=Y, tol=tol)
+    doc = built.model.to_json_dict()
+    doc["diagnostics"] = built.diagnostics_json()
     doc["oracle_calls"] = f.calls
     _emit(json.dumps(_jsonify(doc), indent=2) + "\n", merged.get("out"))
     return 0
@@ -200,7 +179,7 @@ def cmd_model(args):
 
 def cmd_sweep(args):
     merged = _merged(args, ("function", "x0", "set", "model", "deltas", "samples",
-                            "out", "format", "jobs", "seed"))
+                            "out", "format", "seed"))
     _require(merged, "function", "set", "model", "deltas")
     x0 = _x0_option(merged)
     deltas = merged["deltas"]
@@ -209,7 +188,7 @@ def cmd_sweep(args):
     else:
         deltas = tuple(float(d) for d in deltas)
     # only a missing value takes the default: an explicit 0 must reach validation
-    samples, jobs = merged.get("samples"), merged.get("jobs")
+    samples = merged.get("samples")
     config = SweepConfig(
         function=merged["function"],
         set_spec=merged["set"],
@@ -218,7 +197,6 @@ def cmd_sweep(args):
         x0=x0,
         samples=512 if samples is None else samples,
         seed=merged.get("seed"),
-        jobs=1 if jobs is None else jobs,
         tol=_tol_from_env(),
     )
     rows, summary = run_sweep(config)

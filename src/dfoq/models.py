@@ -1,5 +1,6 @@
 """Quadratic model solvers: minimum-norm, minimum-Frobenius-norm, and
-simplex-derivative compositions.
+simplex-derivative compositions.  :func:`build` maps a family name to its
+model and is the one place that does.
 
 Both interpolation solvers reduce to small dense linear systems through the
 stationarity structure of their objectives: multipliers weight the rank-one
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
-from .sample_sets import SampleSet, kkt_matrices
+from .sample_sets import SampleSet, StructuredSet, kkt_matrices
 from .simplex import DirectionPack, as_oracle, delta_f, gsg, gsh, shifted_frame
 
 __all__ = [
@@ -25,6 +26,9 @@ __all__ = [
     "GradTerm",
     "HessTerm",
     "QSSpec",
+    "BuiltModel",
+    "parse_family",
+    "build",
     "solve_mn",
     "solve_mfn",
     "build_qs",
@@ -111,7 +115,6 @@ class SolveDiagnostics:
     kkt_residual: float
     feasibility_residual: float
     alpha_unique: bool
-    hessian_unique: bool
 
     def to_json_dict(self):
         return {
@@ -119,7 +122,6 @@ class SolveDiagnostics:
             "kkt_residual": self.kkt_residual,
             "feasibility_residual": self.feasibility_residual,
             "alpha_unique": self.alpha_unique,
-            "hessian_unique": self.hessian_unique,
         }
 
 
@@ -136,13 +138,6 @@ def _feasibility_tol(tol, delta):
 def _hessian_from_multipliers(D, lam):
     H = 0.5 * (D * lam) @ D.T
     return 0.5 * (H + H.T)  # kill roundoff skew; exact value is symmetric
-
-
-def _interp_residual(model, f, Y):
-    pts = Y.points()
-    fvals = np.array([f(p) for p in pts])
-    worst = float(np.max(np.abs(model.value_many(pts) - fvals)))
-    return max(worst, abs(model.c - f(Y.x0)))
 
 
 def _split_multiplier_system(Dbar, delta, r):
@@ -195,9 +190,8 @@ def solve_mn(f, Y: SampleSet, tol=None):
     diag = SolveDiagnostics(
         multipliers=lam,
         kkt_residual=float(kkt_residual),
-        feasibility_residual=_interp_residual(model, f, Y),
+        feasibility_residual=interpolation_check(model, f, Y, tol).max_violation,
         alpha_unique=True,
-        hessian_unique=True,
     )
     return model, diag
 
@@ -231,9 +225,8 @@ def solve_mfn(f, Y: SampleSet, tol=None):
     diag = SolveDiagnostics(
         multipliers=lam,
         kkt_residual=float(kkt_residual),
-        feasibility_residual=_interp_residual(model, f, Y),
+        feasibility_residual=interpolation_check(model, f, Y, tol).max_violation,
         alpha_unique=poised,
-        hessian_unique=True,
     )
     return model, diag
 
@@ -356,3 +349,63 @@ def qs_preset(name, structured):
 
 
 QS_PRESETS = ("centred", "forward", "adapted-<ell>")
+
+
+def parse_family(name):
+    """Split a model family name into ``(kind, preset)``: ``("mn", None)``,
+    ``("mfn", None)`` or ``("qs", preset)`` for ``qs:<preset>``."""
+    if name in ("mn", "mfn"):
+        return name, None
+    if isinstance(name, str) and name.startswith("qs:"):
+        return "qs", name[len("qs:"):]
+    raise InvalidInputError(f"unknown model {name!r}, want mn, mfn, or qs:<preset>")
+
+
+@dataclass(frozen=True)
+class BuiltModel:
+    """One family's model, as :func:`build` returns it.
+
+    ``Y`` is the set the model interpolates: the solve set for mn/mfn, the
+    recipe's points for qs.  ``diagnostics`` is the solver's
+    :class:`SolveDiagnostics` for mn/mfn and the :class:`InterpolationReport`
+    on ``Y`` for qs; ``spec`` is the qs recipe, None for mn/mfn.
+    """
+
+    model: QuadraticModel
+    Y: SampleSet
+    diagnostics: SolveDiagnostics | InterpolationReport
+    spec: QSSpec | None = None
+
+    @property
+    def poised(self):
+        """The set's check verdict: ``Y.mfn_poised`` for mn/mfn, factored on
+        first read (mn never needs it otherwise), the interpolation check for qs."""
+        return self.Y.mfn_poised if self.spec is None else self.diagnostics.passed
+
+    def diagnostics_json(self):
+        if self.spec is None:
+            return self.diagnostics.to_json_dict()
+        return {
+            "interpolation_max_violation": self.diagnostics.max_violation,
+            "interpolation_passed": self.diagnostics.passed,
+            "points": self.Y.m,
+        }
+
+
+def build(family, f, st: StructuredSet, Y: SampleSet | None = None, tol=None):
+    """The ``family`` model (mn | mfn | qs:<preset>) of f on the structured set ``st``.
+
+    mn and mfn solve on ``Y``, by default the symmetric set ``st.expand()``.
+    qs applies the preset's recipe to the half frame of ``st`` and ignores
+    ``Y``; its set is the recipe's points.  Returns a :class:`BuiltModel`.
+    """
+    kind, preset = parse_family(family)
+    f = as_oracle(f)
+    if kind != "qs":
+        Y = st.expand() if Y is None else Y
+        model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
+        return BuiltModel(model, Y, diag)
+    spec = qs_preset(preset, st)
+    model = build_qs(f, st.x0, spec)
+    Y = SampleSet.from_points(st.x0, spec.points(st.x0))
+    return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), spec)

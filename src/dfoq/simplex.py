@@ -35,17 +35,15 @@ class Oracle:
     points share an evaluation.  ``calls`` counts underlying evaluations.
     """
 
-    def __init__(self, fn, cache=True):
+    def __init__(self, fn):
         if isinstance(fn, Oracle):
             fn = fn._fn
         self._fn = fn
-        self._cache = {} if cache else None
+        self._cache = {}
         self.calls = 0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self._cache is None:
-            return self._evaluate(x)
         key = x.tobytes()
         try:
             return self._cache[key]
@@ -63,7 +61,7 @@ class Oracle:
 
     @property
     def cache_size(self):
-        return 0 if self._cache is None else len(self._cache)
+        return len(self._cache)
 
 
 def as_oracle(f):

@@ -17,16 +17,13 @@ raw measurements.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, linalg, testbed
+from . import bounds, linalg, models, testbed
 from .errors import InvalidInputError, NotPoisedError
-from .models import build_qs, interpolation_check, qs_preset, solve_mfn, solve_mn
 from .sample_sets import SampleSet, StructuredSet
-from .simplex import Oracle
 
 CSV_HEADER = (
     "delta,err_f,bound_f,err_g,bound_g,err_dir_aligned_max,"
@@ -45,7 +42,6 @@ class SweepConfig:
     x0: tuple | None = None
     samples: int = bounds.DEFAULT_SAMPLES
     seed: int | None = None
-    jobs: int = 1
     tol: float | None = None
 
     def __post_init__(self):
@@ -60,8 +56,6 @@ class SweepConfig:
             raise InvalidInputError("deltas must be strictly decreasing")
         if self.samples < 1:
             raise InvalidInputError("samples must be positive")
-        if self.jobs < 1:
-            raise InvalidInputError("jobs must be positive")
 
     def to_json_dict(self):
         return {
@@ -72,7 +66,6 @@ class SweepConfig:
             "x0": None if self.x0 is None else list(self.x0),
             "samples": self.samples,
             "seed": self.seed,
-            "jobs": self.jobs,
             "tol": self.tol,
         }
 
@@ -205,24 +198,8 @@ def _worst_cross_pair(cross, bound_table):
 
 
 def _build_row(tf, frame, family, delta, samples, tol):
-    st = StructuredSet(tf.x0, delta * frame)
-    f = Oracle(tf.f)
-    interp_violation = None
-
-    if family in ("mn", "mfn"):
-        Y = st.expand()
-        model, _ = (solve_mn if family == "mn" else solve_mfn)(f, Y, tol=tol)
-        meas_Y = Y
-        poised = Y.mfn_poised
-    else:
-        preset = family.split(":", 1)[1]
-        spec = qs_preset(preset, st)
-        model = build_qs(f, tf.x0, spec)
-        meas_Y = SampleSet.from_points(tf.x0, spec.points(tf.x0))
-        check = interpolation_check(model, f, meas_Y, tol=tol)
-        poised = check.passed
-        interp_violation = check.max_violation
-
+    built = models.build(family, tf.f, StructuredSet(tf.x0, delta * frame), tol=tol)
+    meas_Y, poised = built.Y, built.poised
     radius = meas_Y.radius
     if radius > tf.region_radius:
         raise InvalidInputError(
@@ -250,16 +227,15 @@ def _build_row(tf, frame, family, delta, samples, tol):
                 consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :]
             )
     else:
-        preset = family.split(":", 1)[1]
         if poised:
-            kqs = bounds.kappa_mH_qs(lip.L_grad, spec)
+            kqs = bounds.kappa_mH_qs(lip.L_grad, built.spec)
             try:
                 consts = bounds.kappa_generic(lip.L_grad, kqs, meas_Y)
                 bound_f = consts.kappa_ef * radius ** 2
                 bound_g = consts.kappa_eg * radius
             except NotPoisedError:
                 pass  # the set does not span R^n: no fully linear bound holds
-        if preset == "centred":
+        if family == "qs:centred":
             # the centred preset's H is the structured-pack GSH, the one
             # case the directional theory covers among the presets
             hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
@@ -269,7 +245,7 @@ def _build_row(tf, frame, family, delta, samples, tol):
                 bounds.directional_bound_gsh_cross(hess_norm, lip.L_hess, delta),
             )
 
-    meas = bounds.measure_errors(tf, model, meas_Y, n_samples=samples)
+    meas = bounds.measure_errors(tf, built.model, meas_Y, n_samples=samples)
     if cross_bound_table is not None:
         err_cross, bound_cross = _worst_cross_pair(meas.cross, cross_bound_table)
     else:
@@ -287,6 +263,7 @@ def _build_row(tf, frame, family, delta, samples, tol):
         bound_dir_cross=bound_cross,
         poised=poised,
     )
+    interp_violation = None if built.spec is None else built.diagnostics.max_violation
     return row, interp_violation
 
 
@@ -319,30 +296,18 @@ def run_sweep(config: SweepConfig):
     """Execute a sweep; returns (rows, summary dict)."""
     dim = len(config.x0) if config.x0 is not None else None
     tf = testbed.get(config.function, dim=dim, x0=config.x0)
-    for known in ("mn", "mfn"):
-        if config.model == known:
-            break
-    else:
-        if not config.model.startswith("qs:"):
-            raise InvalidInputError(
-                f"unknown model {config.model!r}, want mn, mfn, or qs:<preset>"
-            )
+    models.parse_family(config.model)  # a bad model is reported before a bad set
     frame = resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed)
-
-    def work(delta):
-        return _build_row(tf, frame, config.model, delta, config.samples, config.tol)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(work, config.deltas))
-    else:
-        results = [work(d) for d in config.deltas]
+    results = [_build_row(tf, frame, config.model, d, config.samples, config.tol)
+               for d in config.deltas]
     rows = [r for r, _ in results]
     interp = [v for _, v in results if v is not None]
 
     deltas = [r.delta for r in rows]
     fscale = 1.0 + abs(tf.f(tf.x0))
     violations = count_violations(tf, rows)
+    rows_checked = sum(1 for r in rows if any(
+        b is not None for b in (r.bound_f, r.bound_g, r.bound_dir_aligned, r.bound_dir_cross)))
     summary = {
         "config": config.to_json_dict(),
         "function": tf.name,
@@ -353,9 +318,11 @@ def run_sweep(config: SweepConfig):
         "slope_err_dir_aligned": bounds.fit_slope(
             deltas, [r.err_dir_aligned_max for r in rows], fscale, 2
         ),
-        "all_bounds_hold": not violations,
+        # a sweep that checked nothing has shown nothing to hold
+        "all_bounds_hold": rows_checked > 0 and not violations,
         "violations": violations,
         "rows_poised": sum(1 for r in rows if r.poised),
+        "rows_checked": rows_checked,
     }
     if interp:
         summary["max_interpolation_violation"] = max(interp)

@@ -221,6 +221,46 @@ def test_gsh_bounds():
         assert bounds.directional_bound_gsh_general(hn, L, S, d) <= glob * (1 + 1e-12)
 
 
+def _old_pinv_sq_and_radius(frame):
+    radius = float(np.max(np.linalg.norm(frame, axis=0)))
+    return linalg.matrix_norm(linalg.pinv(frame / radius), "spectral") ** 2, radius
+
+
+def _old_directional_bounds(kef, L, D, d, hn):
+    """The four directional bounds as each spelled its formula out before
+    they shared one helper: the bitwise reference for that helper."""
+    pinv_sq, radius = _old_pinv_sq_and_radius(D)
+    p = D.shape[1]
+    v = linalg.pinv(D) @ d
+    ratio = bounds._coefficient_ratio(v)
+    worst = p - 1.0 / p
+    return (
+        4.0 * ratio * kef * pinv_sq + (L / 3.0) * pinv_sq * (2.0 * ratio + 1.0) * radius,
+        4.0 * worst * kef * pinv_sq + (L / 3.0) * pinv_sq * (2.0 * worst + 1.0) * radius,
+        ratio * hn * pinv_sq + (L / 3.0) * pinv_sq * (ratio + 1.0) * radius,
+        worst * hn * pinv_sq + (L / 3.0) * pinv_sq * (worst + 1.0) * radius,
+    )
+
+
+def test_directional_bounds_match_their_old_formulas_bitwise():
+    rng = np.random.default_rng(1234)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        p = int(rng.integers(n, 8))
+        D = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-6, 1)
+        d = rng.standard_normal(n)
+        kef, L, hn = (0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3, 3)
+                      for _ in range(3))
+        want = _old_directional_bounds(kef, L, D, d, hn)
+        got = (
+            bounds.directional_bound_general(kef, L, D, d),
+            bounds.hess_error_bound_global(kef, L, D),
+            bounds.directional_bound_gsh_general(hn, L, D, d),
+            bounds.gsh_error_bound_global(hn, L, D),
+        )
+        assert got == want, (n, p)
+
+
 def _ball_draw_reference(x0, delta, k):
     """Fresh scrambled-Halton draw with the ball sample's frozen seed."""
     n = x0.size

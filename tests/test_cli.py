@@ -7,8 +7,11 @@ import subprocess
 import numpy as np
 import pytest
 
+from dfoq import testbed
 from dfoq.cli import main
-from dfoq.sample_sets import SampleSet
+from dfoq.models import build_qs, qs_preset, solve_mn
+from dfoq.sample_sets import SampleSet, StructuredSet
+from dfoq.simplex import Oracle
 
 GOLD_TOL = 1e-10
 
@@ -48,6 +51,66 @@ def test_model_mfn_golden(capsys, five_point_file):
     assert np.allclose(doc["g"], [0.0, 1.0], atol=GOLD_TOL)
     assert np.allclose(doc["H"], [[2.0, 0.0], [0.0, 0.0]], atol=GOLD_TOL)
     assert doc["diagnostics"]["alpha_unique"] is True
+
+
+def test_model_file_set_semantics(capsys, five_point_file):
+    # mn solves on the stored, asymmetric set as it is; qs reads the stored
+    # directions as the half frame of a plus-minus set
+    stored = SampleSet.load(five_point_file)
+    sphere = testbed.get("sphere", dim=2).f
+    mn, _ = solve_mn(sphere, stored)
+    code, doc = run_json(capsys, ["model", "--function", "sphere", "--set",
+                                  f"file:{five_point_file}", "--model", "mn"])
+    assert code == 0
+    assert doc["g"] == mn.g.tolist() and doc["H"] == mn.H.tolist()
+
+    half = StructuredSet(np.array([0.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    half_file = five_point_file.replace("plane", "half")
+    SampleSet(half.x0, half.Dhalf).save(half_file)
+    f = Oracle(sphere)
+    qs = build_qs(f, half.x0, qs_preset("adapted-1", half))
+    code, doc = run_json(capsys, ["model", "--function", "sphere", "--set",
+                                  f"file:{half_file}", "--model", "qs:adapted-1"])
+    assert code == 0
+    assert doc["g"] == qs.g.tolist() and doc["H"] == qs.H.tolist()
+    assert doc["oracle_calls"] == f.calls
+
+
+def test_unknown_model_reported_alike_and_before_the_set(capsys):
+    want = "error: unknown model 'cubic', want mn, mfn, or qs:<preset>\n"
+    model_args = ["--function", "sphere", "--set", "structured:2", "--model", "cubic"]
+    assert main(["model"] + model_args) == 1
+    assert capsys.readouterr().err == want
+    assert main(["sweep"] + model_args + ["--deltas", "1:0.5:3"]) == 1
+    assert capsys.readouterr().err == want
+    # a bad model is reported before a bad set
+    assert main(["sweep", "--function", "sphere", "--set", "bogus:2", "--model", "cubic",
+                 "--deltas", "1:0.5:3"]) == 1
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("family, svds", [("mn", 1), ("mfn", 2), ("qs:centred", 6)])
+def test_model_takes_no_extra_factorization(capsys, monkeypatch, family, svds):
+    # the SVD counts of these requests before the family dispatch was shared;
+    # mn in particular never reads the set's poised verdict
+    count = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))
+    assert main(["model", "--function", "trigonometric", "--set", "structured:3",
+                 "--model", family]) == 0
+    capsys.readouterr()
+    assert len(count) <= svds
+
+
+def test_sweep_has_no_jobs_option(tmp_path, capsys):
+    args = ["sweep", "--function", "sphere", "--x0", "0,0", "--set", "structured:2",
+            "--model", "mn", "--deltas", "1:0.5:3"]
+    assert main(args + ["--jobs", "2"]) == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: jobs\n"
 
 
 def test_model_qs_diagnostics(capsys):
@@ -141,7 +204,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--jobs"])
+@pytest.mark.parametrize("flag", ["--samples"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_sweep_rejects_nonpositive_counts(capsys, flag, value):
     code = main(["sweep", "--function", "sphere", "--x0", "0,0", "--set", "structured:2",

@@ -10,8 +10,10 @@ from dfoq.models import (
     HessTerm,
     QSSpec,
     QuadraticModel,
+    build,
     build_qs,
     interpolation_check,
+    parse_family,
     qs_preset,
     solve_mfn,
     solve_mn,
@@ -63,7 +65,7 @@ def test_solve_mfn_golden_pairs():
     model, diag = solve_mfn(sphere, five_point_set())
     assert np.allclose(model.g, [0.0, 1.0], atol=GOLD_TOL)
     assert np.allclose(model.H, np.diag([2.0, 0.0]), atol=GOLD_TOL)
-    assert diag.alpha_unique and diag.hessian_unique
+    assert diag.alpha_unique
 
     model, diag = solve_mfn(sphere, degenerate_axes_set())
     assert np.allclose(model.H, np.diag([2.0, 2.0, 0.0]), atol=GOLD_TOL)
@@ -300,3 +302,103 @@ def test_solver_oracle_call_budget():
         f = Oracle(sphere)
         solver(f, Y)
         assert f.calls == Y.m + 1
+
+
+FAMILIES = ("mn", "mfn", "qs:centred", "qs:forward", "qs:adapted-0", "qs:adapted-1")
+
+
+def trig(x):
+    return float(np.sum(np.sin(x)) + np.prod(np.cos(x)))
+
+
+def _direct(family, st, Y=None):
+    """The family's model by the direct solver calls, as the CLI and the
+    sweep each made them before sharing :func:`build`."""
+    f = Oracle(trig)
+    if family in ("mn", "mfn"):
+        Y = st.expand() if Y is None else Y
+        model, _ = (solve_mn if family == "mn" else solve_mfn)(f, Y)
+        return model, Y, Y.mfn_poised, f.calls
+    spec = qs_preset(family.split(":", 1)[1], st)
+    model = build_qs(f, st.x0, spec)
+    Y = SampleSet.from_points(st.x0, spec.points(st.x0))
+    return model, Y, interpolation_check(model, f, Y).passed, f.calls
+
+
+def _assert_same_build(family, st, Y=None):
+    model, want_Y, verdict, calls = _direct(family, st, Y)
+    f = Oracle(trig)
+    built = build(family, f, st, Y=Y)
+    assert built.model.c == model.c
+    assert np.array_equal(built.model.g, model.g)
+    assert np.array_equal(built.model.H, model.H)
+    assert np.array_equal(built.Y.x0, want_Y.x0)
+    assert np.array_equal(built.Y.D, want_Y.D)
+    assert built.poised is verdict
+    assert f.calls == calls
+    assert (built.spec is None) == (family in ("mn", "mfn"))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_build_matches_direct_solver_calls(family):
+    rng = np.random.default_rng(5)
+    x0 = np.array([0.3, -0.2, 0.5])
+    for st in (StructuredSet(x0, 0.1 * np.eye(3)),
+               StructuredSet(x0, 0.01 * np.eye(3)[:, :2]),
+               StructuredSet(x0, 0.2 * rng.standard_normal((3, 3)))):
+        _assert_same_build(family, st)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_build_on_a_stored_set(family):
+    # mn and mfn solve on the stored, asymmetric set as it is; qs reads its
+    # directions as a half frame
+    stored = SampleSet(np.array([0.1, 0.4, -0.3]), np.array([[0.3, 0.0, -0.2],
+                                                             [0.0, 0.2, 0.1],
+                                                             [0.1, -0.1, 0.3]]))
+    st = StructuredSet(stored.x0, stored.D)
+    _assert_same_build(family, st, Y=stored)
+    built = build(family, trig, st, Y=stored)
+    assert (built.Y is stored) == (family in ("mn", "mfn"))
+
+
+def test_build_mn_leaves_the_poised_verdict_unfactored():
+    st = StructuredSet(np.zeros(2), 0.5 * np.eye(2))
+    built = build("mn", sphere, st)
+    assert "mfn_poised" not in vars(built.Y)
+    assert built.poised is True
+    assert "mfn_poised" in vars(built.Y)
+
+
+def test_build_diagnostics_json():
+    st = StructuredSet(np.zeros(2), 0.5 * np.eye(2))
+    mfn = build("mfn", sphere, st).diagnostics_json()
+    assert list(mfn) == ["multipliers", "kkt_residual", "feasibility_residual", "alpha_unique"]
+    qs = build("qs:centred", sphere, st)
+    assert qs.diagnostics_json() == {
+        "interpolation_max_violation": qs.diagnostics.max_violation,
+        "interpolation_passed": True,
+        "points": 4,
+    }
+
+
+def test_parse_family():
+    assert parse_family("mn") == ("mn", None)
+    assert parse_family("mfn") == ("mfn", None)
+    assert parse_family("qs:adapted-1") == ("qs", "adapted-1")
+    assert parse_family("qs:") == ("qs", "")
+    for bad in ("cubic", "MN", "qs", "", 3, None):
+        with pytest.raises(InvalidInputError, match="unknown model"):
+            parse_family(bad)
+    st = StructuredSet(np.zeros(2), np.eye(2))
+    with pytest.raises(InvalidInputError, match="unknown model 'cubic'"):
+        build("cubic", sphere, st)
+    with pytest.raises(InvalidInputError, match="unknown QS preset"):
+        build("qs:midpoint", sphere, st)
+
+
+def test_feasibility_residual_is_the_interpolation_check():
+    Y = five_point_set()
+    for solver in (solve_mn, solve_mfn):
+        model, diag = solver(trig, Y)
+        assert diag.feasibility_residual == interpolation_check(model, trig, Y).max_violation

@@ -38,14 +38,6 @@ def test_oracle_caches_and_counts():
     assert calls.calls == 2
 
 
-def test_oracle_uncached():
-    raw = Oracle(sphere, cache=False)
-    raw(np.zeros(1))
-    raw(np.zeros(1))
-    assert raw.calls == 2
-    assert raw.cache_size == 0
-
-
 def test_oracle_rejects_non_finite():
     bad = Oracle(lambda x: np.inf)
     with pytest.raises(EvaluationError):
