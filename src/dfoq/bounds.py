@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from . import linalg
 from .errors import DirectionDomainError, InvalidInputError, NotPoisedError
-from .sample_sets import SampleSet, kkt_matrices
+from .sample_sets import SampleSet
 
 __all__ = [
     "LipschitzData",
@@ -95,11 +95,10 @@ def kappa_mH_mfn(L_grad, Y: SampleSet):
     singular at the rank tolerance.
     """
     L = _nonnegative(L_grad, "L_grad")
-    F = kkt_matrices(Y).F_unit
-    s = np.linalg.svd(F, compute_uv=False)
-    if s[-1] <= linalg.rank_tolerance(F) * s[0]:
+    fac = Y.F_unit_factor
+    if fac.s[-1] <= fac.cutoff:
         raise NotPoisedError("bordered system singular: set not poised")
-    return 0.25 * L * Y.m * float(np.linalg.norm(np.linalg.inv(F), np.inf))
+    return 0.25 * L * Y.m * float(np.linalg.norm(fac.pinv(), np.inf))
 
 
 def kappa_mH_mn(kappa_g, kappa_eg_mfn, delta_bar, kappa_mH_mfn_value, Y: SampleSet | None = None):
@@ -201,8 +200,8 @@ def _coefficient_ratio(v):
     return (n1 ** 2 - ninf ** 2) / nrm2
 
 
-def _require_full_row_rank(D):
-    if linalg.numerical_rank(D) < D.shape[0]:
+def _require_full_row_rank(rank, D):
+    if rank < D.shape[0]:
         raise DirectionDomainError("half frame must have full row rank")
 
 
@@ -232,8 +231,9 @@ def directional_bound_general(kappa_ef, L_hess, Dhalf, d):
     L = _nonnegative(L_hess, "L_hess")
     D = linalg.as_matrix(Dhalf, "Dhalf")
     dvec = linalg.as_vector(d, "d")
-    _require_full_row_rank(D)
-    return _directional_bound(4.0 * kef, 2.0, L, D, linalg.pinv(D) @ dvec)
+    fac = linalg.Factorization(D)
+    _require_full_row_rank(fac.rank, D)
+    return _directional_bound(4.0 * kef, 2.0, L, D, fac.pinv() @ dvec)
 
 
 def hess_error_bound_global(kappa_ef, L_hess, Dhalf):
@@ -242,7 +242,7 @@ def hess_error_bound_global(kappa_ef, L_hess, Dhalf):
     kef = _nonnegative(kappa_ef, "kappa_ef")
     L = _nonnegative(L_hess, "L_hess")
     D = linalg.as_matrix(Dhalf, "Dhalf")
-    _require_full_row_rank(D)
+    _require_full_row_rank(linalg.numerical_rank(D), D)
     return _directional_bound(4.0 * kef, 2.0, L, D)
 
 

@@ -82,33 +82,69 @@ class Factorization:
 
     ``rank`` counts the singular values above ``cutoff``, the relative
     tolerance of :func:`rank_tolerance` times the largest singular value, and
-    :meth:`pinv` drops the same values.  The SVD is thin unless
-    ``full_matrices`` asks for every left singular vector, which
+    :meth:`pinv` and :meth:`solve` drop the same values.  The SVD is thin
+    unless ``full_matrices`` asks for every left singular vector, which
     :meth:`range_residual` needs when the matrix is tall.  For a square
-    matrix the thin and the full SVD are the same.
+    matrix the thin and the full SVD are the same.  :meth:`symmetric` builds
+    the SVD of a symmetric matrix from its eigendecomposition.
     """
 
     def __init__(self, M, tol=None, full_matrices=False):
         A = as_matrix(M)
-        self.shape = A.shape
-        self.U, self.s, self.Vt = np.linalg.svd(A, full_matrices=full_matrices)
-        self.cutoff = _relative_tolerance(A.shape, tol) * self.s[0]
+        self._store(A.shape, *np.linalg.svd(A, full_matrices=full_matrices), tol)
+
+    def _store(self, shape, U, s, Vt, tol):
+        self.shape = shape
+        self.U, self.s, self.Vt = U, s, Vt
+        self.cutoff = _relative_tolerance(shape, tol) * s[0]
+
+    @classmethod
+    def symmetric(cls, M, tol=None):
+        """Factorization of a symmetric, possibly indefinite, matrix by ``eigh``.
+
+        With ``M = V diag(w) V^T`` and the pairs sorted by decreasing
+        ``|w|``, ``U = V``, ``s = |w|`` and ``Vt = (sign(w) V)^T`` is an SVD
+        of ``M``; the sign carries the negative eigenvalues of a saddle-point
+        matrix.  ``eigh`` reads one triangle only, so ``M`` must be exactly
+        symmetric.
+        """
+        A = as_matrix(M)
+        if A.shape[0] != A.shape[1] or not np.array_equal(A, A.T):
+            raise InvalidInputError("a symmetric factorization needs an exactly symmetric matrix")
+        w, V = np.linalg.eigh(A)
+        order = np.argsort(-np.abs(w), kind="stable")
+        w, V = w[order], V[:, order]
+        fac = cls.__new__(cls)
+        fac._store(A.shape, V, np.abs(w), (V * np.where(w < 0.0, -1.0, 1.0)).T, tol)
+        return fac
 
     @functools.cached_property
     def rank(self):
         """Number of singular values above the cutoff (counted on first read)."""
         return _rank(self.s, self.cutoff)
 
-    def pinv(self):
-        """Moore-Penrose pseudoinverse, truncated at the cutoff."""
+    def _inv_s(self):
+        """Reciprocal singular values, zero at or below the cutoff."""
         s = self.s
-        if s[0] == 0.0:
-            return np.zeros((self.shape[1], self.shape[0]))
         keep = s > self.cutoff
         inv_s = np.zeros_like(s)
         inv_s[keep] = 1.0 / s[keep]
-        k = s.size
-        return (self.Vt[:k].T * inv_s) @ self.U[:, :k].T
+        return inv_s
+
+    def pinv(self):
+        """Moore-Penrose pseudoinverse, truncated at the cutoff."""
+        if self.s[0] == 0.0:
+            return np.zeros((self.shape[1], self.shape[0]))
+        k = self.s.size
+        return (self.Vt[:k].T * self._inv_s()) @ self.U[:, :k].T
+
+    def solve(self, b):
+        """``pinv() @ b``, applied factor by factor without forming ``pinv()``."""
+        rhs = as_vector(b, "b")
+        if rhs.size != self.shape[0]:
+            raise InvalidInputError(f"shape mismatch: A is {self.shape}, b has length {rhs.size}")
+        k = self.s.size
+        return self.Vt[:k].T @ (self._inv_s() * (self.U[:, :k].T @ rhs))
 
     def range_residual(self, b):
         """Norm of the component of ``b`` orthogonal to the numerical range.

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
-from .sample_sets import SampleSet, StructuredSet, kkt_matrices
+from .sample_sets import SampleSet, StructuredSet
 from .simplex import DirectionPack, as_oracle, delta_f, gsg, gsh, shifted_frame
 
 __all__ = [
@@ -184,7 +184,7 @@ def solve_mn(f, Y: SampleSet, tol=None):
         raise InfeasibleError(
             f"no interpolating quadratic: multiplier system residual {kkt_residual:.3e}"
         )
-    z = fac.pinv() @ rhs
+    z = fac.solve(rhs)
     lam = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
     model = QuadraticModel(Y.x0, f(Y.x0), Y.D @ lam, _hessian_from_multipliers(Y.D, lam))
     diag = SolveDiagnostics(
@@ -212,13 +212,13 @@ def solve_mfn(f, Y: SampleSet, tol=None):
     # conditioning degrades like radius^-3.  The problem is scale-equivariant:
     # solve on unit-normalized directions (condition independent of radius)
     # and map the solution back.
-    fac = linalg.Factorization(kkt_matrices(Y).F_unit)
+    fac = Y.F_unit_factor
     kkt_residual = fac.range_residual(rhs)
     if kkt_residual > _feasibility_tol(tol, delta):
         raise InfeasibleError(
             f"no interpolating quadratic: bordered system residual {kkt_residual:.3e}"
         )
-    z = fac.pinv() @ rhs
+    z = fac.solve(rhs)
     r = Y.radius
     lam, alpha = z[: Y.m] / r ** 4, z[Y.m:] / r
     model = QuadraticModel(Y.x0, f(Y.x0), alpha, _hessian_from_multipliers(Y.D, lam))

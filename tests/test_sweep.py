@@ -5,7 +5,7 @@ import pytest
 
 from dfoq import testbed
 from dfoq.errors import InvalidInputError
-from dfoq.sample_sets import SampleSet, StructuredSet, poisedness
+from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices, poisedness
 from dfoq.simplex import Oracle, delta_f
 from dfoq.sweep import (
     CSV_HEADER,
@@ -223,6 +223,26 @@ def test_sweep_poised_column_matches_poisedness(model):
         assert row.poised is want
         verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def test_mfn_sweep_row_factors_F_unit_once(monkeypatch):
+    # solve_mfn and kappa_mH_mfn read one cached factor of the bordered system
+    factored = []
+    for name in ("svd", "eigh", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, *a, _fn=fn, **k: factored.append(np.array(A)) or _fn(A, *a, **k))
+    # radii below 1, so that no row's F_scaled equals its F_unit
+    config = SweepConfig("trigonometric", "structured:3", "mfn", parse_deltas("0.5:0.1:3"))
+    rows, _ = run_sweep(config)
+    monkeypatch.undo()
+    assert all(row.poised and row.bound_f is not None for row in rows)  # kappa_mH_mfn ran
+    # F_unit is radius-free: the coordinate frame normalizes exactly, so every
+    # row has the same one
+    tf = testbed.get("trigonometric")
+    frame = resolve_frame("structured:3", tf.dim)
+    F_unit = kkt_matrices(StructuredSet(tf.x0, frame).expand()).F_unit
+    assert sum(np.array_equal(A, F_unit) for A in factored) == len(rows)
 
 
 @pytest.mark.parametrize("model", ["qs:centred", "qs:adapted-0"])
