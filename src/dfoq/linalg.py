@@ -99,14 +99,14 @@ class Factorization:
         self.cutoff = _relative_tolerance(shape, tol) * s[0]
 
     @classmethod
-    def symmetric(cls, M, tol=None):
+    def symmetric(cls, M):
         """Factorization of a symmetric, possibly indefinite, matrix by ``eigh``.
 
         With ``M = V diag(w) V^T`` and the pairs sorted by decreasing
         ``|w|``, ``U = V``, ``s = |w|`` and ``Vt = (sign(w) V)^T`` is an SVD
         of ``M``; the sign carries the negative eigenvalues of a saddle-point
         matrix.  ``eigh`` reads one triangle only, so ``M`` must be exactly
-        symmetric.
+        symmetric.  The cutoff is the default relative tolerance.
         """
         A = as_matrix(M)
         if A.shape[0] != A.shape[1] or not np.array_equal(A, A.T):
@@ -115,7 +115,7 @@ class Factorization:
         order = np.argsort(-np.abs(w), kind="stable")
         w, V = w[order], V[:, order]
         fac = cls.__new__(cls)
-        fac._store(A.shape, V, np.abs(w), (V * np.where(w < 0.0, -1.0, 1.0)).T, tol)
+        fac._store(A.shape, V, np.abs(w), (V * np.where(w < 0.0, -1.0, 1.0)).T, None)
         return fac
 
     @functools.cached_property
@@ -198,9 +198,7 @@ def solve_min_norm(A, b, tol=None):
     """
     M = as_matrix(A, "A")
     rhs = as_vector(b, "b")
-    if rhs.size != M.shape[0]:
-        raise InvalidInputError(f"shape mismatch: A is {M.shape}, b has length {rhs.size}")
-    x = pinv(M, tol) @ rhs
+    x = Factorization(M, tol).solve(rhs)
     residual = float(np.linalg.norm(M @ x - rhs))
     return x, residual
 

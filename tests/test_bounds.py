@@ -251,15 +251,6 @@ def test_directional_bounds_match_their_old_formulas_bitwise():
         d = rng.standard_normal(n)
         kef, L, hn = (0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3, 3)
                       for _ in range(3))
-        if n > 1 and rng.random() < 0.15:
-            # rank n - 1: the old rank check, a values-only SVD, refused it
-            D = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, p))
-            assert linalg.numerical_rank(D) < n
-            with pytest.raises(DirectionDomainError):
-                bounds.directional_bound_general(kef, L, D, d)
-            with pytest.raises(DirectionDomainError):
-                bounds.hess_error_bound_global(kef, L, D)
-            continue
         want = _old_directional_bounds(kef, L, D, d, hn)
         got = (
             bounds.directional_bound_general(kef, L, D, d),
@@ -268,6 +259,23 @@ def test_directional_bounds_match_their_old_formulas_bitwise():
             bounds.gsh_error_bound_global(hn, L, D),
         )
         assert got == want, (n, p)
+
+
+def test_directional_bounds_refuse_rank_deficient_frames_as_before():
+    # rank n - 1 half frames: the old rank check, a values-only SVD of D,
+    # refused every one, and the rank of the shared factor must too
+    rng = np.random.default_rng(4321)
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        p = int(rng.integers(n, 8))
+        D = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, p))
+        D *= 10.0 ** rng.uniform(-6, 1)
+        d = rng.standard_normal(n)
+        assert linalg.numerical_rank(D) < n
+        with pytest.raises(DirectionDomainError):
+            bounds.directional_bound_general(1.0, 1.0, D, d)
+        with pytest.raises(DirectionDomainError):
+            bounds.hess_error_bound_global(1.0, 1.0, D)
 
 
 def test_general_bound_factors_the_half_frame_once(monkeypatch):
