@@ -115,6 +115,13 @@ def kappa_mH_mn(kappa_g, kappa_eg_mfn, delta_bar, kappa_mH_mfn_value, Y: SampleS
     return float(np.hypot(kg + keg * db, kmh))
 
 
+def _pinv_spectral_norm(M):
+    """``||pinv(M)||_2``: one over the smallest singular value above the
+    cutoff, read from one factorization; 0 for a zero matrix."""
+    fac = linalg.Factorization(M)
+    return 1.0 / float(fac.s[fac.rank - 1]) if fac.rank else 0.0
+
+
 def kappa_mH_qs(L_grad, spec):
     """Curvature constant of a simplex-derivative model.
 
@@ -129,8 +136,8 @@ def kappa_mH_qs(L_grad, spec):
         inner = 0.0
         for T in pack.Ts:
             Tbar = T / np.max(np.linalg.norm(T, axis=0))
-            inner += T.shape[1] * linalg.matrix_norm(linalg.pinv(Tbar), "spectral") ** 2
-        total += abs(float(term.coeff)) * linalg.matrix_norm(linalg.pinv(Sbar), "spectral") * np.sqrt(inner)
+            inner += T.shape[1] * _pinv_spectral_norm(Tbar) ** 2
+        total += abs(float(term.coeff)) * _pinv_spectral_norm(Sbar) * np.sqrt(inner)
     return L * total
 
 

@@ -37,7 +37,7 @@ def as_matrix(M, name="matrix"):
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise InvalidInputError(f"{name} must be a nonempty 2-d array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return A
 
@@ -47,7 +47,7 @@ def as_vector(v, name="vector"):
     x = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError(f"{name} must be a nonempty 1-d array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return x
 
@@ -77,6 +77,30 @@ def _rank(s, cutoff):
     return int(np.count_nonzero(s > cutoff))
 
 
+def _scaled_norm(v):
+    """``(||v||_2, v / ||v||_2)`` of a vector, from ``v`` divided by its largest
+    entry, so that squaring entries near 1e-160 or 1e200 neither underflows nor
+    overflows.  A zero vector gives ``(0.0, e_1)``."""
+    peak = float(np.abs(v).max())
+    if peak == 0.0:
+        unit = np.zeros(v.size)
+        unit[0] = 1.0
+        return 0.0, unit
+    w = v / peak
+    length = float(np.sqrt(w @ w))
+    return peak * length, w / length
+
+
+def _vector_svd(A):
+    """Thin SVD of a matrix with one row or one column, in closed form:
+    ``A = norm * unit`` as a column is ``U = unit``, ``s = [norm]``,
+    ``Vt = [[1]]``; as a row, ``U = [[1]]`` and ``Vt = unit^T``."""
+    norm, unit = _scaled_norm(A.ravel())
+    if A.shape[1] == 1:
+        return unit[:, None], np.array([norm]), np.ones((1, 1))
+    return np.ones((1, 1)), np.array([norm]), unit[None, :]
+
+
 class Factorization:
     """One SVD of a matrix, read by every consumer that needs it.
 
@@ -85,13 +109,18 @@ class Factorization:
     :meth:`pinv` and :meth:`solve` drop the same values.  The SVD is thin
     unless ``full_matrices`` asks for every left singular vector, which
     :meth:`range_residual` needs when the matrix is tall.  For a square
-    matrix the thin and the full SVD are the same.  :meth:`symmetric` builds
-    the SVD of a symmetric matrix from its eigendecomposition.
+    matrix the thin and the full SVD are the same.  A matrix with one row or
+    one column takes its thin SVD in closed form, from one norm of the vector.
+    :meth:`symmetric` builds the SVD of a symmetric matrix from its
+    eigendecomposition.
     """
 
     def __init__(self, M, tol=None, full_matrices=False):
         A = as_matrix(M)
-        self._store(A.shape, *np.linalg.svd(A, full_matrices=full_matrices), tol)
+        if min(A.shape) == 1 and not full_matrices:
+            self._store(A.shape, *_vector_svd(A), tol)
+        else:
+            self._store(A.shape, *np.linalg.svd(A, full_matrices=full_matrices), tol)
 
     def _store(self, shape, U, s, Vt, tol):
         self.shape = shape
@@ -123,8 +152,10 @@ class Factorization:
         """Number of singular values above the cutoff (counted on first read)."""
         return _rank(self.s, self.cutoff)
 
+    @functools.cached_property
     def _inv_s(self):
-        """Reciprocal singular values, zero at or below the cutoff."""
+        """Reciprocal singular values, zero at or below the cutoff (computed on
+        first read)."""
         s = self.s
         keep = s > self.cutoff
         inv_s = np.zeros_like(s)
@@ -136,7 +167,7 @@ class Factorization:
         if self.s[0] == 0.0:
             return np.zeros((self.shape[1], self.shape[0]))
         k = self.s.size
-        return (self.Vt[:k].T * self._inv_s()) @ self.U[:, :k].T
+        return (self.Vt[:k].T * self._inv_s) @ self.U[:, :k].T
 
     def solve(self, b):
         """``pinv() @ b``, applied factor by factor without forming ``pinv()``."""
@@ -144,7 +175,7 @@ class Factorization:
         if rhs.size != self.shape[0]:
             raise InvalidInputError(f"shape mismatch: A is {self.shape}, b has length {rhs.size}")
         k = self.s.size
-        return self.Vt[:k].T @ (self._inv_s() * (self.U[:, :k].T @ rhs))
+        return self.Vt[:k].T @ (self._inv_s * (self.U[:, :k].T @ rhs))
 
     def range_residual(self, b):
         """Norm of the component of ``b`` orthogonal to the numerical range.
@@ -172,7 +203,10 @@ def pinv(M, tol=None):
 def numerical_rank(M, tol=None):
     """Number of singular values above the relative cutoff."""
     A = as_matrix(M)
-    s = np.linalg.svd(A, compute_uv=False)
+    if min(A.shape) == 1:
+        s = np.array([_scaled_norm(A.ravel())[0]])
+    else:
+        s = np.linalg.svd(A, compute_uv=False)
     return _rank(s, _relative_tolerance(A.shape, tol) * s[0])
 
 
@@ -185,7 +219,7 @@ def matrix_norm(M, kind="spectral"):
     if key == "opinf":
         return float(np.linalg.norm(A, np.inf))
     if key == "spectral":
-        return float(np.linalg.norm(A, 2))
+        return _scaled_norm(A.ravel())[0] if min(A.shape) == 1 else float(np.linalg.norm(A, 2))
     if key == "frobenius":
         return float(np.linalg.norm(A, "fro"))
     raise InvalidInputError(f"unknown norm kind {kind!r}")

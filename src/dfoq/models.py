@@ -78,7 +78,7 @@ class QuadraticModel:
     def value_many(self, X):
         """Model values at the rows of ``X``."""
         Dm = np.asarray(X, dtype=float) - self.x0[None, :]
-        return self.c + Dm @ self.g + 0.5 * np.einsum("ki,ij,kj->k", Dm, self.H, Dm)
+        return self.c + Dm @ self.g + 0.5 * ((Dm @ self.H) * Dm).sum(1)
 
     def gradient(self, x):
         d = np.asarray(x, dtype=float) - self.x0
@@ -278,14 +278,11 @@ class QSSpec:
     def points(self, x0):
         """Every evaluation point the recipe touches (rows)."""
         x0 = linalg.as_vector(x0, "x0")
-        pts = [x0]
+        chunks = [x0[None, :]]
         for term in self.grad_terms:
             base = linalg.as_vector(term.base, "base")
             frame = float(term.scale) * linalg.as_matrix(term.S, "S")
-            pts.append(base)
-            for i in range(frame.shape[1]):
-                pts.append(base + frame[:, i])
-        chunks = [np.asarray(pts)]
+            chunks += [base[None, :], base[None, :] + frame.T]
         for term in self.hess_terms:
             chunks.append(term.pack.points(x0))
         return np.unique(np.vstack(chunks), axis=0)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -236,7 +235,7 @@ class StructuredSet:
         return DirectionPack(self.Dhalf, tuple(Ts))
 
 
-class KKTMatrices(NamedTuple):
+class KKTMatrices:
     """Blocks of the minimum-Frobenius interpolation system.
 
     P        : m x m quadratic-term Gram block on normalized directions,
@@ -244,29 +243,36 @@ class KKTMatrices(NamedTuple):
     F_scaled : (m+n) x (m+n) system matrix on raw directions,
                [[radius^4 * P, D^T], [D, 0]].
     F_unit   : same bordered matrix built from normalized directions.
+
+    Each caller reads one of the two bordered matrices, so each is built on
+    first read.
     """
 
-    P: np.ndarray
-    F_scaled: np.ndarray
-    F_unit: np.ndarray
+    def __init__(self, Y: SampleSet):
+        self._Y = Y
+        self._Dbar = Y.normalized()
+        self.P = 0.25 * (self._Dbar.T @ self._Dbar) ** 2
 
-
-def kkt_matrices(Y: SampleSet) -> KKTMatrices:
-    """Build the quadratic Gram block and both bordered system matrices."""
-    Dbar = Y.normalized()
-    P = 0.25 * (Dbar.T @ Dbar) ** 2
-    n, m = Y.n, Y.m
-
-    def bordered(Dmat, Pblock):
+    def _bordered(self, Dmat, Pblock):
+        m, n = self._Y.m, self._Y.n
         F = np.zeros((m + n, m + n))
         F[:m, :m] = Pblock
         F[:m, m:] = Dmat.T
         F[m:, :m] = Dmat
         return F
 
-    F_unit = bordered(Dbar, P)
-    F_scaled = bordered(Y.D, Y.radius ** 4 * P)
-    return KKTMatrices(P, F_scaled, F_unit)
+    @functools.cached_property
+    def F_scaled(self):
+        return self._bordered(self._Y.D, self._Y.radius ** 4 * self.P)
+
+    @functools.cached_property
+    def F_unit(self):
+        return self._bordered(self._Dbar, self.P)
+
+
+def kkt_matrices(Y: SampleSet) -> KKTMatrices:
+    """The quadratic Gram block of Y; the bordered matrices follow on first read."""
+    return KKTMatrices(Y)
 
 
 @dataclass(frozen=True)

@@ -118,15 +118,15 @@ class DirectionPack:
     def points(self, x0):
         """All evaluation points the simplex Hessian touches (rows), center included."""
         x0 = linalg.as_vector(x0, "x0")
-        pts = [x0]
-        for i in range(self.p):
-            s = self.S[:, i]
-            pts.append(x0 + s)
-            for j in range(self.Ts[i].shape[1]):
-                t = self.Ts[i][:, j]
-                pts.append(x0 + t)
-                pts.append(x0 + s + t)
-        return np.unique(np.asarray(pts), axis=0)
+        T = np.hstack(self.Ts).T
+        counts = [Ti.shape[1] for Ti in self.Ts]
+        xs = x0[None, :] + self.S.T
+        # rows x0, then per direction i: x0 + s^i and, per column j of T_i,
+        # x0 + t^j and (x0 + s^i) + t^j; the order np.unique sees is kept
+        pairs = np.stack([x0[None, :] + T, xs[np.repeat(np.arange(self.p), counts)] + T], axis=1)
+        starts = 2 * np.cumsum([0] + counts[:-1])
+        pts = np.insert(pairs.reshape(-1, self.n), starts, xs, axis=0)
+        return np.unique(np.vstack([x0[None, :], pts]), axis=0)
 
 
 def delta_f(f, x0, S):
@@ -168,7 +168,9 @@ def gsh(f, x0, pack: DirectionPack):
     With a shared frame the product form ``pinv(S^T) @ ddf @ pinv(T)`` is
     used; otherwise row i holds the gradient-estimate difference along
     ``T_i`` and the stack is premultiplied by ``pinv(S^T)``.  Both gradient
-    estimates of row i solve with ``T_i``, so it is factored once.
+    estimates of row i solve with ``T_i``, so it is factored once, and they
+    read the oracle at the points ``delta_f`` would, ``(x0 + s^i) + t^j`` and
+    ``x0 + t^j``.
     """
     f = as_oracle(f)
     x0 = linalg.as_vector(x0, "x0")
@@ -176,11 +178,16 @@ def gsh(f, x0, pack: DirectionPack):
     if T is not None:
         ddf = delta_delta_f(f, x0, pack.S, T)
         return linalg.pinv(pack.S.T) @ ddf @ linalg.pinv(T)
+    base = f(x0)
     rows = np.empty((pack.p, pack.n))
     for i in range(pack.p):
         Ti = pack.Ts[i]
+        xs = x0 + pack.S[:, i]
+        fs = f(xs)
+        at_s = np.array([f(xs + Ti[:, j]) - fs for j in range(Ti.shape[1])])
+        at_0 = np.array([f(x0 + Ti[:, j]) - base for j in range(Ti.shape[1])])
         fac = linalg.Factorization(Ti.T)
-        rows[i] = fac.solve(delta_f(f, x0 + pack.S[:, i], Ti)) - fac.solve(delta_f(f, x0, Ti))
+        rows[i] = fac.solve(at_s) - fac.solve(at_0)
     return linalg.pinv(pack.S.T) @ rows
 
 

@@ -7,9 +7,11 @@ from scipy.stats import qmc
 
 from dfoq import bounds, linalg, testbed
 from dfoq.errors import DirectionDomainError, InvalidInputError, NotPoisedError
-from dfoq.models import qs_preset, solve_mfn, solve_mn
+from dfoq.models import GradTerm, HessTerm, QSSpec, qs_preset, solve_mfn, solve_mn
 from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices
 from dfoq.simplex import DirectionPack
+
+EPS = float(np.finfo(float).eps)
 
 
 def plus_minus_axes(n, count=None):
@@ -95,6 +97,47 @@ def test_kappa_qs_fixtures():
 
     zero_term = QSSpec(grad, (HessTerm(0.0, pack),))
     assert bounds.kappa_mH_qs(9.0, zero_term) == 0.0
+
+
+def _lapack_pinv_spectral_norm(M):
+    # ||pinv(M)||_2 as kappa_mH_qs took it before: the pseudoinverse from
+    # LAPACK's SVD, then the spectral norm of that
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    keep = s > linalg.rank_tolerance(M) * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return np.linalg.norm((Vt.T * inv_s) @ U.T, 2)
+
+
+def _old_kappa_mH_qs(L, spec):
+    total = 0.0
+    for term in spec.hess_terms:
+        pack = term.pack
+        Sbar = pack.S / np.max(np.linalg.norm(pack.S, axis=0))
+        inner = 0.0
+        for T in pack.Ts:
+            Tbar = T / np.max(np.linalg.norm(T, axis=0))
+            inner += T.shape[1] * _lapack_pinv_spectral_norm(Tbar) ** 2
+        total += abs(float(term.coeff)) * _lapack_pinv_spectral_norm(Sbar) * np.sqrt(inner)
+    return L * total
+
+
+def test_kappa_qs_on_centred_packs_matches_the_pinv_norm_form():
+    # 1 / s_min of one factor against the spectral norm of the pseudoinverse,
+    # on coordinate and random frames at n = 2, 16, 64 and radii 1 to 1e-8;
+    # measured at most 4.5 eps apart
+    rng = np.random.default_rng(5)
+    for n in (2, 16, 64):
+        for frame in (np.eye(n), rng.standard_normal((n, n))):
+            frame = frame / np.linalg.norm(frame, axis=0)
+            for k in range(9):
+                spec = qs_preset("centred", StructuredSet(np.full(n, 0.4), 10.0 ** -k * frame))
+                want = _old_kappa_mH_qs(3.0, spec)
+                assert bounds.kappa_mH_qs(3.0, spec) == pytest.approx(want, rel=32 * EPS, abs=0.0)
+    singular = QSSpec((GradTerm(1.0, np.zeros(2), np.eye(2)),),
+                      (HessTerm(1.0, DirectionPack.shared(np.eye(2), np.ones((2, 2)))),))
+    assert bounds.kappa_mH_qs(1.0, singular) == pytest.approx(_old_kappa_mH_qs(1.0, singular),
+                                                              rel=32 * EPS)
 
 
 def test_aligned_bound():

@@ -89,10 +89,12 @@ def test_unknown_model_reported_alike_and_before_the_set(capsys):
     assert capsys.readouterr().err == want
 
 
-@pytest.mark.parametrize("family, svds", [("mn", 1), ("mfn", 2), ("qs:centred", 6)])
+@pytest.mark.parametrize("family, svds", [("mn", 1), ("mfn", 2), ("qs:centred", 3)])
 def test_model_takes_no_extra_factorization(capsys, monkeypatch, family, svds):
-    # the SVD counts of these requests before the family dispatch was shared;
-    # mn in particular never reads the set's poised verdict
+    # mn and mfn take the SVD counts they took before the family dispatch
+    # was shared; mn in particular never reads the set's poised verdict.
+    # qs:centred factors S^T for each gsg and for gsh's stack, and its
+    # one-column frames T_i take the closed form
     count = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))

@@ -219,6 +219,47 @@ def test_model_many_point_forms_agree():
     assert np.allclose(model.gradient_many(X), [model.gradient(x) for x in X])
 
 
+def test_value_many_matches_the_einsum_form():
+    # (Dm @ H) * Dm summed over rows against einsum: both are sums of n^2
+    # products, each within 2n eps of sum |Dm_i| |H_ij| |Dm_j|
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(21)
+    for n, k in ((1, 3), (3, 7), (16, 100), (64, 641)):
+        for scale in (1e-8, 1.0, 1e3):
+            H = rng.standard_normal((n, n))
+            model = QuadraticModel(rng.standard_normal(n), 0.7, rng.standard_normal(n), H)
+            X = model.x0 + scale * rng.standard_normal((k, n))
+            Dm = X - model.x0
+            want = model.c + Dm @ model.g + 0.5 * np.einsum("ki,ij,kj->k", Dm, H, Dm)
+            size = ((np.abs(Dm) @ np.abs(H)) * np.abs(Dm)).sum(1)
+            bound = 2 * n * eps * size + 2 * eps * np.abs(want)
+            assert np.all(np.abs(model.value_many(X) - want) <= bound)
+
+
+def _old_spec_points(spec, x0):
+    # QSSpec.points as a loop over the gradient frames' columns, kept as the reference
+    pts = [x0]
+    for term in spec.grad_terms:
+        base = np.asarray(term.base, dtype=float)
+        frame = float(term.scale) * np.asarray(term.S, dtype=float)
+        pts.append(base)
+        for i in range(frame.shape[1]):
+            pts.append(base + frame[:, i])
+    chunks = [np.asarray(pts)] + [term.pack.points(x0) for term in spec.hess_terms]
+    return np.unique(np.vstack(chunks), axis=0)
+
+
+@pytest.mark.parametrize("preset", ["centred", "forward", "adapted-0", "adapted-2"])
+def test_spec_points_match_the_column_loop_bitwise(preset):
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 16):
+        x0 = rng.standard_normal(n)
+        x0[:1] = -0.0
+        for D in (np.eye(n), 0.1 * rng.standard_normal((n, n))):
+            spec = qs_preset(preset, StructuredSet(x0, D))
+            assert spec.points(x0).tobytes() == _old_spec_points(spec, x0).tobytes()
+
+
 def test_model_validation():
     with pytest.raises(InvalidInputError):
         QuadraticModel(np.zeros(2), 0.0, np.zeros(3), np.zeros((2, 2)))

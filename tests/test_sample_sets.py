@@ -252,6 +252,36 @@ def test_kkt_matrices_properties_random():
         assert np.allclose(km.F_scaled, km.F_scaled.T)
 
 
+def _old_kkt_matrices(Y):
+    # both bordered matrices built eagerly, as before they were built on read
+    Dbar = Y.normalized()
+    P = 0.25 * (Dbar.T @ Dbar) ** 2
+    n, m = Y.n, Y.m
+
+    def bordered(Dmat, Pblock):
+        F = np.zeros((m + n, m + n))
+        F[:m, :m] = Pblock
+        F[:m, m:] = Dmat.T
+        F[m:, :m] = Dmat
+        return F
+
+    return P, bordered(Y.D, Y.radius ** 4 * P), bordered(Dbar, P)
+
+
+def test_kkt_matrices_build_only_what_is_read():
+    rng = np.random.default_rng(32)
+    for m in (1, 4, 9):
+        Y = SampleSet(rng.standard_normal(3), 1e-3 * rng.standard_normal((3, m)))
+        P, F_scaled, F_unit = _old_kkt_matrices(Y)
+        km = kkt_matrices(Y)
+        assert np.array_equal(km.P, P)
+        assert "F_scaled" not in vars(km) and "F_unit" not in vars(km)
+        assert np.array_equal(km.F_unit, F_unit)
+        assert "F_scaled" not in vars(km)
+        assert np.array_equal(km.F_scaled, F_scaled)
+        assert np.array_equal(kkt_matrices(Y).F_scaled, F_scaled)
+
+
 def _report_for(Y, f):
     return poisedness(Y, delta_f(f, Y.x0, Y.D))
 

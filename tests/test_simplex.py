@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from dfoq import linalg
+from dfoq import linalg, testbed
 from dfoq.errors import EvaluationError, InvalidInputError
+from dfoq.models import qs_preset
+from dfoq.sample_sets import StructuredSet
 from dfoq.simplex import (
     DirectionPack,
     Oracle,
@@ -142,6 +144,90 @@ def test_gsh_per_direction_frames_match_two_gsg_form():
 
         rows = np.array([gsg(f, x0 + S[:, i], Ts[i]) - gsg(f, x0, Ts[i]) for i in range(S.shape[1])])
         assert np.array_equal(gsh(f, x0, pack), linalg.pinv(S.T) @ rows)
+
+
+def _svd_solve(A, b):
+    # Factorization.solve as it was before single-row frames took a closed
+    # form: LAPACK's SVD applied factor by factor
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > linalg.rank_tolerance(A) * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return Vt.T @ (inv_s * (U.T @ b))
+
+
+def _old_gsh_rows(f, x0, pack):
+    """The per-direction rows of gsh through two delta_f calls and LAPACK
+    solves, and the size ``max_i ||a_i|| + ||b_i||`` of the two solves."""
+    rows, size = [], 0.0
+    for i in range(pack.p):
+        Ti = pack.Ts[i]
+        a = _svd_solve(Ti.T, delta_f(f, x0 + pack.S[:, i], Ti))
+        b = _svd_solve(Ti.T, delta_f(f, x0, Ti))
+        rows.append(a - b)
+        size = max(size, np.linalg.norm(a) + np.linalg.norm(b))
+    return np.array(rows), size
+
+
+def centred_packs():
+    """qs:centred packs ``(S, T_i = [-d^i])`` at n = 2, 16, 64 on coordinate
+    and random unit frames, radii 1 to 1e-8, with the function and centre."""
+    rng = np.random.default_rng(5)
+    for n in (2, 16, 64):
+        for name, frame in (("trigonometric", np.eye(n)), ("quartic", rng.standard_normal((n, n)))):
+            frame = frame / np.linalg.norm(frame, axis=0)
+            tf = testbed.get(name, x0=[0.4] * n)
+            for k in range(9):
+                spec = qs_preset("centred", StructuredSet(tf.x0, 10.0 ** -k * frame))
+                yield tf, spec
+
+
+def test_gsh_on_centred_packs_matches_the_lapack_form():
+    # the closed-form row solves against LAPACK's: each row moves by a few
+    # eps of its two solves, and pinv(S^T) maps the stack with norm
+    # ||pinv(S^T)||; measured at most 0.35 of this bound
+    eps = np.finfo(float).eps
+    for tf, spec in centred_packs():
+        pack = spec.hess_terms[0].pack
+        f = Oracle(tf.f)
+        rows, size = _old_gsh_rows(f, tf.x0, pack)
+        P = linalg.pinv(pack.S.T)
+        scale = np.sqrt(pack.p) * np.linalg.norm(P, 2) * size
+        assert np.linalg.norm(gsh(f, tf.x0, pack) - P @ rows) <= 4 * eps * scale
+
+
+def _old_pack_points(pack, x0):
+    # DirectionPack.points as a loop over the columns, kept as the reference
+    pts = [x0]
+    for i in range(pack.p):
+        s = pack.S[:, i]
+        pts.append(x0 + s)
+        for j in range(pack.Ts[i].shape[1]):
+            t = pack.Ts[i][:, j]
+            pts.append(x0 + t)
+            pts.append(x0 + s + t)
+    return np.unique(np.asarray(pts), axis=0)
+
+
+def test_pack_points_match_the_column_loop_bitwise():
+    # signed zeros in x0, S and T compare equal in np.unique's sort but differ
+    # in their bytes, so the rows must reach it in the loop's order
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        n, p = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        S = rng.standard_normal((n, p))
+        S[rng.random((n, p)) < 0.3] = 0.0
+        Ts = []
+        for _ in range(p):
+            T = rng.standard_normal((n, int(rng.integers(1, 4))))
+            T[rng.random(T.shape) < 0.3] = -0.0
+            Ts.append(T)
+        x0 = rng.standard_normal(n)
+        x0[rng.random(n) < 0.5] = -0.0
+        pack = DirectionPack(S, tuple(Ts))
+        assert pack.points(x0).tobytes() == _old_pack_points(pack, x0).tobytes()
+        shared = DirectionPack.shared(S, Ts[0])
+        assert shared.points(x0).tobytes() == _old_pack_points(shared, x0).tobytes()
 
 
 def test_gsh_transpose_identity():

@@ -245,6 +245,21 @@ def test_mfn_sweep_row_factors_F_unit_once(monkeypatch):
     assert sum(np.array_equal(A, F_unit) for A in factored) == len(rows)
 
 
+def test_centred_qs_sweep_row_at_n64_takes_five_svds(monkeypatch):
+    # S^T for each gsg and for gsh's stack, S / radius in kappa_mH_qs and the
+    # normalized set in kappa_generic; the 64 one-column frames T_i take the
+    # closed form (133 SVDs a row when they went through LAPACK)
+    count = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))
+    config = SweepConfig("trigonometric", "structured:64", "qs:centred",
+                         parse_deltas("1:0.01:3"), x0=(0.4,) * 64)
+    rows, _ = run_sweep(config)
+    monkeypatch.undo()
+    assert all(row.bound_f is not None for row in rows)  # kappa_mH_qs ran
+    assert len(count) <= 5 * len(rows)
+
+
 @pytest.mark.parametrize("model", ["qs:centred", "qs:adapted-0"])
 def test_qs_sweep_on_non_spanning_set_has_no_fully_linear_bounds(model):
     # structured:2 in R^3 carries no gradient information along e_3, so no
