@@ -21,7 +21,6 @@ __all__ = [
     "null_space_basis",
     "constrained_least_norm",
     "numerical_rank",
-    "range_residual",
     "rank_tolerance",
 ]
 
@@ -106,21 +105,19 @@ class Factorization:
 
     ``rank`` counts the singular values above ``cutoff``, the relative
     tolerance of :func:`rank_tolerance` times the largest singular value, and
-    :meth:`pinv` and :meth:`solve` drop the same values.  The SVD is thin
-    unless ``full_matrices`` asks for every left singular vector, which
-    :meth:`range_residual` needs when the matrix is tall.  For a square
-    matrix the thin and the full SVD are the same.  A matrix with one row or
-    one column takes its thin SVD in closed form, from one norm of the vector.
+    :meth:`pinv` and :meth:`solve` drop the same values.  The SVD is thin,
+    which for a square matrix is the full SVD.  A matrix with one row or one
+    column takes it in closed form, from one norm of the vector.
     :meth:`symmetric` builds the SVD of a symmetric matrix from its
     eigendecomposition.
     """
 
-    def __init__(self, M, tol=None, full_matrices=False):
+    def __init__(self, M, tol=None):
         A = as_matrix(M)
-        if min(A.shape) == 1 and not full_matrices:
+        if min(A.shape) == 1:
             self._store(A.shape, *_vector_svd(A), tol)
         else:
-            self._store(A.shape, *np.linalg.svd(A, full_matrices=full_matrices), tol)
+            self._store(A.shape, *np.linalg.svd(A, full_matrices=False), tol)
 
     def _store(self, shape, U, s, Vt, tol):
         self.shape = shape
@@ -189,7 +186,7 @@ class Factorization:
         if rhs.size != self.shape[0]:
             raise InvalidInputError(f"shape mismatch: A is {self.shape}, b has length {rhs.size}")
         if self.U.shape[1] < self.shape[0]:
-            raise InvalidInputError("the range residual of a tall matrix needs its full SVD")
+            raise InvalidInputError("the thin SVD of a tall matrix gives no range residual")
         if self.rank >= self.U.shape[1]:
             return 0.0
         return float(np.linalg.norm(self.U[:, self.rank:].T @ rhs))
@@ -235,13 +232,6 @@ def solve_min_norm(A, b, tol=None):
     x = Factorization(M, tol).solve(rhs)
     residual = float(np.linalg.norm(M @ x - rhs))
     return x, residual
-
-
-def range_residual(A, b, tol=None):
-    """Norm of the component of ``b`` orthogonal to the numerical range of ``A``
-    (see :meth:`Factorization.range_residual`)."""
-    M = as_matrix(A, "A")
-    return Factorization(M, tol, full_matrices=M.shape[0] != M.shape[1]).range_residual(b)
 
 
 def null_space_basis(A, tol=None):

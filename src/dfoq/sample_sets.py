@@ -27,23 +27,78 @@ __all__ = [
 
 # Relative separation below which two directions count as duplicates.
 _DUP_RTOL = 1e-12
+# Squared gap, relative to the squared length, within which the Gram screen
+# hands a pair to the direct check: a gap within 1e-5 relative, far above the
+# duplicate and merge thresholds and far above the Gram form's rounding.
+_SCREEN_RTOL2 = 1e-10
+_TINY = float(np.finfo(float).tiny)
+# Lengths below 2^-511 square to subnormal numbers.
+_MIN_LENGTH = float(np.sqrt(_TINY))
+
+
+def _direction_lengths(D):
+    """Column norms of ``D``, after refusing an empty set, a zero direction
+    and a direction whose squared length overflows or underflows."""
+    if D.shape[1] < 1:
+        raise InvalidInputError("a sample set needs at least one direction")
+    if not D.any(axis=0).all():
+        raise InvalidInputError("zero direction in sample set")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(D, axis=0)
+    for bad, what in ((norms == np.inf, "long: its squared length overflows"),
+                      (norms < _MIN_LENGTH, "short: its squared length underflows")):
+        if bad.any():
+            raise InvalidInputError(f"direction {int(np.argmax(bad))} is too {what}")
+    return norms
+
+
+def _gram_gaps(D, sign=1.0):
+    """``(gaps2, sq)``: the squared gaps ``||d_i - sign d_j||^2`` between the
+    columns of ``D`` in Gram form, from one product, and the squared lengths.
+
+    Both are taken on ``D`` divided by its largest entry, so no square
+    overflows.  Each gap is off by about ``n eps`` times the larger squared
+    length, plus subnormal rounding far below the smallest normal number.
+    """
+    Ds = D / np.abs(D).max()
+    gaps2 = Ds.T @ Ds
+    sq = gaps2.diagonal().copy()
+    gaps2 *= -2.0 * sign
+    gaps2 += sq[:, None]
+    gaps2 += sq[None, :]
+    return gaps2, sq
+
+
+def _screen(gaps2, bound2):
+    """Pairs ``(i, j)``, ``i < j`` in row-major order, whose squared Gram gap
+    is within ``1e-10 bound2`` plus the smallest normal number.
+
+    The Gram form is off by about ``n eps bound2`` plus subnormal rounding,
+    so every pair whose true gap is within ``1e-6 sqrt(bound2)`` is among
+    them: every duplicate (1e-12) and every merge (1e-10).
+    """
+    return np.nonzero(np.triu(gaps2 <= _SCREEN_RTOL2 * bound2 + _TINY, 1))
+
+
+def _check_duplicates(D, norms, sign=1.0, shift=0):
+    """Refuse a pair ``d_j, sign d_i``, ``i < j``, at direct gap
+    ``||d_j - sign d_i|| <= 1e-12 max(||d_i||, ||d_j||)``, reported as
+    columns ``i`` and ``j + shift``; the first such pair in row-major order.
+
+    One Gram product screens every pair and only the candidates take the
+    direct difference.
+    """
+    gaps2, sq = _gram_gaps(D, sign)
+    I, J = _screen(gaps2, np.maximum(sq[:, None], sq[None, :]))
+    gaps = np.linalg.norm(D[:, J] - sign * D[:, I], axis=0)
+    dup = gaps <= _DUP_RTOL * np.maximum(norms[I], norms[J])
+    if dup.any():
+        k = int(np.argmax(dup))
+        raise InvalidInputError(f"duplicate directions at columns {I[k]} and {J[k] + shift}")
 
 
 def _validate_directions(D):
-    if D.shape[1] < 1:
-        raise InvalidInputError("a sample set needs at least one direction")
-    norms = np.linalg.norm(D, axis=0)
-    if np.any(norms == 0.0):
-        raise InvalidInputError("zero direction in sample set")
-    # One pass per column against every later column.  The gaps are direct
-    # differences: a Gram-matrix distance cancels to ~1e-8 ||d||, far above
-    # the duplicate threshold, and an all-pairs difference tensor is m*m*n.
-    for i in range(D.shape[1] - 1):
-        gaps = np.linalg.norm(D[:, i + 1:] - D[:, i:i + 1], axis=0)
-        dup = gaps <= _DUP_RTOL * np.maximum(norms[i], norms[i + 1:])
-        if dup.any():
-            j = i + 1 + int(np.argmax(dup))
-            raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
+    _check_duplicates(D, _direction_lengths(D))
 
 
 def _validate_antipodes(Dhalf):
@@ -52,24 +107,43 @@ def _validate_antipodes(Dhalf):
 
     ``fl(-a - (-b)) = -fl(a - b)``, so only a pair ``d^i, -d^k`` can be a
     new duplicate, at gap ``||d^i + d^k||``.  The gap is symmetric in i and
-    k, so the first pair in the full check's order has ``k >= i``.
+    k, so the first pair in the full check's order has ``k >= i``, and
+    ``k = i`` gives ``2 ||d^i||``, never a duplicate.
     """
-    p = Dhalf.shape[1]
-    norms = np.linalg.norm(Dhalf, axis=0)
-    for i in range(p):
-        gaps = np.linalg.norm(Dhalf[:, i:] + Dhalf[:, i:i + 1], axis=0)
-        dup = gaps <= _DUP_RTOL * np.maximum(norms[i], norms[i:])
-        if dup.any():
-            j = p + i + int(np.argmax(dup))
-            raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
+    _check_duplicates(Dhalf, np.linalg.norm(Dhalf, axis=0), -1.0, Dhalf.shape[1])
+
+
+def _scaled(M, t, name):
+    """``t * M`` for a positive finite ``t``.  Scaling moves every gap and
+    length by a few ulps only, so of the direction checks only the range of
+    the lengths is repeated."""
+    t = float(t)
+    if not (t > 0) or not np.isfinite(t):
+        raise InvalidInputError("scale factor must be positive and finite")
+    M = linalg.as_matrix(t * M, name)
+    _direction_lengths(M)
+    return M
+
+
+def _unchecked(cls, **fields):
+    """Instance of a frozen set class from fields that are already valid."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Center ``x0`` and direction matrix ``D`` (n x m, one point per column)."""
+    """Center ``x0`` and direction matrix ``D`` (n x m, one point per column).
+
+    A set made by :meth:`scale` keeps the set it was scaled from in
+    ``_origin`` and reads the radius-free factors from it.
+    """
 
     x0: np.ndarray
     D: np.ndarray
+    _origin: SampleSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x0 = linalg.as_vector(self.x0, "x0")
@@ -98,11 +172,15 @@ class SampleSet:
         return self.D / self.radius
 
     # The set caches verdicts, norms and one factor: that of F_unit, which
-    # solve_mfn and kappa_mH_mfn both read.  It lives as long as the set
-    # (5.6 MB at m + n = 592), but the solve applies it without forming the
-    # pseudoinverse, so holding it does not raise the peak: the fullquad
-    # benchmark (m up to 560) peaks at 137 MB with the cache as without it.
-    # Every other system is factored by the function that reads it.
+    # solve_mfn and kappa_mH_mfn both read.  F_unit and the normalized
+    # directions do not depend on the radius, so a set made by scale() reads
+    # both radius-free caches from the set it was scaled from, and the factor
+    # lives as long as any set scaled from that one (5.6 MB at m + n = 592).
+    # The solve applies it without forming the pseudoinverse, so holding it
+    # does not raise the peak: the fullquad benchmark (m up to 560) peaks at
+    # 137 MB with the cache as without it.  mfn_poised reads the radius-
+    # dependent F_scaled, so every set takes its own.  Every other system is
+    # factored by the function that reads it.
 
     @functools.cached_property
     def mfn_poised(self):
@@ -113,20 +191,23 @@ class SampleSet:
     @functools.cached_property
     def F_unit_factor(self):
         """:meth:`linalg.Factorization.symmetric` of the bordered system ``F_unit``."""
+        if self._origin is not None:
+            return self._origin.F_unit_factor
         return linalg.Factorization.symmetric(kkt_matrices(self).F_unit)
 
     @functools.cached_property
     def normalized_rank_and_pinv_norm(self):
         """``(rank, ||pinv(Dbar)||_1)`` of the normalized directions, from one SVD."""
+        if self._origin is not None:
+            return self._origin.normalized_rank_and_pinv_norm
         fac = linalg.Factorization(self.normalized())
         return fac.rank, linalg.matrix_norm(fac.pinv(), "op1")
 
     def scale(self, t):
-        """Same geometry with every direction multiplied by ``t > 0``."""
-        t = float(t)
-        if not (t > 0) or not np.isfinite(t):
-            raise InvalidInputError("scale factor must be positive and finite")
-        return SampleSet(self.x0, t * self.D)
+        """Same geometry with every direction multiplied by ``t > 0``; it shares
+        this set's radius-free factors."""
+        return _unchecked(SampleSet, x0=self.x0, D=_scaled(self.D, t, "D"),
+                          _origin=self if self._origin is None else self._origin)
 
     def points(self):
         """Interpolation points ``x0 + d^i`` as rows (m x n); excludes x0."""
@@ -146,19 +227,30 @@ class SampleSet:
         offsets = np.asarray(points, dtype=float) - x0[None, :]
         if offsets.ndim != 2 or offsets.shape[1] != x0.size:
             raise InvalidInputError("points must be rows of the same dimension as x0")
-        lengths = np.linalg.norm(offsets, axis=1)
-        scale = float(np.max(lengths, initial=0.0))
-        if scale == 0.0:
+        if not np.isfinite(offsets).all():
+            raise InvalidInputError("offsets of the points from x0 are not all finite")
+        if not offsets.any():
             raise InvalidInputError("no nonzero offsets among the points")
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(offsets, axis=1)
+        scale = float(np.max(lengths))
+        if not _MIN_LENGTH <= scale < np.inf:
+            raise InvalidInputError(
+                f"largest offset length {scale:g} squares outside the double range"
+            )
         offsets = offsets[lengths > 1e-14 * scale]
-        kept = np.empty_like(offsets)
-        count = 0
-        for off in offsets:
-            if count and np.min(np.linalg.norm(kept[:count] - off, axis=1)) <= 1e-10 * scale:
-                continue
-            kept[count] = off
-            count += 1
-        return cls(x0, kept[:count].T)
+        # Greedy merge in row order: an offset is dropped when it lies within
+        # 1e-10 * scale of an earlier kept one.  Pairs are screened by the
+        # Gram form against the scale and decided by the direct gap; in
+        # row-major order keep[i] is final before any pair (i, j) is read.
+        gaps2, sq = _gram_gaps(offsets.T)
+        I, J = _screen(gaps2, sq.max())
+        close = np.linalg.norm(offsets[I] - offsets[J], axis=1) <= 1e-10 * scale
+        keep = np.ones(len(offsets), dtype=bool)
+        for i, j in zip(I[close], J[close]):
+            if keep[i]:
+                keep[j] = False
+        return cls(x0, offsets[keep].T)
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -212,20 +304,15 @@ class StructuredSet:
         return float(np.max(np.linalg.norm(self.Dhalf, axis=0)))
 
     def scale(self, t):
-        t = float(t)
-        if not (t > 0) or not np.isfinite(t):
-            raise InvalidInputError("scale factor must be positive and finite")
-        return StructuredSet(self.x0, t * self.Dhalf)
+        """Same half frame with every direction multiplied by ``t > 0``."""
+        return _unchecked(StructuredSet, x0=self.x0, Dhalf=_scaled(self.Dhalf, t, "Dhalf"))
 
     def expand(self):
         """Full symmetric SampleSet with directions ``[Dhalf, -Dhalf]``."""
         _validate_antipodes(self.Dhalf)
         # the half frame is valid, so the full check of SampleSet would
         # repeat every pair within Dhalf and within -Dhalf
-        Y = object.__new__(SampleSet)
-        object.__setattr__(Y, "x0", self.x0)
-        object.__setattr__(Y, "D", np.hstack([self.Dhalf, -self.Dhalf]))
-        return Y
+        return _unchecked(SampleSet, x0=self.x0, D=np.hstack([self.Dhalf, -self.Dhalf]))
 
     def as_gsh_pack(self):
         """Direction pack ``(S, T_i = [-d^i])`` for the centred simplex Hessian."""

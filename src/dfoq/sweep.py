@@ -197,8 +197,12 @@ def _worst_cross_pair(cross, bound_table):
     return float(cross[i, j]), float(bound_table[i, j])
 
 
-def _build_row(tf, frame, family, delta, samples, tol):
-    built = models.build(family, tf.f, StructuredSet(tf.x0, delta * frame), tol=tol)
+def _build_row(tf, unit, unit_Y, kqs_unit, family, delta, samples, tol):
+    """One row at radius ``delta`` from the sweep's unit geometry: the half
+    frame ``unit``, its symmetric set ``unit_Y`` (mn/mfn) and the radius-free
+    qs curvature constant ``kqs_unit`` (qs), each built once per sweep."""
+    Y = None if unit_Y is None else unit_Y.scale(delta)
+    built = models.build(family, tf.f, unit.scale(delta), Y=Y, tol=tol)
     meas_Y, poised = built.Y, built.poised
     radius = meas_Y.radius
     if radius > tf.region_radius:
@@ -228,7 +232,7 @@ def _build_row(tf, frame, family, delta, samples, tol):
             )
     else:
         if poised:
-            kqs = bounds.kappa_mH_qs(lip.L_grad, built.spec)
+            kqs = lip.L_grad * kqs_unit
             try:
                 consts = bounds.kappa_generic(lip.L_grad, kqs, meas_Y)
                 bound_f = consts.kappa_ef * radius ** 2
@@ -296,9 +300,14 @@ def run_sweep(config: SweepConfig):
     """Execute a sweep; returns (rows, summary dict)."""
     dim = len(config.x0) if config.x0 is not None else None
     tf = testbed.get(config.function, dim=dim, x0=config.x0)
-    models.parse_family(config.model)  # a bad model is reported before a bad set
-    frame = resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed)
-    results = [_build_row(tf, frame, config.model, d, config.samples, config.tol)
+    kind, preset = models.parse_family(config.model)  # reported before a bad set
+    unit = StructuredSet(tf.x0, resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed))
+    # Only mn/mfn solve on the symmetric set: a qs sweep on a half frame
+    # holding some d and -d is valid.  kappa_mH_qs is linear in L_grad and
+    # reads each frame normalized, so the unit recipe's value serves every row.
+    unit_Y = unit.expand() if kind != "qs" else None
+    kqs_unit = bounds.kappa_mH_qs(1.0, models.qs_preset(preset, unit)) if kind == "qs" else None
+    results = [_build_row(tf, unit, unit_Y, kqs_unit, config.model, d, config.samples, config.tol)
                for d in config.deltas]
     rows = [r for r, _ in results]
     interp = [v for _, v in results if v is not None]

@@ -151,6 +151,17 @@ def test_usage_errors(capsys, five_point_file):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_set_lengths_out_of_double_range_exit_1(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"x0": [0.0, 0.0], "directions": [[1e200, 0.0], [0.0, 1e200]]}))
+    assert main(["model", "--function", "sphere", "--set", f"file:{path}", "--model", "mn"]) == 1
+    assert capsys.readouterr().err == "error: direction 0 is too long: its squared length overflows\n"
+    argv = ["sweep", "--function", "sphere", "--set", "structured:2", "--model", "mfn",
+            "--deltas", "1e-170:0.5:3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: direction 0 is too short: its squared length underflows\n"
+
+
 def test_sweep_csv_deterministic(tmp_path, capsys):
     args = ["sweep", "--function", "exponential", "--x0", "0.1,-0.2",
             "--set", "structured:2", "--model", "mfn", "--deltas", "1:0.5:4",

@@ -116,6 +116,49 @@ def _from_points_loop(x0, points):
     return np.asarray(kept)
 
 
+# The passes of one column against the later ones that the Gram screen
+# replaced; they match the pairwise loops above and stay fast at m = 560.
+def _validate_directions_columns(D):
+    if D.shape[1] < 1:
+        raise InvalidInputError("a sample set needs at least one direction")
+    norms = np.linalg.norm(D, axis=0)
+    if np.any(norms == 0.0):
+        raise InvalidInputError("zero direction in sample set")
+    for i in range(D.shape[1] - 1):
+        gaps = np.linalg.norm(D[:, i + 1:] - D[:, i:i + 1], axis=0)
+        dup = gaps <= 1e-12 * np.maximum(norms[i], norms[i + 1:])
+        if dup.any():
+            j = i + 1 + int(np.argmax(dup))
+            raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
+
+
+def _validate_antipodes_columns(Dhalf):
+    p = Dhalf.shape[1]
+    norms = np.linalg.norm(Dhalf, axis=0)
+    for i in range(p):
+        gaps = np.linalg.norm(Dhalf[:, i:] + Dhalf[:, i:i + 1], axis=0)
+        dup = gaps <= 1e-12 * np.maximum(norms[i], norms[i:])
+        if dup.any():
+            j = p + i + int(np.argmax(dup))
+            raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
+
+
+def _from_points_columns(x0, points):
+    """``D`` of ``from_points``, as the kept block's transposed view."""
+    offsets = np.asarray(points, dtype=float) - x0[None, :]
+    lengths = np.linalg.norm(offsets, axis=1)
+    scale = float(np.max(lengths, initial=0.0))
+    offsets = offsets[lengths > 1e-14 * scale]
+    kept = np.empty_like(offsets)
+    count = 0
+    for off in offsets:
+        if count and np.min(np.linalg.norm(kept[:count] - off, axis=1)) <= 1e-10 * scale:
+            continue
+        kept[count] = off
+        count += 1
+    return kept[:count].T
+
+
 def _verdict(fn, *args):
     try:
         fn(*args)
@@ -124,36 +167,50 @@ def _verdict(fn, *args):
     return None
 
 
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides \
+        and a.tobytes() == b.tobytes()
+
+
 # Relative offsets on either side of the duplicate (1e-12), merge (1e-10) and
 # center (1e-14) thresholds.
 _NEAR = (0.5e-12, 2e-12, 0.5e-10, 2e-10)
 _NEAR_CENTER = (0.0, 0.5e-14, 2e-14)
+# Entry scales: 1e150 and 1e-150 square near the ends of the double range.
+_SCALES = (1.0, 1e-6, 1e3, 1e150, 1e-150)
+# Small sets, where the pairwise loops run, and sizes up to a full quadratic
+# set at n = 32 (m = 560).
+_SMALL = 12
 
 
 @st.composite
 def _near_duplicate_sets(draw):
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 12))
+    n = draw(st.one_of(st.integers(1, 4), st.integers(5, 64)))
+    m = draw(st.one_of(st.integers(1, _SMALL), st.integers(_SMALL + 1, 560)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    D = rng.standard_normal((n, m)) * draw(st.sampled_from((1.0, 1e-6, 1e3)))
+    scale = draw(st.sampled_from(_SCALES))
+    D = rng.standard_normal((n, m)) * scale
     pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), st.sampled_from(_NEAR))
     for src, dst, rel in draw(st.lists(pairs, max_size=4)):
         if src != dst:
             u = rng.standard_normal(n)
             D[:, dst] = D[:, src] + rel * np.linalg.norm(D[:, src]) * u / np.linalg.norm(u)
     centers = draw(st.lists(st.sampled_from(_NEAR_CENTER), max_size=3))
-    return D, centers
+    return D, centers, scale
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_near_duplicate_sets(), x0_seed=st.integers(0, 1000))
 def test_vectorized_validation_matches_pairwise_loops(case, x0_seed):
-    D, centers = case
-    n = D.shape[0]
-    assert _verdict(_validate_directions, D) == _verdict(_validate_directions_loop, D)
+    D, centers, entry_scale = case
+    n, m = D.shape
+    want = _verdict(_validate_directions_columns, D)
+    assert _verdict(_validate_directions, D) == want
+    if m <= _SMALL:
+        assert _verdict(_validate_directions_loop, D) == want
 
     rng = np.random.default_rng(x0_seed)
-    x0 = rng.standard_normal(n)
+    x0 = entry_scale * rng.standard_normal(n)
     scale = float(np.max(np.linalg.norm(D, axis=0)))
     rows = [x0 + d for d in D.T]
     for rel in centers:
@@ -161,14 +218,18 @@ def test_vectorized_validation_matches_pairwise_loops(case, x0_seed):
         rows.insert(int(rng.integers(0, len(rows) + 1)),
                     x0 + rel * scale * u / np.linalg.norm(u))
     points = np.array(rows)
-    expected = _from_points_loop(x0, points)
+    expected = _from_points_columns(x0, points)
     Y = SampleSet.from_points(x0, points)
-    assert np.array_equal(Y.D, expected.T)
+    assert _same_array(Y.D, expected)
+    if m <= _SMALL:
+        assert np.array_equal(Y.D, _from_points_loop(x0, points).T)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 6), p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
-       pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+@given(n=st.one_of(st.integers(1, 6), st.integers(7, 64)),
+       p=st.one_of(st.integers(1, 10), st.integers(11, 280)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       pairs=st.lists(st.tuples(st.integers(0, 279), st.integers(0, 279),
                                 st.sampled_from((0.0, 0.5e-12, 2e-12))), max_size=3))
 def test_expand_checks_antipodes_like_the_full_check(n, p, seed, pairs):
     # near-antipodal pairs d^k ~ -d^i on either side of the 1e-12 threshold
@@ -179,15 +240,112 @@ def test_expand_checks_antipodes_like_the_full_check(n, p, seed, pairs):
         if i != k:
             u = rng.standard_normal(n)
             Dhalf[:, k] = -Dhalf[:, i] + rel * np.linalg.norm(Dhalf[:, i]) * u / np.linalg.norm(u)
-    assume(_verdict(_validate_directions_loop, Dhalf) is None)
+    assume(_verdict(_validate_directions_columns, Dhalf) is None)
     half = StructuredSet(rng.standard_normal(n), Dhalf)
     full = np.hstack([Dhalf, -Dhalf])
-    want = _verdict(_validate_directions_loop, full)
+    want = _verdict(_validate_directions_columns, full)
+    assert _verdict(_validate_antipodes_columns, Dhalf) == want
+    if 2 * p <= _SMALL:
+        assert _verdict(_validate_directions_loop, full) == want
     assert _verdict(half.expand) == want
     if want is None:
         Y = half.expand()
-        assert np.array_equal(Y.D, full) and Y.x0 is half.x0
+        assert _same_array(Y.D, full) and Y.x0 is half.x0
         assert isinstance(Y, SampleSet)
+
+
+def test_lengths_that_square_out_of_range_are_reported():
+    # the squares of 1e-170 underflow and those of 1e200 overflow; before,
+    # the first read "zero direction" and the second "duplicate directions"
+    # because inf <= 1e-12 * inf
+    with pytest.raises(InvalidInputError, match="direction 0 is too short: its squared length underflows"):
+        SampleSet(np.zeros(2), 1e-170 * np.eye(2))
+    with pytest.raises(InvalidInputError, match="direction 0 is too long: its squared length overflows"):
+        SampleSet(np.zeros(2), 1e200 * np.eye(2))
+    # 1e154 squares to 1e308, inside the range, but a Gram form on the raw
+    # entries would overflow: the screen runs on D divided by its largest entry
+    Y = SampleSet(np.zeros(2), 1e154 * np.eye(2))
+    assert Y.radius == 1e154
+    near = 1e154 * np.array([[1.0, 1.0 + 4e-13, 0.0], [0.0, 0.0, 1.0]])
+    assert _verdict(SampleSet, np.zeros(2), near) == "duplicate directions at columns 0 and 1"
+    assert _verdict(_validate_directions_loop, near) == "duplicate directions at columns 0 and 1"
+    with pytest.raises(InvalidInputError, match="direction 1 is too long"):
+        SampleSet(np.zeros(2), 1e154 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # the same checks guard the other ways of making a set
+    with pytest.raises(InvalidInputError, match="too short"):
+        StructuredSet(np.zeros(2), 1e-170 * np.eye(2))
+    with pytest.raises(InvalidInputError, match="too short"):
+        SampleSet(np.zeros(2), np.eye(2)).scale(1e-170)
+    with pytest.raises(InvalidInputError, match="too long"):
+        StructuredSet(np.zeros(2), np.eye(2)).scale(1e200)
+    with pytest.raises(InvalidInputError, match="squares outside the double range"):
+        SampleSet.from_points(np.zeros(2), 1e-170 * np.eye(2))
+    with pytest.raises(InvalidInputError, match="not all finite"):
+        SampleSet.from_points(np.zeros(2), [[np.nan, 0.0], [1.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="zero direction"):
+        SampleSet(np.zeros(2), np.column_stack([E1, np.zeros(2)]))
+
+
+def test_from_points_merges_against_kept_offsets_only():
+    # b merges into a; c is within the merge distance of b but not of a, and
+    # b was dropped, so c stays
+    x0 = np.zeros(2)
+    a = np.array([1.0, 0.0])
+    b = a + np.array([0.0, 0.8e-10])
+    c = b + np.array([0.0, 0.8e-10])
+    points = np.vstack([a, b, c, 0.5 * a])
+    Y = SampleSet.from_points(x0, points)
+    assert np.array_equal(Y.D, np.column_stack([a, c, 0.5 * a]))
+    assert _same_array(Y.D, _from_points_columns(x0, points))
+    assert np.array_equal(Y.D, _from_points_loop(x0, points).T)
+
+
+def test_screen_flags_duplicates_whose_gram_gap_rounds_in_the_subnormals():
+    # 2^40 sets the scale, so the near-duplicate pair divides to about
+    # 1e-160 and its Gram entries are subnormal: there a^2 and b^2 round down
+    # while ab rounds up, the Gram gap reads one subnormal ulp and 1e-10
+    # times the squared length rounds to 0.  The smallest normal number
+    # added to the bound keeps the pair a candidate.
+    a = float.fromhex("0x1.65d0cad4e421ap-492")
+    b = float.fromhex("0x1.65d0cad4e4bf0p-492")
+    D = np.array([[2.0 ** 40, a, b]])
+    want = "duplicate directions at columns 1 and 2"
+    assert _verdict(_validate_directions_loop, D) == want
+    assert _verdict(SampleSet, np.zeros(1), D) == want
+
+
+def test_scaled_set_shares_the_radius_free_factors(monkeypatch):
+    rng = np.random.default_rng(33)
+    Y = SampleSet(rng.standard_normal(3), rng.standard_normal((3, 7)))
+    first = (Y.F_unit_factor, Y.normalized_rank_and_pinv_norm)
+    calls = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, *a, _f=real, _n=name, **k: calls.append(_n) or _f(A, *a, **k))
+    Z = Y.scale(1e-3).scale(0.5)
+    assert Z.D.tobytes() == (0.5 * (1e-3 * Y.D)).tobytes()
+    assert Z.F_unit_factor is first[0]
+    assert Z.normalized_rank_and_pinv_norm == first[1]
+    assert calls == []
+    # the verdict reads the radius-dependent F_scaled: each set takes its own
+    assert Z.mfn_poised is _inline_mfn_verdict(Z)
+    assert calls == ["svd", "svd"]
+    monkeypatch.undo()
+    # a scaled set read first factors its origin's F_unit, once for both
+    W = SampleSet(Y.x0, Y.D.copy())
+    assert W.scale(2.0).F_unit_factor is W.F_unit_factor
+
+
+def test_scale_gives_the_bytes_of_a_set_built_scaled():
+    rng = np.random.default_rng(34)
+    Dhalf = rng.standard_normal((4, 3))
+    x0 = rng.standard_normal(4)
+    for t in (1.0, 0.1, 1e-8):
+        st_scaled = StructuredSet(x0, Dhalf).scale(t)
+        assert st_scaled.Dhalf.tobytes() == StructuredSet(x0, t * Dhalf).Dhalf.tobytes()
+        Y = StructuredSet(x0, Dhalf).expand().scale(t)
+        assert Y.D.tobytes() == StructuredSet(x0, t * Dhalf).expand().D.tobytes()
 
 
 def test_json_roundtrip(tmp_path):

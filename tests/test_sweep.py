@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfoq import testbed
+from dfoq import bounds, models, testbed
 from dfoq.errors import InvalidInputError
 from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices, poisedness
 from dfoq.simplex import Oracle, delta_f
@@ -225,8 +225,9 @@ def test_sweep_poised_column_matches_poisedness(model):
     assert True in verdicts and False in verdicts
 
 
-def test_mfn_sweep_row_factors_F_unit_once(monkeypatch):
-    # solve_mfn and kappa_mH_mfn read one cached factor of the bordered system
+def test_mfn_sweep_factors_F_unit_once(monkeypatch):
+    # every row's solve_mfn and kappa_mH_mfn read the factor of the unit
+    # set's F_unit, taken once per sweep
     factored = []
     for name in ("svd", "eigh", "inv"):
         fn = getattr(np.linalg, name)
@@ -237,18 +238,19 @@ def test_mfn_sweep_row_factors_F_unit_once(monkeypatch):
     rows, _ = run_sweep(config)
     monkeypatch.undo()
     assert all(row.poised and row.bound_f is not None for row in rows)  # kappa_mH_mfn ran
-    # F_unit is radius-free: the coordinate frame normalizes exactly, so every
-    # row has the same one
+    # the coordinate frame normalizes exactly, so every row's own F_unit
+    # would equal this one
     tf = testbed.get("trigonometric")
     frame = resolve_frame("structured:3", tf.dim)
     F_unit = kkt_matrices(StructuredSet(tf.x0, frame).expand()).F_unit
-    assert sum(np.array_equal(A, F_unit) for A in factored) == len(rows)
+    assert sum(np.array_equal(A, F_unit) for A in factored) == 1
 
 
-def test_centred_qs_sweep_row_at_n64_takes_five_svds(monkeypatch):
-    # S^T for each gsg and for gsh's stack, S / radius in kappa_mH_qs and the
-    # normalized set in kappa_generic; the 64 one-column frames T_i take the
-    # closed form (133 SVDs a row when they went through LAPACK)
+def test_centred_qs_sweep_at_n64_takes_four_svds_a_row(monkeypatch):
+    # S^T for each gsg and for gsh's stack, and the normalized set in
+    # kappa_generic; kappa_mH_qs factors the unit frame once per sweep, and
+    # the 64 one-column frames T_i take the closed form (133 SVDs a row when
+    # they went through LAPACK)
     count = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))
@@ -257,7 +259,56 @@ def test_centred_qs_sweep_row_at_n64_takes_five_svds(monkeypatch):
     rows, _ = run_sweep(config)
     monkeypatch.undo()
     assert all(row.bound_f is not None for row in rows)  # kappa_mH_qs ran
-    assert len(count) <= 5 * len(rows)
+    assert len(count) <= 4 * len(rows) + 1
+
+
+@pytest.mark.parametrize("set_spec", ["structured:3", "random:3:5"])
+def test_qs_sweep_takes_kappa_mH_qs_once_on_the_unit_recipe(monkeypatch, set_spec):
+    calls = []
+    real = bounds.kappa_mH_qs
+    monkeypatch.setattr(bounds, "kappa_mH_qs", lambda L, spec: calls.append(L) or real(L, spec))
+    config = SweepConfig("trigonometric", set_spec, "qs:centred", parse_deltas("1:0.1:6"))
+    rows, _ = run_sweep(config)
+    monkeypatch.undo()
+    assert calls == [1.0]
+    # each row's bound against the one its own recipe's constant gives: the
+    # same float on the coordinate frame, which normalizes exactly
+    tf = testbed.get("trigonometric")
+    unit = StructuredSet(tf.x0, resolve_frame(set_spec, tf.dim))
+    for delta, row in zip(config.deltas, rows):
+        built = models.build("qs:centred", tf.f, unit.scale(delta))
+        r = built.Y.radius
+        lip = tf.lipschitz_on(tf.x0, r)
+        kqs = bounds.kappa_mH_qs(lip.L_grad, built.spec)
+        want = bounds.kappa_generic(lip.L_grad, kqs, built.Y).kappa_ef * r ** 2
+        assert row.bound_f is not None
+        if set_spec.startswith("structured"):
+            assert row.bound_f == want
+        else:
+            assert row.bound_f == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("model", ["mn", "mfn"])
+def test_random_frame_rows_match_sets_factored_per_row(model):
+    # rows read the unit set's radius-free factors; against sets built and
+    # factored afresh at every radius, verdicts match and bounds agree to
+    # their last bits
+    config = SweepConfig("trigonometric", "random:3:5", model, parse_deltas("1:0.1:4"))
+    rows, _ = run_sweep(config)
+    tf = testbed.get("trigonometric")
+    frame = resolve_frame("random:3:5", tf.dim)
+    for delta, row in zip(config.deltas, rows):
+        Y = StructuredSet(tf.x0, delta * frame).expand()
+        assert row.poised is Y.mfn_poised is True
+        r = Y.radius
+        lip = tf.lipschitz_on(tf.x0, r)
+        kmfn = bounds.kappa_mH_mfn(lip.L_grad, Y)
+        consts = bounds.kappa_generic(lip.L_grad, kmfn, Y)
+        if model == "mn":
+            kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, r, kmfn, Y)
+            consts = bounds.kappa_generic(lip.L_grad, kmn, Y)
+        assert row.bound_f == pytest.approx(consts.kappa_ef * r ** 2, rel=1e-12)
+        assert row.bound_g == pytest.approx(consts.kappa_eg * r, rel=1e-12)
 
 
 @pytest.mark.parametrize("model", ["qs:centred", "qs:adapted-0"])
