@@ -24,7 +24,6 @@ from .sample_sets import PoisednessReport, SampleSet, StructuredSet, kkt_matrice
 from .simplex import (
     DirectionPack,
     Oracle,
-    adapted_centred_gsg,
     centred_gsg,
     delta_delta_f,
     delta_f,
@@ -34,7 +33,6 @@ from .simplex import (
 )
 from .models import (
     GradTerm,
-    HessTerm,
     QSSpec,
     QuadraticModel,
     SolveDiagnostics,
@@ -83,8 +81,8 @@ __all__ = [
     "constrained_least_norm",
     "SampleSet", "StructuredSet", "PoisednessReport", "kkt_matrices", "poisedness",
     "Oracle", "DirectionPack", "delta_f", "gsg", "delta_delta_f", "gsh",
-    "centred_gsg", "adapted_centred_gsg", "shifted_frame",
-    "QuadraticModel", "SolveDiagnostics", "QSSpec", "GradTerm", "HessTerm",
+    "centred_gsg", "shifted_frame",
+    "QuadraticModel", "SolveDiagnostics", "QSSpec", "GradTerm",
     "solve_mn", "solve_mfn", "build_qs", "interpolation_check", "qs_preset",
     "LipschitzData", "BoundConstants", "kappa_generic", "kappa_mH_mfn",
     "kappa_mH_mn", "kappa_mH_qs", "directional_bound_aligned",

@@ -123,22 +123,18 @@ def _pinv_spectral_norm(M):
 
 
 def kappa_mH_qs(L_grad, spec):
-    """Curvature constant of a simplex-derivative model.
-
-    Sums ``|coeff| * ||pinv(Sbar)|| * sqrt(sum_i q_i ||pinv(Tbar_i)||^2)`` over
-    the Hessian terms, each frame normalized by its own radius.
+    """Curvature constant of a simplex-derivative model:
+    ``L ||pinv(Sbar)|| * sqrt(sum_i q_i ||pinv(Tbar_i)||^2)`` on the recipe's
+    pack, each frame normalized by its own radius.
     """
     L = _nonnegative(L_grad, "L_grad")
-    total = 0.0
-    for term in spec.hess_terms:
-        pack = term.pack
-        Sbar = pack.S / np.max(np.linalg.norm(pack.S, axis=0))
-        inner = 0.0
-        for T in pack.Ts:
-            Tbar = T / np.max(np.linalg.norm(T, axis=0))
-            inner += T.shape[1] * _pinv_spectral_norm(Tbar) ** 2
-        total += abs(float(term.coeff)) * _pinv_spectral_norm(Sbar) * np.sqrt(inner)
-    return L * total
+    pack = spec.pack
+    Sbar = pack.S / np.max(np.linalg.norm(pack.S, axis=0))
+    inner = 0.0
+    for T in pack.Ts:
+        Tbar = T / np.max(np.linalg.norm(T, axis=0))
+        inner += T.shape[1] * _pinv_spectral_norm(Tbar) ** 2
+    return L * (_pinv_spectral_norm(Sbar) * np.sqrt(inner))
 
 
 def kappa_generic(L_grad, kappa_mH, Y: SampleSet):

@@ -17,14 +17,13 @@ import numpy as np
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
 from .sample_sets import SampleSet, StructuredSet
-from .simplex import DirectionPack, as_oracle, delta_f, gsg, gsh, shifted_frame
+from .simplex import DirectionPack, as_oracle, delta_f, gsh, shifted_frame
 
 __all__ = [
     "QuadraticModel",
     "SolveDiagnostics",
     "InterpolationReport",
     "GradTerm",
-    "HessTerm",
     "QSSpec",
     "BuiltModel",
     "parse_family",
@@ -246,69 +245,61 @@ def interpolation_check(model: QuadraticModel, f, Y: SampleSet, tol=None):
 
 @dataclass(frozen=True)
 class GradTerm:
-    """One gradient contribution: ``coeff * gsg(f, base, scale * S)``."""
+    """One gradient contribution: ``coeff * gsg(f, base, scale * S)`` on the
+    recipe's frame ``S``."""
 
     coeff: float
     base: np.ndarray
-    S: np.ndarray
     scale: float = 1.0
 
-
-@dataclass(frozen=True)
-class HessTerm:
-    """One Hessian contribution: ``coeff * gsh(f, x0, pack)``."""
-
-    coeff: float
-    pack: DirectionPack
+    def __post_init__(self):
+        scale = float(self.scale)
+        if scale == 0.0 or not np.isfinite(scale):
+            raise InvalidInputError("a gradient term's scale must be nonzero and finite")
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
 class QSSpec:
-    """Recipe for a model whose g and H are simplex-derivative combinations."""
+    """Recipe for a model whose g and H are simplex-derivative combinations on
+    one frame: the gradient terms are taken on multiples of ``pack.S`` and the
+    Hessian is ``gsh`` on ``pack``."""
 
     grad_terms: tuple
-    hess_terms: tuple
+    pack: DirectionPack
 
     def __post_init__(self):
         object.__setattr__(self, "grad_terms", tuple(self.grad_terms))
-        object.__setattr__(self, "hess_terms", tuple(self.hess_terms))
-        if not self.grad_terms or not self.hess_terms:
-            raise InvalidInputError("a QS spec needs at least one gradient and one Hessian term")
+        if not self.grad_terms:
+            raise InvalidInputError("a QS spec needs at least one gradient term")
 
     def points(self, x0):
-        """Every evaluation point the recipe touches (rows)."""
+        """Every evaluation point the recipe touches (rows), unsorted and with
+        repeats; :meth:`SampleSet.from_points` merges them."""
         x0 = linalg.as_vector(x0, "x0")
         chunks = [x0[None, :]]
         for term in self.grad_terms:
             base = linalg.as_vector(term.base, "base")
-            frame = float(term.scale) * linalg.as_matrix(term.S, "S")
-            chunks += [base[None, :], base[None, :] + frame.T]
-        for term in self.hess_terms:
-            chunks.append(term.pack.points(x0))
-        return np.unique(np.vstack(chunks), axis=0)
-
-    def audit_points(self, x0, Y: SampleSet, rtol=1e-10):
-        """Report whether every point used lies in ``Y ∪ {x0}`` (not enforced)."""
-        used = self.points(x0)
-        allowed = np.vstack([np.asarray(Y.x0)[None, :], Y.points()])
-        scale = max(1.0, float(np.max(np.abs(allowed))))
-        ok = all(
-            np.min(np.linalg.norm(allowed - u[None, :], axis=1)) <= rtol * scale for u in used
-        )
-        return used, bool(ok)
+            chunks += [base[None, :], base[None, :] + (term.scale * self.pack.S).T]
+        chunks.append(self.pack.points(x0))
+        return np.vstack(chunks)
 
 
 def build_qs(f, x0, spec: QSSpec):
-    """Assemble the quadratic whose g and H follow the recipe in ``spec``."""
+    """Assemble the quadratic whose g and H follow the recipe in ``spec``.
+
+    Every gradient term solves with the pack's one factor of ``S^T``: the
+    minimum-norm solution on ``scale * S`` is the one on ``S`` divided by
+    ``scale``.
+    """
     f = as_oracle(f)
     x0 = linalg.as_vector(x0, "x0")
+    S, fac = spec.pack.S, spec.pack.factor
     g = np.zeros(x0.size)
     for term in spec.grad_terms:
-        frame = float(term.scale) * linalg.as_matrix(term.S, "S")
-        g = g + float(term.coeff) * gsg(f, term.base, frame)
-    H = np.zeros((x0.size, x0.size))
-    for term in spec.hess_terms:
-        H = H + float(term.coeff) * gsh(f, x0, term.pack)
+        g = g + float(term.coeff) * (fac.solve(delta_f(f, term.base, term.scale * S)) / term.scale)
+    # a sum from zeros, as over several terms, turns -0.0 entries into 0.0
+    H = np.zeros((x0.size, x0.size)) + gsh(f, x0, spec.pack)
     return QuadraticModel(x0, f(x0), g, H)
 
 
@@ -317,13 +308,9 @@ def qs_preset(name, structured):
     S = structured.Dhalf
     x0 = structured.x0
     if name == "centred":
-        grads = (GradTerm(0.5, x0, S, 1.0), GradTerm(0.5, x0, -S, 1.0))
-        return QSSpec(grads, (HessTerm(1.0, structured.as_gsh_pack()),))
+        return QSSpec((GradTerm(0.5, x0), GradTerm(0.5, x0, -1.0)), structured.as_gsh_pack())
     if name == "forward":
-        return QSSpec(
-            (GradTerm(1.0, x0, S, 1.0),),
-            (HessTerm(1.0, DirectionPack.shared(S, S)),),
-        )
+        return QSSpec((GradTerm(1.0, x0),), DirectionPack.shared(S, S))
     if name.startswith("adapted-"):
         try:
             ell = int(name.split("-", 1)[1])
@@ -332,16 +319,11 @@ def qs_preset(name, structured):
         if not (0 <= ell <= S.shape[1]):
             raise InvalidInputError(f"adapted preset index out of range: {ell}")
         if ell == 0:
-            grads = (GradTerm(2.0, x0, S, 1.0), GradTerm(-1.0, x0, S, 2.0))
+            grads = (GradTerm(2.0, x0), GradTerm(-1.0, x0, 2.0))
         else:
             base = x0 - S[:, ell - 1]
-            grads = (
-                GradTerm(1.0, x0, S, 1.0),
-                GradTerm(1.0, base, S, 1.0),
-                GradTerm(-1.0, base, S, 2.0),
-            )
-        pack = DirectionPack.shared(S, shifted_frame(S, ell))
-        return QSSpec(grads, (HessTerm(1.0, pack),))
+            grads = (GradTerm(1.0, x0), GradTerm(1.0, base), GradTerm(-1.0, base, 2.0))
+        return QSSpec(grads, DirectionPack.shared(S, shifted_frame(S, ell)))
     raise InvalidInputError(f"unknown QS preset {name!r}")
 
 

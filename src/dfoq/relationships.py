@@ -14,19 +14,9 @@ import numpy as np
 
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
-from .models import QuadraticModel
-from .sample_sets import SampleSet
-from .simplex import (
-    DirectionPack,
-    Oracle,
-    adapted_centred_gsg,
-    as_oracle,
-    centred_gsg,
-    delta_delta_f,
-    gsg,
-    gsh,
-    shifted_frame,
-)
+from .models import QuadraticModel, build_qs, qs_preset
+from .sample_sets import SampleSet, StructuredSet
+from .simplex import DirectionPack, Oracle, as_oracle, centred_gsg, delta_delta_f, gsg
 
 __all__ = [
     "BilinearProblem",
@@ -165,17 +155,13 @@ def mfn_from_gsh(f, x0, S, T):
 
 
 def mn_shifted_frame(f, x0, S, ell):
-    """Minimum-norm model on the stencil of frame S shifted through column ell.
+    """Minimum-norm model on the stencil of frame S shifted through column ell:
+    the ``adapted-<ell>`` recipe on S.
 
     Works for every function: the shifted frame keeps the symmetric system
     feasible by construction.
     """
-    f = as_oracle(f)
-    x0 = linalg.as_vector(x0, "x0")
-    S = linalg.as_matrix(S, "S")
-    alpha = adapted_centred_gsg(f, x0, S, ell)
-    pack = DirectionPack.shared(S, shifted_frame(S, ell))
-    return QuadraticModel(x0, f(x0), alpha, gsh(f, x0, pack))
+    return build_qs(f, x0, qs_preset(f"adapted-{ell}", StructuredSet(x0, S)))
 
 
 def mn_coordinate_centred(f, x0, p):

@@ -8,6 +8,7 @@ points cost one evaluation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "delta_delta_f",
     "gsh",
     "centred_gsg",
-    "adapted_centred_gsg",
     "shifted_frame",
 ]
 
@@ -73,7 +73,8 @@ class DirectionPack:
     """Directions ``S`` (n x p) with one frame ``T_i`` (n x q_i) per column of S.
 
     A single shared frame is the special case where every ``T_i`` is the same
-    matrix; :meth:`shared` builds that directly.
+    matrix; :meth:`shared` builds that directly.  The pack caches one
+    factorization of ``S^T``, which every simplex derivative on ``S`` reads.
     """
 
     S: np.ndarray
@@ -106,6 +107,11 @@ class DirectionPack:
     def p(self):
         return self.S.shape[1]
 
+    @functools.cached_property
+    def factor(self):
+        """:class:`linalg.Factorization` of ``S^T`` (factored on first read)."""
+        return linalg.Factorization(self.S.T)
+
     @property
     def shared_T(self):
         """The common frame if all ``T_i`` coincide, else None."""
@@ -116,17 +122,18 @@ class DirectionPack:
         return first
 
     def points(self, x0):
-        """All evaluation points the simplex Hessian touches (rows), center included."""
+        """Every evaluation point the simplex Hessian touches (rows), center
+        included: ``x0``, each ``x0 + s^i``, and per column ``t^j`` of ``T_i``
+        the points ``x0 + t^j`` and ``(x0 + s^i) + t^j``.  The rows are not
+        sorted and may repeat a point, except that a frame shared by every
+        direction lists its points ``x0 + t^j`` once, not p times."""
         x0 = linalg.as_vector(x0, "x0")
         T = np.hstack(self.Ts).T
-        counts = [Ti.shape[1] for Ti in self.Ts]
+        shared = self.shared_T
         xs = x0[None, :] + self.S.T
-        # rows x0, then per direction i: x0 + s^i and, per column j of T_i,
-        # x0 + t^j and (x0 + s^i) + t^j; the order np.unique sees is kept
-        pairs = np.stack([x0[None, :] + T, xs[np.repeat(np.arange(self.p), counts)] + T], axis=1)
-        starts = 2 * np.cumsum([0] + counts[:-1])
-        pts = np.insert(pairs.reshape(-1, self.n), starts, xs, axis=0)
-        return np.unique(np.vstack([x0[None, :], pts]), axis=0)
+        owner = np.repeat(np.arange(self.p), [Ti.shape[1] for Ti in self.Ts])
+        heads = x0[None, :] + (T if shared is None else shared.T)
+        return np.vstack([x0[None, :], xs, heads, xs[owner] + T])
 
 
 def delta_f(f, x0, S):
@@ -170,14 +177,14 @@ def gsh(f, x0, pack: DirectionPack):
     ``T_i`` and the stack is premultiplied by ``pinv(S^T)``.  Both gradient
     estimates of row i solve with ``T_i``, so it is factored once, and they
     read the oracle at the points ``delta_f`` would, ``(x0 + s^i) + t^j`` and
-    ``x0 + t^j``.
+    ``x0 + t^j``.  ``pinv(S^T)`` comes from the pack's cached factor.
     """
     f = as_oracle(f)
     x0 = linalg.as_vector(x0, "x0")
     T = pack.shared_T
     if T is not None:
         ddf = delta_delta_f(f, x0, pack.S, T)
-        return linalg.pinv(pack.S.T) @ ddf @ linalg.pinv(T)
+        return pack.factor.pinv() @ ddf @ linalg.pinv(T)
     base = f(x0)
     rows = np.empty((pack.p, pack.n))
     for i in range(pack.p):
@@ -188,29 +195,13 @@ def gsh(f, x0, pack: DirectionPack):
         at_0 = np.array([f(x0 + Ti[:, j]) - base for j in range(Ti.shape[1])])
         fac = linalg.Factorization(Ti.T)
         rows[i] = fac.solve(at_s) - fac.solve(at_0)
-    return linalg.pinv(pack.S.T) @ rows
+    return pack.factor.pinv() @ rows
 
 
 def centred_gsg(f, x0, S):
     """Average of the forward and backward simplex gradients."""
     f = as_oracle(f)
     return 0.5 * (gsg(f, x0, S) + gsg(f, x0, -np.asarray(S, dtype=float)))
-
-
-def adapted_centred_gsg(f, x0, S, ell=0):
-    """Gradient estimate re-centred through column ``ell`` of S (1-based).
-
-    ``ell = 0`` uses no shift: ``2 gsg(S) - gsg(2S)``.  Otherwise the base
-    point moves to ``x0 - s^ell``.
-    """
-    f = as_oracle(f)
-    x0 = linalg.as_vector(x0, "x0")
-    S = linalg.as_matrix(S, "S")
-    p = S.shape[1]
-    if not (0 <= int(ell) <= p):
-        raise InvalidInputError(f"ell must be in [0, {p}], got {ell}")
-    shift = np.zeros(x0.size) if ell == 0 else S[:, int(ell) - 1]
-    return gsg(f, x0, S) + gsg(f, x0 - shift, S) - gsg(f, x0 - shift, 2.0 * S)
 
 
 def shifted_frame(S, ell):

@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import LipschitzData
 from .errors import InvalidInputError
 
-__all__ = ["TestFunction", "registry", "get", "fd_check"]
+__all__ = ["TestFunction", "registry", "get"]
 
 
 class TestFunction:
@@ -257,24 +257,3 @@ def get(name, dim=None, x0=None):
     if dim is not None and tf.dim != dim:
         raise InvalidInputError(f"{name} is fixed to dimension {tf.dim}, requested {dim}")
     return tf
-
-
-def fd_check(tf: TestFunction, x=None, step=1e-6):
-    """Central-difference check of grad and hess; returns (grad_err, hess_err).
-
-    Errors are absolute, normalized by 1 + the true derivative norm.
-    """
-    x = tf.x0 if x is None else np.asarray(x, dtype=float)
-    n = x.size
-    eye = np.eye(n)
-    g_fd = np.array([(tf.f(x + step * eye[i]) - tf.f(x - step * eye[i])) / (2 * step) for i in range(n)])
-    g_true = tf.grad(x)
-    grad_err = float(np.linalg.norm(g_fd - g_true) / (1.0 + np.linalg.norm(g_true)))
-
-    hstep = np.sqrt(step)
-    H_fd = np.column_stack(
-        [(tf.grad(x + hstep * eye[i]) - tf.grad(x - hstep * eye[i])) / (2 * hstep) for i in range(n)]
-    )
-    H_true = tf.hess(x)
-    hess_err = float(np.linalg.norm(H_fd - H_true) / (1.0 + np.linalg.norm(H_true)))
-    return grad_err, hess_err

@@ -7,7 +7,7 @@ from scipy.stats import qmc
 
 from dfoq import bounds, linalg, testbed
 from dfoq.errors import DirectionDomainError, InvalidInputError, NotPoisedError
-from dfoq.models import GradTerm, HessTerm, QSSpec, qs_preset, solve_mfn, solve_mn
+from dfoq.models import GradTerm, QSSpec, qs_preset, solve_mfn, solve_mn
 from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices
 from dfoq.simplex import DirectionPack
 
@@ -82,22 +82,15 @@ def test_kappa_mn_combinations():
 
 
 def test_kappa_qs_fixtures():
-    from dfoq.models import GradTerm, HessTerm, QSSpec
-
     n = 3
     eye_cols = tuple(np.eye(n)[:, i : i + 1] for i in range(n))
-    pack = DirectionPack(np.eye(n), eye_cols)
-    grad = (GradTerm(1.0, np.zeros(n), np.eye(n)),)
-    one_term = QSSpec(grad, (HessTerm(1.0, pack),))
-    assert bounds.kappa_mH_qs(5.0, one_term) == pytest.approx(5.0 * np.sqrt(n), rel=1e-14)
+    spec = QSSpec((GradTerm(1.0, np.zeros(n)),), DirectionPack(np.eye(n), eye_cols))
+    assert bounds.kappa_mH_qs(5.0, spec) == pytest.approx(5.0 * np.sqrt(n), rel=1e-14)
 
     st = StructuredSet(np.zeros(2), np.eye(2))
     assert bounds.kappa_mH_qs(2.0, qs_preset("centred", st)) == pytest.approx(
         2.0 * np.sqrt(2.0), rel=1e-14
     )
-
-    zero_term = QSSpec(grad, (HessTerm(0.0, pack),))
-    assert bounds.kappa_mH_qs(9.0, zero_term) == 0.0
 
 
 def _lapack_pinv_spectral_norm(M):
@@ -111,16 +104,13 @@ def _lapack_pinv_spectral_norm(M):
 
 
 def _old_kappa_mH_qs(L, spec):
-    total = 0.0
-    for term in spec.hess_terms:
-        pack = term.pack
-        Sbar = pack.S / np.max(np.linalg.norm(pack.S, axis=0))
-        inner = 0.0
-        for T in pack.Ts:
-            Tbar = T / np.max(np.linalg.norm(T, axis=0))
-            inner += T.shape[1] * _lapack_pinv_spectral_norm(Tbar) ** 2
-        total += abs(float(term.coeff)) * _lapack_pinv_spectral_norm(Sbar) * np.sqrt(inner)
-    return L * total
+    pack = spec.pack
+    Sbar = pack.S / np.max(np.linalg.norm(pack.S, axis=0))
+    inner = 0.0
+    for T in pack.Ts:
+        Tbar = T / np.max(np.linalg.norm(T, axis=0))
+        inner += T.shape[1] * _lapack_pinv_spectral_norm(Tbar) ** 2
+    return L * (_lapack_pinv_spectral_norm(Sbar) * np.sqrt(inner))
 
 
 def test_kappa_qs_on_centred_packs_matches_the_pinv_norm_form():
@@ -135,8 +125,7 @@ def test_kappa_qs_on_centred_packs_matches_the_pinv_norm_form():
                 spec = qs_preset("centred", StructuredSet(np.full(n, 0.4), 10.0 ** -k * frame))
                 want = _old_kappa_mH_qs(3.0, spec)
                 assert bounds.kappa_mH_qs(3.0, spec) == pytest.approx(want, rel=32 * EPS, abs=0.0)
-    singular = QSSpec((GradTerm(1.0, np.zeros(2), np.eye(2)),),
-                      (HessTerm(1.0, DirectionPack.shared(np.eye(2), np.ones((2, 2)))),))
+    singular = QSSpec((GradTerm(1.0, np.zeros(2)),), DirectionPack.shared(np.eye(2), np.ones((2, 2))))
     assert bounds.kappa_mH_qs(1.0, singular) == pytest.approx(_old_kappa_mH_qs(1.0, singular),
                                                               rel=32 * EPS)
 

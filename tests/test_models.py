@@ -7,7 +7,6 @@ from dfoq import linalg
 from dfoq.errors import InfeasibleError, InvalidInputError
 from dfoq.models import (
     GradTerm,
-    HessTerm,
     QSSpec,
     QuadraticModel,
     build,
@@ -19,9 +18,10 @@ from dfoq.models import (
     solve_mn,
 )
 from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices
-from dfoq.simplex import DirectionPack, Oracle, delta_f
+from dfoq.simplex import DirectionPack, Oracle, delta_f, gsg, gsh
 
 GOLD_TOL = 1e-10
+EPS = float(np.finfo(float).eps)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -236,28 +236,105 @@ def test_value_many_matches_the_einsum_form():
             assert np.all(np.abs(model.value_many(X) - want) <= bound)
 
 
-def _old_spec_points(spec, x0):
-    # QSSpec.points as a loop over the gradient frames' columns, kept as the reference
-    pts = [x0]
-    for term in spec.grad_terms:
-        base = np.asarray(term.base, dtype=float)
-        frame = float(term.scale) * np.asarray(term.S, dtype=float)
-        pts.append(base)
-        for i in range(frame.shape[1]):
-            pts.append(base + frame[:, i])
-    chunks = [np.asarray(pts)] + [term.pack.points(x0) for term in spec.hess_terms]
-    return np.unique(np.vstack(chunks), axis=0)
+PRESETS = ("centred", "forward", "adapted-0", "adapted-1", "adapted-last")
 
 
-@pytest.mark.parametrize("preset", ["centred", "forward", "adapted-0", "adapted-2"])
-def test_spec_points_match_the_column_loop_bitwise(preset):
+def qs_recipes(preset):
+    """``(x0, spec)`` of the preset at n = 2, 3, 16 and 64 on coordinate and
+    random frames with signed zeros in x0 and in the frame, at radii 1 to
+    1e-8 (every radius for n <= 16; at n = 64 the coordinate frame at 1 and
+    the random one at 1e-8)."""
     rng = np.random.default_rng(8)
-    for n in (2, 3, 16):
+    for n in (2, 3, 16, 64):
         x0 = rng.standard_normal(n)
-        x0[:1] = -0.0
-        for D in (np.eye(n), 0.1 * rng.standard_normal((n, n))):
-            spec = qs_preset(preset, StructuredSet(x0, D))
-            assert spec.points(x0).tobytes() == _old_spec_points(spec, x0).tobytes()
+        x0[::2] = -0.0
+        name = f"adapted-{n}" if preset == "adapted-last" else preset
+        coordinate = np.eye(n)
+        coordinate[(rng.random((n, n)) < 0.5) & (coordinate == 0.0)] = -0.0
+        random = np.zeros((n, n))
+        while np.linalg.matrix_rank(random) < n:
+            random = rng.standard_normal((n, n))
+            random[rng.random((n, n)) < 0.2] = -0.0
+        for frame, last in ((coordinate, 0), (random / np.linalg.norm(random, axis=0), 8)):
+            for k in (range(9) if n <= 16 else (last,)):
+                yield x0, qs_preset(name, StructuredSet(x0, 10.0 ** -k * frame))
+
+
+def _sorted_points(x0, grads, pack):
+    # the points of a recipe's gradient terms ``(base, frame)`` and pack as
+    # QSSpec.points listed them before: a loop over the columns, sorted and
+    # with exact repeats removed by np.unique; kept as the reference
+    pts = [x0]
+    for base, frame in grads:
+        pts += [base] + [base + frame[:, i] for i in range(frame.shape[1])]
+    for i in range(pack.p):
+        s = pack.S[:, i]
+        pts.append(x0 + s)
+        for j in range(pack.Ts[i].shape[1]):
+            t = pack.Ts[i][:, j]
+            pts += [x0 + t, x0 + s + t]
+    return np.unique(np.asarray(pts), axis=0)
+
+
+def _assert_same_merged_set(x0, rows, sorted_rows):
+    """from_points gives the same m from both lists, and each column of either
+    set has a column of the other within the merge tolerance, widened by the
+    rounding that tells two members of a near-duplicate pair apart."""
+    A = SampleSet.from_points(x0, rows).D
+    B = SampleSet.from_points(x0, sorted_rows).D
+    assert A.shape == B.shape
+    tol = 1e-10 * np.max(np.linalg.norm(rows - x0, axis=1)) + 16 * EPS * np.max(np.abs(rows))
+    for P, Q in ((A, B), (B, A)):
+        gram = (Q * Q).sum(0)[None, :] - 2.0 * P.T @ Q
+        nearest = Q[:, np.argmin(gram, axis=1)]
+        assert np.all(np.linalg.norm(P - nearest, axis=0) <= tol)
+
+
+def test_recipe_points_merge_to_the_sorted_set():
+    for preset in PRESETS:
+        for x0, spec in qs_recipes(preset):
+            grads = [(term.base, term.scale * spec.pack.S) for term in spec.grad_terms]
+            _assert_same_merged_set(x0, spec.points(x0), _sorted_points(x0, grads, spec.pack))
+    # packs with a frame per direction, several columns each, and signed zeros
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        n, p = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        S = rng.standard_normal((n, p))
+        S[rng.random((n, p)) < 0.3] = 0.0
+        Ts = []
+        for _ in range(p):
+            T = rng.standard_normal((n, int(rng.integers(1, 4))))
+            T[rng.random(T.shape) < 0.3] = -0.0
+            Ts.append(T)
+        x0 = rng.standard_normal(n)
+        x0[rng.random(n) < 0.5] = -0.0
+        for pack in (DirectionPack(S, tuple(Ts)), DirectionPack.shared(S, Ts[0])):
+            rows = pack.points(x0)
+            if (rows - x0).any():
+                _assert_same_merged_set(x0, rows, _sorted_points(x0, [], pack))
+
+
+def _per_term_qs(f, x0, spec):
+    # build_qs as a sum of gsg on each scaled frame, then gsh; kept as the
+    # reference for the one-factor form
+    g = np.zeros(x0.size)
+    for term in spec.grad_terms:
+        g = g + term.coeff * gsg(f, term.base, term.scale * spec.pack.S)
+    H = np.zeros((x0.size, x0.size)) + gsh(f, x0, spec.pack)
+    return QuadraticModel(x0, f(x0), g, H)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_build_qs_matches_the_per_term_form_bitwise(preset):
+    # the minimum-norm solve is equivariant: Factorization(t S^T).solve(b)
+    # is bit for bit Factorization(S^T).solve(b) / t for t = -1 and 2
+    for x0, spec in qs_recipes(preset):
+        f, f_ref = Oracle(trig), Oracle(trig)
+        model, want = build_qs(f, x0, spec), _per_term_qs(f_ref, x0, spec)
+        assert model.c == want.c
+        assert model.g.tobytes() == want.g.tobytes()
+        assert model.H.tobytes() == want.H.tobytes()
+        assert f.calls == f_ref.calls
 
 
 def test_model_validation():
@@ -294,10 +371,8 @@ def test_qs_centred_matches_mn_fixture():
 
 
 def test_qs_forward_gradient_alone_differs():
-    spec = QSSpec(
-        (GradTerm(1.0, np.zeros(3), np.eye(3)[:, :1]),),
-        (HessTerm(1.0, StructuredSet(np.zeros(3), np.eye(3)[:, :2]).as_gsh_pack()),),
-    )
+    spec = QSSpec((GradTerm(1.0, np.zeros(3)),),
+                  StructuredSet(np.zeros(3), np.eye(3)[:, :1]).as_gsh_pack())
     model = build_qs(sphere, np.zeros(3), spec)
     assert np.allclose(model.g, np.eye(3)[:, 0], atol=1e-12)
     assert np.linalg.norm(model.g) > 0
@@ -321,19 +396,26 @@ def test_qs_preset_validation():
     with pytest.raises(InvalidInputError):
         qs_preset("adapted-x", st)
     with pytest.raises(InvalidInputError):
-        QSSpec((), (HessTerm(1.0, st.as_gsh_pack()),))
+        QSSpec((), st.as_gsh_pack())
+    for scale in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidInputError):
+            GradTerm(1.0, st.x0, scale)
+
+
+def _points_within(spec, x0, Y, rtol=1e-10):
+    """Whether every point the recipe uses lies in ``Y`` or at its center."""
+    allowed = np.vstack([Y.x0[None, :], Y.points()])
+    scale = max(1.0, float(np.max(np.abs(allowed))))
+    return all(np.min(np.linalg.norm(allowed - u[None, :], axis=1)) <= rtol * scale
+               for u in spec.points(x0))
 
 
 def test_qs_point_audit():
     st = StructuredSet(np.zeros(2), 0.5 * np.eye(2))
     Y = st.expand()
-    centred = qs_preset("centred", st)
-    _, ok = centred.audit_points(st.x0, Y)
-    assert ok
-    forward = qs_preset("forward", st)
-    _, ok = forward.audit_points(st.x0, Y)
+    assert _points_within(qs_preset("centred", st), st.x0, Y)
     # forward stencils use x0 + d^i + d^j, which the plus-minus set lacks
-    assert not ok
+    assert not _points_within(qs_preset("forward", st), st.x0, Y)
 
 
 def test_solver_oracle_call_budget():

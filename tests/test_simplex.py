@@ -5,12 +5,11 @@ import pytest
 
 from dfoq import linalg, testbed
 from dfoq.errors import EvaluationError, InvalidInputError
-from dfoq.models import qs_preset
+from dfoq.models import build_qs, qs_preset
 from dfoq.sample_sets import StructuredSet
 from dfoq.simplex import (
     DirectionPack,
     Oracle,
-    adapted_centred_gsg,
     centred_gsg,
     delta_delta_f,
     delta_f,
@@ -188,46 +187,12 @@ def test_gsh_on_centred_packs_matches_the_lapack_form():
     # ||pinv(S^T)||; measured at most 0.35 of this bound
     eps = np.finfo(float).eps
     for tf, spec in centred_packs():
-        pack = spec.hess_terms[0].pack
+        pack = spec.pack
         f = Oracle(tf.f)
         rows, size = _old_gsh_rows(f, tf.x0, pack)
         P = linalg.pinv(pack.S.T)
         scale = np.sqrt(pack.p) * np.linalg.norm(P, 2) * size
         assert np.linalg.norm(gsh(f, tf.x0, pack) - P @ rows) <= 4 * eps * scale
-
-
-def _old_pack_points(pack, x0):
-    # DirectionPack.points as a loop over the columns, kept as the reference
-    pts = [x0]
-    for i in range(pack.p):
-        s = pack.S[:, i]
-        pts.append(x0 + s)
-        for j in range(pack.Ts[i].shape[1]):
-            t = pack.Ts[i][:, j]
-            pts.append(x0 + t)
-            pts.append(x0 + s + t)
-    return np.unique(np.asarray(pts), axis=0)
-
-
-def test_pack_points_match_the_column_loop_bitwise():
-    # signed zeros in x0, S and T compare equal in np.unique's sort but differ
-    # in their bytes, so the rows must reach it in the loop's order
-    rng = np.random.default_rng(77)
-    for _ in range(200):
-        n, p = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-        S = rng.standard_normal((n, p))
-        S[rng.random((n, p)) < 0.3] = 0.0
-        Ts = []
-        for _ in range(p):
-            T = rng.standard_normal((n, int(rng.integers(1, 4))))
-            T[rng.random(T.shape) < 0.3] = -0.0
-            Ts.append(T)
-        x0 = rng.standard_normal(n)
-        x0[rng.random(n) < 0.5] = -0.0
-        pack = DirectionPack(S, tuple(Ts))
-        assert pack.points(x0).tobytes() == _old_pack_points(pack, x0).tobytes()
-        shared = DirectionPack.shared(S, Ts[0])
-        assert shared.points(x0).tobytes() == _old_pack_points(shared, x0).tobytes()
 
 
 def test_gsh_transpose_identity():
@@ -276,11 +241,14 @@ def test_centred_gsg():
 
 
 def test_adapted_centred_gsg():
-    assert np.allclose(adapted_centred_gsg(sphere, np.zeros(2), np.eye(2), 0), np.zeros(2), atol=TOL)
+    # the adapted-<ell> preset's gradient
+    def adapted_g(f, x0, S, ell):
+        return build_qs(f, x0, qs_preset(f"adapted-{ell}", StructuredSet(x0, S))).g
+
+    assert np.allclose(adapted_g(sphere, np.zeros(2), np.eye(2), 0), np.zeros(2), atol=TOL)
     a = np.array([1.0, 2.0, 3.0])
-    for ell in (0, 1, 3):
-        est = adapted_centred_gsg(lambda x: float(a @ x), np.ones(3), np.eye(3), ell)
-        assert np.allclose(est, a, atol=TOL)
+    for ell in range(4):
+        assert np.allclose(adapted_g(lambda x: float(a @ x), np.ones(3), np.eye(3), ell), a, atol=TOL)
 
     rng = np.random.default_rng(4)
     A = rng.standard_normal((3, 3))
@@ -292,10 +260,10 @@ def test_adapted_centred_gsg():
         return float(0.5 * x @ A @ x + b @ x)
 
     # exact gradient on quadratics for the unshifted variant
-    assert np.allclose(adapted_centred_gsg(quad, x0, np.eye(3), 0), A @ x0 + b, atol=1e-10)
+    assert np.allclose(adapted_g(quad, x0, np.eye(3), 0), A @ x0 + b, atol=1e-10)
 
     with pytest.raises(InvalidInputError):
-        adapted_centred_gsg(sphere, np.zeros(2), np.eye(2), 3)
+        adapted_g(sphere, np.zeros(2), np.eye(2), 3)
 
 
 def test_shifted_frame():

@@ -246,11 +246,11 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
     assert sum(np.array_equal(A, F_unit) for A in factored) == 1
 
 
-def test_centred_qs_sweep_at_n64_takes_four_svds_a_row(monkeypatch):
-    # S^T for each gsg and for gsh's stack, and the normalized set in
-    # kappa_generic; kappa_mH_qs factors the unit frame once per sweep, and
-    # the 64 one-column frames T_i take the closed form (133 SVDs a row when
-    # they went through LAPACK)
+def test_centred_qs_sweep_at_n64_takes_two_svds_a_row(monkeypatch):
+    # the recipe's one factor of S^T, which both gradient terms and gsh's
+    # stack read, and the normalized set in kappa_generic; kappa_mH_qs
+    # factors the unit frame once per sweep, and the 64 one-column frames
+    # T_i take the closed form (133 SVDs a row when they went through LAPACK)
     count = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))
@@ -259,7 +259,7 @@ def test_centred_qs_sweep_at_n64_takes_four_svds_a_row(monkeypatch):
     rows, _ = run_sweep(config)
     monkeypatch.undo()
     assert all(row.bound_f is not None for row in rows)  # kappa_mH_qs ran
-    assert len(count) <= 4 * len(rows) + 1
+    assert len(count) <= 2 * len(rows) + 1
 
 
 @pytest.mark.parametrize("set_spec", ["structured:3", "random:3:5"])
