@@ -314,6 +314,30 @@ def test_recipe_points_merge_to_the_sorted_set():
                 _assert_same_merged_set(x0, rows, _sorted_points(x0, [], pack))
 
 
+def _column_loop_spec_points(spec, x0):
+    # QSSpec.points as a loop over each gradient frame's columns, then the
+    # pack's points, unsorted and with repeats; kept as the reference
+    pts = [x0]
+    for term in spec.grad_terms:
+        base = np.asarray(term.base, dtype=float)
+        frame = float(term.scale) * spec.pack.S
+        pts.append(base)
+        for i in range(frame.shape[1]):
+            pts.append(base + frame[:, i])
+    return np.vstack([np.asarray(pts), spec.pack.points(x0)])
+
+
+@pytest.mark.parametrize("preset", ["centred", "forward", "adapted-0", "adapted-2"])
+def test_spec_points_match_the_column_loop_bitwise(preset):
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 16):
+        x0 = rng.standard_normal(n)
+        x0[:1] = -0.0
+        for D in (np.eye(n), 0.1 * rng.standard_normal((n, n))):
+            spec = qs_preset(preset, StructuredSet(x0, D))
+            assert spec.points(x0).tobytes() == _column_loop_spec_points(spec, x0).tobytes()
+
+
 def _per_term_qs(f, x0, spec):
     # build_qs as a sum of gsg on each scaled frame, then gsh; kept as the
     # reference for the one-factor form

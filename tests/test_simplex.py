@@ -195,6 +195,40 @@ def test_gsh_on_centred_packs_matches_the_lapack_form():
         assert np.linalg.norm(gsh(f, tf.x0, pack) - P @ rows) <= 4 * eps * scale
 
 
+def _column_loop_pack_points(pack, x0):
+    # DirectionPack.points as a loop over the columns, kept as the reference:
+    # x0, each x0 + s^i, the points x0 + t^j (once for a shared frame), then
+    # each (x0 + s^i) + t^j, unsorted and with repeats
+    pts = [x0] + [x0 + pack.S[:, i] for i in range(pack.p)]
+    heads = [pack.shared_T] if pack.shared_T is not None else pack.Ts
+    for T in heads:
+        pts += [x0 + T[:, j] for j in range(T.shape[1])]
+    for i in range(pack.p):
+        s = pack.S[:, i]
+        pts += [(x0 + s) + pack.Ts[i][:, j] for j in range(pack.Ts[i].shape[1])]
+    return np.asarray(pts)
+
+
+def test_pack_points_match_the_column_loop_bitwise():
+    # signed zeros in x0, S and T: the rows keep the loop's bytes and order
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        n, p = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        S = rng.standard_normal((n, p))
+        S[rng.random((n, p)) < 0.3] = 0.0
+        Ts = []
+        for _ in range(p):
+            T = rng.standard_normal((n, int(rng.integers(1, 4))))
+            T[rng.random(T.shape) < 0.3] = -0.0
+            Ts.append(T)
+        x0 = rng.standard_normal(n)
+        x0[rng.random(n) < 0.5] = -0.0
+        pack = DirectionPack(S, tuple(Ts))
+        assert pack.points(x0).tobytes() == _column_loop_pack_points(pack, x0).tobytes()
+        shared = DirectionPack.shared(S, Ts[0])
+        assert shared.points(x0).tobytes() == _column_loop_pack_points(shared, x0).tobytes()
+
+
 def test_gsh_transpose_identity():
     rng = np.random.default_rng(33)
     for _ in range(10):
