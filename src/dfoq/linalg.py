@@ -31,6 +31,13 @@ DEFAULT_RESIDUAL_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
+def feasibility_tol(tol, b):
+    """Residual a solver accepts for data ``b``: ``base (1 + ||b||)`` with
+    ``base`` the caller's ``tol``, or :data:`DEFAULT_RESIDUAL_TOL`."""
+    base = DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
+    return base * (1.0 + float(np.linalg.norm(b)))
+
+
 def as_matrix(M, name="matrix"):
     """Validate and return a 2-d float array with finite entries."""
     A = np.asarray(M, dtype=float)
@@ -125,6 +132,13 @@ class Factorization:
         self.cutoff = _relative_tolerance(shape, tol) * s[0]
 
     @classmethod
+    def _of(cls, shape, U, s, Vt, tol):
+        """Factorization from an SVD already taken, thin or full."""
+        fac = cls.__new__(cls)
+        fac._store(shape, U, s, Vt, tol)
+        return fac
+
+    @classmethod
     def symmetric(cls, M):
         """Factorization of a symmetric, possibly indefinite, matrix by ``eigh``.
 
@@ -140,9 +154,7 @@ class Factorization:
         w, V = np.linalg.eigh(A)
         order = np.argsort(-np.abs(w), kind="stable")
         w, V = w[order], V[:, order]
-        fac = cls.__new__(cls)
-        fac._store(A.shape, V, np.abs(w), (V * np.where(w < 0.0, -1.0, 1.0)).T, None)
-        return fac
+        return cls._of(A.shape, V, np.abs(w), (V * np.where(w < 0.0, -1.0, 1.0)).T, None)
 
     @functools.cached_property
     def rank(self):
@@ -267,21 +279,21 @@ def constrained_least_norm(A, b, weights, tol=None):
     if np.any(w < 0):
         raise InvalidInputError("weights must be nonnegative")
 
-    z0, residual = solve_min_norm(M, rhs)
-    feas_tol = (DEFAULT_RESIDUAL_TOL if tol is None else float(tol)) * (1.0 + np.linalg.norm(rhs))
+    # One full SVD of A gives z0, its residual and the null-space basis.
+    fac = Factorization._of(M.shape, *np.linalg.svd(M), None)
+    z0 = fac.solve(rhs)
+    residual = float(np.linalg.norm(M @ z0 - rhs))
+    feas_tol = feasibility_tol(tol, rhs)
     if residual > feas_tol:
         raise InfeasibleError(f"constraints inconsistent: residual {residual:.3e} > {feas_tol:.3e}")
 
-    N = null_space_basis(M)
+    N = fac.Vt[fac.rank:].T.copy()
     if N.shape[1] == 0:
         return z0, True
 
     # Reduced normal equations over y with z = z0 + N y; N has orthonormal
     # columns, so a minimum-norm y gives the minimum-norm optimal z.
     WN = N * w[:, None]
-    red = N.T @ WN
-    rhs_red = -(WN.T @ z0)
-    s = np.linalg.svd(red, compute_uv=False)
-    singular = s.size == 0 or s[0] == 0.0 or s[-1] <= rank_tolerance(red) * s[0]
-    y, _ = solve_min_norm(red, rhs_red)
-    return z0 + N @ y, not singular
+    red = Factorization(N.T @ WN)
+    y = red.solve(-(WN.T @ z0))
+    return z0 + N @ y, red.rank == red.shape[0]

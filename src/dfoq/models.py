@@ -129,42 +129,9 @@ class InterpolationReport(NamedTuple):
     passed: bool
 
 
-def _feasibility_tol(tol, delta):
-    base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
-    return base * (1.0 + float(np.linalg.norm(delta)))
-
-
 def _hessian_from_multipliers(D, lam):
     H = 0.5 * (D * lam) @ D.T
     return 0.5 * (H + H.T)  # kill roundoff skew; exact value is symmetric
-
-
-def _split_multiplier_system(Dbar, delta, r):
-    """The multiplier system of :func:`solve_mn`, split and rescaled.
-
-    The multiplier matrix D'D + (1/4)(D'D)^o2 carries gradient content at
-    radius^2 and curvature content at radius^4, so solving it head-on loses
-    accuracy like radius^-2.  Split along an eigenbasis of the normalized
-    Gram matrix and rescale each block to O(1).  The basis change is
-    orthogonal, so the minimum-norm multiplier is preserved, and feasibility
-    is decided by the part of the data outside the system's range (the
-    recomputed solve residual would inflate with the condition number).
-
-    Returns ``(M, rhs, Vr, Vp)``; the m x m Gram, quadratic and eigenvector
-    matrices are released before the caller factors ``M``.
-    """
-    gram = Dbar.T @ Dbar
-    P = 0.25 * gram ** 2
-    w, V = np.linalg.eigh(gram)
-    hi = w > linalg.rank_tolerance(gram) * max(float(w[-1]), 0.0)
-    Vr, Vp = V[:, hi], V[:, ~hi]
-    VrP, VpP = Vr.T @ P, Vp.T @ P  # each left product serves two blocks
-    M = np.block([
-        [np.diag(w[hi]) + r ** 2 * (VrP @ Vr), r ** 2 * (VrP @ Vp)],
-        [VpP @ Vr, np.diag(w[~hi]) / r ** 2 + VpP @ Vp],
-    ])
-    rhs = np.concatenate([Vr.T @ delta / r ** 2, Vp.T @ delta / r ** 4])
-    return M, rhs, Vr, Vp
 
 
 def solve_mn(f, Y: SampleSet, tol=None):
@@ -175,14 +142,12 @@ def solve_mn(f, Y: SampleSet, tol=None):
     """
     f = as_oracle(f)
     delta = delta_f(f, Y.x0, Y.D)
-    r = Y.radius
-    M, rhs, Vr, Vp = _split_multiplier_system(Y.normalized(), delta, r)
-    fac = linalg.Factorization(M)
-    kkt_residual = fac.range_residual(rhs)
-    if kkt_residual > _feasibility_tol(tol, rhs):
+    rhs, kkt_residual, feasible = Y.mn_residual(delta, tol)
+    if not feasible:
         raise InfeasibleError(
             f"no interpolating quadratic: multiplier system residual {kkt_residual:.3e}"
         )
+    fac, Vr, Vp = Y.mn_factor
     z = fac.solve(rhs)
     lam = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
     model = QuadraticModel(Y.x0, f(Y.x0), Y.D @ lam, _hessian_from_multipliers(Y.D, lam))
@@ -213,7 +178,7 @@ def solve_mfn(f, Y: SampleSet, tol=None):
     # and map the solution back.
     fac = Y.F_unit_factor
     kkt_residual = fac.range_residual(rhs)
-    if kkt_residual > _feasibility_tol(tol, delta):
+    if kkt_residual > linalg.feasibility_tol(tol, delta):
         raise InfeasibleError(
             f"no interpolating quadratic: bordered system residual {kkt_residual:.3e}"
         )

@@ -74,13 +74,11 @@ def solve_bilinear_min_frobenius(problem: BilinearProblem, tol=None) -> Bilinear
     """
     S, T, rhs = problem.S, problem.T, problem.rhs
     n = S.shape[0]
-    base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
-    feas_tol = base * (1.0 + float(np.linalg.norm(rhs, "fro")))
 
     if not problem.symmetric:
         H = linalg.pinv(S.T) @ rhs @ linalg.pinv(T)
         residual = float(np.linalg.norm(S.T @ H @ T - rhs, "fro"))
-        if residual > feas_tol:
+        if residual > linalg.feasibility_tol(tol, rhs):
             raise InfeasibleError(f"bilinear system inconsistent: residual {residual:.3e}")
         return BilinearSolution(H, True, residual)
 

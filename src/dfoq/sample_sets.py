@@ -20,8 +20,6 @@ __all__ = [
     "SampleSet",
     "StructuredSet",
     "PoisednessReport",
-    "KKTMatrices",
-    "kkt_matrices",
     "poisedness",
 ]
 
@@ -171,29 +169,61 @@ class SampleSet:
         """Directions divided by the set radius."""
         return self.D / self.radius
 
-    # The set caches verdicts, norms and one factor: that of F_unit, which
-    # solve_mfn and kappa_mH_mfn both read.  F_unit and the normalized
-    # directions do not depend on the radius, so a set made by scale() reads
-    # both radius-free caches from the set it was scaled from, and the factor
-    # lives as long as any set scaled from that one (5.6 MB at m + n = 592).
-    # The solve applies it without forming the pseudoinverse, so holding it
-    # does not raise the peak: the fullquad benchmark (m up to 560) peaks at
-    # 137 MB with the cache as without it.  mfn_poised reads the radius-
-    # dependent F_scaled, so every set takes its own.  Every other system is
-    # factored by the function that reads it.
+    # The set caches verdicts, norms and the factors of the systems it is
+    # solved with.  F_unit (read by solve_mfn and kappa_mH_mfn) and the
+    # normalized directions do not depend on the radius, so a set made by
+    # scale() reads both radius-free caches from the set it was scaled from,
+    # and the F_unit factor lives as long as any set scaled from that one
+    # (5.6 MB at m + n = 592).  The solves apply factors without forming the
+    # pseudoinverse, so holding them does not raise the peak: the fullquad
+    # benchmark (m up to 560) peaks at 136 MB, as it did when solve_mn let
+    # its factor go on return.  mfn_poised
+    # reads the radius-dependent F_scaled and mn_factor the radius-dependent
+    # split system of solve_mn, so every set takes its own.
 
     @functools.cached_property
     def mfn_poised(self):
         """Whether the bordered system ``F_scaled`` is nonsingular at the rank
         tolerance; the minimum-Frobenius gradient is unique exactly then."""
-        return linalg.numerical_rank(kkt_matrices(self).F_scaled) == self.m + self.n
+        F_scaled = _bordered(self, self.D, self.radius ** 4)
+        return linalg.numerical_rank(F_scaled) == self.m + self.n
 
     @functools.cached_property
     def F_unit_factor(self):
-        """:meth:`linalg.Factorization.symmetric` of the bordered system ``F_unit``."""
+        """:meth:`linalg.Factorization.symmetric` of the bordered system
+        ``F_unit = [[P, Dbar^T], [Dbar, 0]]`` on the normalized directions."""
         if self._origin is not None:
             return self._origin.F_unit_factor
-        return linalg.Factorization.symmetric(kkt_matrices(self).F_unit)
+        return linalg.Factorization.symmetric(_bordered(self, self.normalized(), 1.0))
+
+    @functools.cached_property
+    def mn_factor(self):
+        """``(Factorization(M), Vr, Vp)`` of the split multiplier system of
+        the minimum-norm model; :meth:`mn_residual` forms its right-hand side.
+
+        The multiplier matrix D'D + (1/4)(D'D)^o2 carries gradient content at
+        radius^2 and curvature content at radius^4, so solving it head-on
+        loses accuracy like radius^-2.  ``M`` splits it along an eigenbasis
+        ``[Vr, Vp]`` of the normalized Gram matrix (range and null part) and
+        rescales each block to O(1).  The basis change is orthogonal, so the
+        minimum-norm multiplier is preserved.  ``M`` depends on the radius.
+        """
+        M, Vr, Vp = _split_multiplier_matrix(self.normalized(), self.radius)
+        return linalg.Factorization(M), Vr, Vp
+
+    def mn_residual(self, delta, tol=None):
+        """``(rhs, residual, feasible)`` of the split system for the shifted
+        values ``delta``: its rescaled right-hand side, the norm of the part
+        outside the system's range and whether that is within
+        :func:`linalg.feasibility_tol`.  Some quadratic interpolates the data
+        exactly when it is; the recomputed solve residual would inflate with
+        the condition number instead.
+        """
+        fac, Vr, Vp = self.mn_factor
+        r = self.radius
+        rhs = np.concatenate([Vr.T @ delta / r ** 2, Vp.T @ delta / r ** 4])
+        residual = fac.range_residual(rhs)
+        return rhs, residual, residual <= linalg.feasibility_tol(tol, rhs)
 
     @functools.cached_property
     def normalized_rank_and_pinv_norm(self):
@@ -231,6 +261,12 @@ class SampleSet:
             raise InvalidInputError("offsets of the points from x0 are not all finite")
         if not offsets.any():
             raise InvalidInputError("no nonzero offsets among the points")
+        # An offset whose bytes repeat an earlier one is always merged into
+        # it (or into what it was merged into), so it is dropped up front.
+        first = {}
+        for i, row in enumerate(offsets):
+            first.setdefault(row.tobytes(), i)
+        offsets = offsets[list(first.values())]
         with np.errstate(over="ignore"):
             lengths = np.linalg.norm(offsets, axis=1)
         scale = float(np.max(lengths))
@@ -322,51 +358,43 @@ class StructuredSet:
         return DirectionPack(self.Dhalf, tuple(Ts))
 
 
-class KKTMatrices:
-    """Blocks of the minimum-Frobenius interpolation system.
-
-    P        : m x m quadratic-term Gram block on normalized directions,
-               P_ij = ((dbar^i . dbar^j)^2) / 4.
-    F_scaled : (m+n) x (m+n) system matrix on raw directions,
-               [[radius^4 * P, D^T], [D, 0]].
-    F_unit   : same bordered matrix built from normalized directions.
-
-    Each caller reads one of the two bordered matrices, so each is built on
-    first read.
-    """
-
-    def __init__(self, Y: SampleSet):
-        self._Y = Y
-        self._Dbar = Y.normalized()
-        self.P = 0.25 * (self._Dbar.T @ self._Dbar) ** 2
-
-    def _bordered(self, Dmat, Pblock):
-        m, n = self._Y.m, self._Y.n
-        F = np.zeros((m + n, m + n))
-        F[:m, :m] = Pblock
-        F[:m, m:] = Dmat.T
-        F[m:, :m] = Dmat
-        return F
-
-    @functools.cached_property
-    def F_scaled(self):
-        return self._bordered(self._Y.D, self._Y.radius ** 4 * self.P)
-
-    @functools.cached_property
-    def F_unit(self):
-        return self._bordered(self._Dbar, self.P)
+def _bordered(Y, Dmat, weight):
+    """``[[weight P, Dmat^T], [Dmat, 0]]`` with the quadratic-term Gram block
+    ``P_ij = (dbar^i . dbar^j)^2 / 4`` of the normalized directions of Y."""
+    Dbar = Y.normalized()
+    P = 0.25 * (Dbar.T @ Dbar) ** 2
+    m, n = Y.m, Y.n
+    F = np.zeros((m + n, m + n))
+    F[:m, :m] = weight * P
+    F[:m, m:] = Dmat.T
+    F[m:, :m] = Dmat
+    return F
 
 
-def kkt_matrices(Y: SampleSet) -> KKTMatrices:
-    """The quadratic Gram block of Y; the bordered matrices follow on first read."""
-    return KKTMatrices(Y)
+def _split_multiplier_matrix(Dbar, r):
+    """``(M, Vr, Vp)`` of :attr:`SampleSet.mn_factor`; the m x m Gram,
+    quadratic and eigenvector matrices are released before the caller
+    factors ``M``."""
+    gram = Dbar.T @ Dbar
+    P = 0.25 * gram ** 2
+    w, V = np.linalg.eigh(gram)
+    hi = w > linalg.rank_tolerance(gram) * max(float(w[-1]), 0.0)
+    Vr, Vp = V[:, hi], V[:, ~hi]
+    VrP, VpP = Vr.T @ P, Vp.T @ P  # each left product serves two blocks
+    M = np.block([
+        [np.diag(w[hi]) + r ** 2 * (VrP @ Vr), r ** 2 * (VrP @ Vp)],
+        [VpP @ Vr, np.diag(w[~hi]) / r ** 2 + VpP @ Vp],
+    ])
+    return M, Vr, Vp
 
 
 @dataclass(frozen=True)
 class PoisednessReport:
+    """``mn_feasible`` and ``residual`` are those of :func:`models.solve_mn`
+    on the same data, ``rank_D`` the rank of the normalized directions."""
+
     mn_feasible: bool
     mfn_poised: bool
-    F_cond: float
     rank_D: int
     residual: float = field(default=0.0)
 
@@ -374,37 +402,16 @@ class PoisednessReport:
 def poisedness(Y: SampleSet, fvals, tol=None) -> PoisednessReport:
     """Feasibility / poisedness diagnostics for the set with values ``fvals``.
 
-    ``fvals`` are the shifted values ``f(x0 + d^i) - f(x0)``.
+    ``fvals`` are the shifted values ``f(x0 + d^i) - f(x0)``.  Every verdict
+    reads a factor the set caches, shared with the solvers.
     """
     delta = linalg.as_vector(fvals, "fvals")
     if delta.size != Y.m:
         raise InvalidInputError("fvals length must equal the number of directions")
-
-    # Consistency of the multiplier system, judged on radius-normalized
-    # directions so the verdict does not degrade with the set radius.
-    r = Y.radius
-    Dbar = Y.normalized()
-    gram = Dbar.T @ Dbar
-    rhs = delta / r ** 2
-    residual = linalg.Factorization.symmetric(gram + 0.25 * r ** 2 * gram ** 2).range_residual(rhs)
-    feas_tol = (linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)) * (
-        1.0 + np.linalg.norm(rhs)
-    )
-    mn_feasible = residual <= feas_tol
-
-    mfn_poised = Y.mfn_poised
-    if mfn_poised:
-        F_scaled = kkt_matrices(Y).F_scaled
-        F_cond = float(
-            np.linalg.norm(F_scaled, np.inf) * np.linalg.norm(np.linalg.inv(F_scaled), np.inf)
-        )
-    else:
-        F_cond = float("inf")
-
+    _, residual, feasible = Y.mn_residual(delta, tol)
     return PoisednessReport(
-        mn_feasible=bool(mn_feasible),
-        mfn_poised=mfn_poised,
-        F_cond=F_cond,
-        rank_D=linalg.numerical_rank(Y.D),
+        mn_feasible=bool(feasible),
+        mfn_poised=Y.mfn_poised,
+        rank_D=Y.normalized_rank_and_pinv_norm[0],
         residual=float(residual),
     )

@@ -17,18 +17,13 @@ raw measurements.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import bounds, linalg, models, testbed
 from .errors import InvalidInputError, NotPoisedError
 from .sample_sets import SampleSet, StructuredSet
-
-CSV_HEADER = (
-    "delta,err_f,bound_f,err_g,bound_g,err_dir_aligned_max,"
-    "bound_dir_aligned,err_dir_cross_max,bound_dir_cross,poised"
-)
 
 
 @dataclass(frozen=True)
@@ -84,6 +79,11 @@ class SweepRow:
     err_dir_cross_max: float
     bound_dir_cross: float | None
     poised: bool
+
+
+# the CSV columns and JSON keys, in this order
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def parse_deltas(text):
@@ -149,6 +149,8 @@ def _parse_count(text, spec):
 def _fmt(value):
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return "%.17g" % value
 
 
@@ -156,29 +158,12 @@ def rows_to_csv(rows):
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for r in rows:
-        cells = [
-            _fmt(r.delta), _fmt(r.err_f), _fmt(r.bound_f), _fmt(r.err_g),
-            _fmt(r.bound_g), _fmt(r.err_dir_aligned_max), _fmt(r.bound_dir_aligned),
-            _fmt(r.err_dir_cross_max), _fmt(r.bound_dir_cross),
-            "true" if r.poised else "false",
-        ]
-        out.write(",".join(cells) + "\n")
+        out.write(",".join(_fmt(getattr(r, c)) for c in _COLUMNS) + "\n")
     return out.getvalue()
 
 
 def row_to_json_dict(r):
-    return {
-        "delta": r.delta,
-        "err_f": r.err_f,
-        "bound_f": r.bound_f,
-        "err_g": r.err_g,
-        "bound_g": r.bound_g,
-        "err_dir_aligned_max": r.err_dir_aligned_max,
-        "bound_dir_aligned": r.bound_dir_aligned,
-        "err_dir_cross_max": r.err_dir_cross_max,
-        "bound_dir_cross": r.bound_dir_cross,
-        "poised": r.poised,
-    }
+    return {c: getattr(r, c) for c in _COLUMNS}
 
 
 def _worst_cross_pair(cross, bound_table):

@@ -8,8 +8,10 @@ from scipy.stats import qmc
 from dfoq import bounds, linalg, testbed
 from dfoq.errors import DirectionDomainError, InvalidInputError, NotPoisedError
 from dfoq.models import GradTerm, QSSpec, qs_preset, solve_mfn, solve_mn
-from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices
+from dfoq.sample_sets import SampleSet, StructuredSet
 from dfoq.simplex import DirectionPack
+
+from kkt_blocks import kkt_blocks
 
 EPS = float(np.finfo(float).eps)
 
@@ -49,7 +51,7 @@ def test_kappa_mfn_single_direction():
 
 def test_kappa_mfn_full_plus_minus_set():
     Y = plus_minus_axes(2)
-    F = kkt_matrices(Y).F_unit
+    F = kkt_blocks(Y).F_unit
     expected = 0.5 * 4 * np.linalg.norm(np.linalg.inv(F), np.inf)
     assert bounds.kappa_mH_mfn(2.0, Y) == pytest.approx(expected, rel=1e-12)
 
@@ -326,7 +328,7 @@ def test_kappa_mfn_matches_the_inverse_formula():
     # the formula before the bordered factor was shared: its own values-only
     # SVD for the singular test and an explicit inverse for the norm
     def old_kappa(L, Y):
-        F = kkt_matrices(Y).F_unit
+        F = kkt_blocks(Y).F_unit
         s = np.linalg.svd(F, compute_uv=False)
         if s[-1] <= linalg.rank_tolerance(F) * s[0]:
             raise NotPoisedError("bordered system singular: set not poised")

@@ -7,7 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from dfoq import linalg
 from dfoq.errors import InfeasibleError, InvalidInputError
-from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices
+from dfoq.sample_sets import SampleSet, StructuredSet
+
+from kkt_blocks import kkt_blocks
 
 REL_TOL = 1e-10
 EPS = float(np.finfo(float).eps)
@@ -233,6 +235,25 @@ def test_constrained_least_norm_free_subspace():
     assert np.allclose(z, [1.0, 0.0, 0.0], atol=1e-12)
 
 
+def test_constrained_least_norm_takes_two_svds(monkeypatch):
+    # one full SVD of A (minimum-norm point, residual and null basis) and
+    # one of the reduced matrix (singular test and solve)
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((2, 5))
+    b = rng.standard_normal(2)
+    w = 0.5 + rng.random(5)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    z, unique = linalg.constrained_least_norm(A, b, w)
+    monkeypatch.undo()
+    assert calls == [(2, 5), (3, 3)]
+    # positive weights: z = W^-1 A^T (A W^-1 A^T)^-1 b
+    Winv_At = A.T / w[:, None]
+    assert unique
+    assert np.allclose(z, Winv_At @ np.linalg.solve(A @ Winv_At, b), rtol=1e-12, atol=1e-14)
+
+
 def test_constrained_least_norm_rejects_bad_weights():
     with pytest.raises(InvalidInputError):
         linalg.constrained_least_norm(np.eye(2), np.ones(2), np.array([1.0, -1.0]))
@@ -353,10 +374,10 @@ def _symmetric_cases():
     up to full-quadratic size, of plus-minus sets up to n = 64, and edge cases."""
     rng = np.random.default_rng(2026)
     for n, m in ((2, 4), (3, 9), (8, 16), (8, 44), (16, 152), (64, 128), (32, 560)):
-        yield kkt_matrices(SampleSet(np.zeros(n), 1e-3 * rng.standard_normal((n, m)))).F_unit
+        yield kkt_blocks(SampleSet(np.zeros(n), 1e-3 * rng.standard_normal((n, m)))).F_unit
     for n in (3, 64):
-        yield kkt_matrices(StructuredSet(np.zeros(n), 0.1 * np.eye(n)).expand()).F_unit
-        yield kkt_matrices(StructuredSet(np.zeros(n), rng.standard_normal((n, n))).expand()).F_unit
+        yield kkt_blocks(StructuredSet(np.zeros(n), 0.1 * np.eye(n)).expand()).F_unit
+        yield kkt_blocks(StructuredSet(np.zeros(n), rng.standard_normal((n, n))).expand()).F_unit
     yield _symmetric_straddling_cutoff()
     yield np.zeros((4, 4))
 

@@ -17,8 +17,10 @@ from dfoq.models import (
     solve_mfn,
     solve_mn,
 )
-from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices
+from dfoq.sample_sets import SampleSet, StructuredSet
 from dfoq.simplex import DirectionPack, Oracle, delta_f, gsg, gsh
+
+from kkt_blocks import kkt_blocks
 
 GOLD_TOL = 1e-10
 EPS = float(np.finfo(float).eps)
@@ -128,7 +130,7 @@ def test_mfn_hessian_ignores_multiplier_family():
     # give the same Hessian
     Y = degenerate_axes_set()
     model, diag = solve_mfn(sphere, Y)
-    F = kkt_matrices(Y).F_unit
+    F = kkt_blocks(Y).F_unit
     N = linalg.null_space_basis(F)
     assert N.shape[1] > 0
     rng = np.random.default_rng(3)

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dfoq import linalg
-from dfoq.errors import InvalidInputError
+from dfoq import linalg, testbed
+from dfoq.errors import InfeasibleError, InvalidInputError
+from dfoq.models import solve_mfn, solve_mn
 from dfoq.sample_sets import (
     SampleSet,
     StructuredSet,
+    _bordered,
     _validate_directions,
-    kkt_matrices,
     poisedness,
 )
-from dfoq.simplex import delta_f
+from dfoq.simplex import Oracle, delta_f
+
+from kkt_blocks import kkt_blocks
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -381,63 +384,55 @@ def test_structured_expand_and_pack():
     assert St.expand().m == 2 * St.p
 
 
+def _set_bordered(Y):
+    # the two bordered matrices as the set builds them: F_scaled for
+    # mfn_poised, F_unit for F_unit_factor
+    return _bordered(Y, Y.D, Y.radius ** 4), _bordered(Y, Y.normalized(), 1.0)
+
+
 def test_kkt_matrices_plus_minus_frame():
     Y = StructuredSet(np.zeros(2), np.eye(2)).expand()
-    km = kkt_matrices(Y)
+    _, F_unit = _set_bordered(Y)
     expected = 0.25 * np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float
     )
-    assert np.array_equal(km.P, expected)
+    assert np.array_equal(F_unit[:4, :4], expected)
 
 
 def test_kkt_matrices_single_direction():
     Y = SampleSet(np.zeros(1), np.array([[1.0]]))
-    km = kkt_matrices(Y)
-    assert np.array_equal(km.P, np.array([[0.25]]))
-    # bordered layout: [[P, D^T], [D, 0]]
-    assert np.array_equal(km.F_unit, np.array([[0.25, 1.0], [1.0, 0.0]]))
+    _, F_unit = _set_bordered(Y)
+    # bordered layout: [[P, D^T], [D, 0]] with P = [[1/4]]
+    assert np.array_equal(F_unit, np.array([[0.25, 1.0], [1.0, 0.0]]))
 
 
 def test_kkt_matrices_properties_random():
     rng = np.random.default_rng(31)
     for _ in range(10):
         Y = SampleSet(rng.standard_normal(3), rng.standard_normal((3, 5)))
-        km = kkt_matrices(Y)
-        assert np.allclose(km.P, km.P.T)
-        assert np.all(km.P >= 0.0) and np.all(km.P <= 0.25 + 1e-15)
-        assert np.allclose(np.diag(km.P), 0.25 * (np.linalg.norm(Y.normalized(), axis=0) ** 4))
-        assert np.allclose(km.F_unit, km.F_unit.T)
-        assert np.allclose(km.F_scaled, km.F_scaled.T)
-
-
-def _old_kkt_matrices(Y):
-    # both bordered matrices built eagerly, as before they were built on read
-    Dbar = Y.normalized()
-    P = 0.25 * (Dbar.T @ Dbar) ** 2
-    n, m = Y.n, Y.m
-
-    def bordered(Dmat, Pblock):
-        F = np.zeros((m + n, m + n))
-        F[:m, :m] = Pblock
-        F[:m, m:] = Dmat.T
-        F[m:, :m] = Dmat
-        return F
-
-    return P, bordered(Y.D, Y.radius ** 4 * P), bordered(Dbar, P)
+        F_scaled, F_unit = _set_bordered(Y)
+        P = F_unit[:5, :5]
+        assert np.allclose(P, P.T)
+        assert np.all(P >= 0.0) and np.all(P <= 0.25 + 1e-15)
+        assert np.allclose(np.diag(P), 0.25 * (np.linalg.norm(Y.normalized(), axis=0) ** 4))
+        assert np.allclose(F_unit, F_unit.T)
+        assert np.allclose(F_scaled, F_scaled.T)
 
 
 def test_kkt_matrices_build_only_what_is_read():
+    # each cache builds its one bordered matrix, byte for byte as the eager
+    # builder, and factors exactly that matrix
     rng = np.random.default_rng(32)
     for m in (1, 4, 9):
         Y = SampleSet(rng.standard_normal(3), 1e-3 * rng.standard_normal((3, m)))
-        P, F_scaled, F_unit = _old_kkt_matrices(Y)
-        km = kkt_matrices(Y)
-        assert np.array_equal(km.P, P)
-        assert "F_scaled" not in vars(km) and "F_unit" not in vars(km)
-        assert np.array_equal(km.F_unit, F_unit)
-        assert "F_scaled" not in vars(km)
-        assert np.array_equal(km.F_scaled, F_scaled)
-        assert np.array_equal(kkt_matrices(Y).F_scaled, F_scaled)
+        want = kkt_blocks(Y)
+        F_scaled, F_unit = _set_bordered(Y)
+        assert np.array_equal(F_scaled, want.F_scaled)
+        assert np.array_equal(F_unit, want.F_unit)
+        assert Y.mfn_poised is (linalg.numerical_rank(want.F_scaled) == m + 3)
+        ref = linalg.Factorization.symmetric(want.F_unit)
+        assert np.array_equal(Y.F_unit_factor.U, ref.U)
+        assert np.array_equal(Y.F_unit_factor.s, ref.s)
 
 
 def _report_for(Y, f):
@@ -449,7 +444,6 @@ def test_poisedness_degenerate_axes_r3():
     rep = _report_for(SampleSet(np.zeros(3), D), sphere)
     assert rep.mn_feasible
     assert not rep.mfn_poised
-    assert rep.F_cond == np.inf
     assert rep.rank_D == 2
 
 
@@ -458,7 +452,7 @@ def test_poisedness_full_plus_minus_r2():
     rep = _report_for(SampleSet(np.zeros(2), D), sphere)
     assert rep.mfn_poised and rep.mn_feasible
     # invertibility cross-checked by a dense determinant
-    F = kkt_matrices(SampleSet(np.zeros(2), D)).F_scaled
+    F = kkt_blocks(SampleSet(np.zeros(2), D)).F_scaled
     assert abs(np.linalg.det(F)) > 1e-12
 
 
@@ -466,7 +460,6 @@ def test_poisedness_five_point_r2():
     D = np.column_stack([E1, E2, 2 * E1, E1 + E2])
     rep = _report_for(SampleSet(np.zeros(2), D), sphere)
     assert rep.mn_feasible and rep.mfn_poised
-    assert np.isfinite(rep.F_cond)
 
 
 def test_poised_implies_feasible():
@@ -504,6 +497,78 @@ def test_mn_feasible_flag_scale_invariant():
     assert flags == {True}
 
 
+def _cubic_wave(x):
+    return float(np.sum(np.sin(x)) + np.sum(x) ** 3)
+
+
+@settings(max_examples=25)
+@given(
+    data=st.data(),
+    n=st.integers(1, 32),
+    exponent=st.floats(0.0, 8.0),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_mn_feasible_is_solve_mn_verdict(data, n, exponent, symmetric, seed):
+    # radii 1 to 1e-8; past m = n(n+3)/2 the cubic data leave the range
+    rng = np.random.default_rng(seed)
+    q = n * (n + 3) // 2
+    if symmetric:
+        U = rng.standard_normal((n, data.draw(st.integers(1, max(1, q // 2)))))
+        D = np.hstack([U, -U])
+    else:
+        D = rng.standard_normal((n, data.draw(st.integers(1, q + 3))))
+    D *= 10.0 ** -exponent / np.linalg.norm(D, axis=0).max()
+    x0 = rng.standard_normal(n)
+    f = Oracle(_cubic_wave)
+    # a separate set, so that the report factors its own system
+    rep = _report_for(SampleSet(x0, D), f)
+    try:
+        _, diag = solve_mn(f, SampleSet(x0, D))
+    except InfeasibleError:
+        assert not rep.mn_feasible
+    else:
+        assert rep.mn_feasible
+        assert rep.residual.hex() == diag.kkt_residual.hex()
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_fullquad_small_radius_sets_are_mn_feasible(n):
+    # the benchmark's fullquad set of (n, 1e-6) at its first rotation:
+    # m = n(n+3)/2 unit Gaussian directions.  solve_mn models each of them;
+    # an unsplit multiplier system once read them as infeasible, with range
+    # residuals 0.13, 0.31 and 0.49 at n = 8, 16 and 32.
+    salt, m = 20_260_512, n * (n + 3) // 2
+    U = np.random.default_rng([salt, n, 1]).standard_normal((n, m))
+    Q, R = np.linalg.qr(np.random.default_rng([salt, n, 1000]).standard_normal((n, n)))
+    U = (Q * np.sign(np.diag(R))) @ U
+    tf = testbed.get("trigonometric", dim=n)
+    Y = SampleSet(tf.x0, 1e-6 * (U / np.linalg.norm(U, axis=0)))
+    f = Oracle(tf.f)
+    _, diag = solve_mn(f, Y)
+    rep = _report_for(Y, f)
+    assert rep.mn_feasible
+    assert rep.residual == diag.kkt_residual
+
+
+def test_poisedness_reads_the_solvers_factors(monkeypatch):
+    rng = np.random.default_rng(12)
+    Y = SampleSet(rng.standard_normal(3), rng.standard_normal((3, 7)))
+    f = Oracle(_cubic_wave)
+    solve_mn(f, Y)
+    solve_mfn(f, Y)
+    calls = []
+    for name in ("svd", "eigh", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    rep = _report_for(Y, f)
+    # the one SVD is the normalized rank, which the bounds read as well
+    assert calls == ["svd"]
+    assert _report_for(Y, f) == rep
+    assert calls == ["svd"]
+
+
 def test_poisedness_rejects_wrong_fvals_length():
     Y = SampleSet(np.zeros(2), np.eye(2))
     with pytest.raises(InvalidInputError):
@@ -512,7 +577,7 @@ def test_poisedness_rejects_wrong_fvals_length():
 
 def _inline_mfn_verdict(Y):
     # the verdict as solve_mfn and poisedness each computed it before it was cached
-    F = kkt_matrices(Y).F_scaled
+    F = kkt_blocks(Y).F_scaled
     s = np.linalg.svd(F, compute_uv=False)
     return bool(s[-1] > linalg.rank_tolerance(F) * s[0])
 

@@ -5,7 +5,7 @@ import pytest
 
 from dfoq import bounds, models, testbed
 from dfoq.errors import InvalidInputError
-from dfoq.sample_sets import SampleSet, StructuredSet, kkt_matrices, poisedness
+from dfoq.sample_sets import SampleSet, StructuredSet, poisedness
 from dfoq.simplex import Oracle, delta_f
 from dfoq.sweep import (
     CSV_HEADER,
@@ -14,9 +14,12 @@ from dfoq.sweep import (
     count_violations,
     parse_deltas,
     resolve_frame,
+    row_to_json_dict,
     rows_to_csv,
     run_sweep,
 )
+
+from kkt_blocks import kkt_blocks
 
 
 def small_config(**overrides):
@@ -104,6 +107,24 @@ def test_csv_shape():
     assert cells[6] == "%.17g" % (1.0 / 3.0)
     assert cells[8] == ""
     assert cells[9] == "false"
+
+
+def test_csv_header_and_json_keys_follow_the_row_fields():
+    assert CSV_HEADER == (
+        "delta,err_f,bound_f,err_g,bound_g,err_dir_aligned_max,"
+        "bound_dir_aligned,err_dir_cross_max,bound_dir_cross,poised"
+    )
+    row = SweepRow(
+        delta=0.5, err_f=1e-3, bound_f=None, err_g=2e-2, bound_g=0.125,
+        err_dir_aligned_max=0.0, bound_dir_aligned=1.0 / 3.0,
+        err_dir_cross_max=0.0, bound_dir_cross=None, poised=True,
+    )
+    doc = row_to_json_dict(row)
+    assert ",".join(doc) == CSV_HEADER
+    assert doc["bound_f"] is None and doc["poised"] is True and doc["delta"] == 0.5
+    assert rows_to_csv([row]).split("\n")[1] == (
+        "0.5,0.001,,0.02,0.125,0,0.33333333333333331,0,,true"
+    )
 
 
 def test_sweep_exact_quadratic():
@@ -242,7 +263,7 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
     # would equal this one
     tf = testbed.get("trigonometric")
     frame = resolve_frame("structured:3", tf.dim)
-    F_unit = kkt_matrices(StructuredSet(tf.x0, frame).expand()).F_unit
+    F_unit = kkt_blocks(StructuredSet(tf.x0, frame).expand()).F_unit
     assert sum(np.array_equal(A, F_unit) for A in factored) == 1
 
 
