@@ -8,6 +8,7 @@ the solvers and interpolation checks (default 1e-9).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,7 +34,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process: parsing keeps no state in it."""
     parser = _Parser(prog="dfoq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

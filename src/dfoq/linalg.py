@@ -18,9 +18,9 @@ __all__ = [
     "pinv",
     "matrix_norm",
     "solve_min_norm",
-    "null_space_basis",
     "constrained_least_norm",
     "numerical_rank",
+    "spectrum_rank",
     "rank_tolerance",
 ]
 
@@ -216,7 +216,14 @@ def numerical_rank(M, tol=None):
         s = np.array([_scaled_norm(A.ravel())[0]])
     else:
         s = np.linalg.svd(A, compute_uv=False)
-    return _rank(s, _relative_tolerance(A.shape, tol) * s[0])
+    return spectrum_rank(s, A.shape, tol)
+
+
+def spectrum_rank(s, shape, tol=None):
+    """:func:`numerical_rank` of a matrix of ``shape`` whose singular values,
+    zeros included or not and in any order, are ``s``."""
+    s = np.asarray(s, dtype=float)
+    return int(np.count_nonzero(s > _relative_tolerance(shape, tol) * s.max()))
 
 
 def matrix_norm(M, kind="spectral"):
@@ -244,13 +251,6 @@ def solve_min_norm(A, b, tol=None):
     x = Factorization(M, tol).solve(rhs)
     residual = float(np.linalg.norm(M @ x - rhs))
     return x, residual
-
-
-def null_space_basis(A, tol=None):
-    """Orthonormal basis of the null space of ``A``, one column per direction."""
-    M = as_matrix(A, "A")
-    _, s, Vt = np.linalg.svd(M)
-    return Vt[_rank(s, _relative_tolerance(M.shape, tol) * s[0]):].T.copy()
 
 
 def constrained_least_norm(A, b, weights, tol=None):

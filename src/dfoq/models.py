@@ -309,25 +309,25 @@ def parse_family(name):
 class BuiltModel:
     """One family's model, as :func:`build` returns it.
 
-    ``Y`` is the set the model interpolates: the solve set for mn/mfn, the
-    recipe's points for qs.  ``diagnostics`` is the solver's
-    :class:`SolveDiagnostics` for mn/mfn and the :class:`InterpolationReport`
-    on ``Y`` for qs; ``spec`` is the qs recipe, None for mn/mfn.
+    ``kind`` is ``"mn"``, ``"mfn"`` or ``"qs"``.  ``Y`` is the set the model
+    interpolates: the solve set for mn/mfn, the symmetric set or the recipe's
+    points for qs.  ``diagnostics`` is the solver's :class:`SolveDiagnostics`
+    for mn/mfn and the :class:`InterpolationReport` on ``Y`` for qs.
     """
 
     model: QuadraticModel
     Y: SampleSet
     diagnostics: SolveDiagnostics | InterpolationReport
-    spec: QSSpec | None = None
+    kind: str
 
     @property
     def poised(self):
-        """The set's check verdict: ``Y.mfn_poised`` for mn/mfn, factored on
+        """The set's check verdict: ``Y.mfn_poised`` for mn/mfn, computed on
         first read (mn never needs it otherwise), the interpolation check for qs."""
-        return self.Y.mfn_poised if self.spec is None else self.diagnostics.passed
+        return self.diagnostics.passed if self.kind == "qs" else self.Y.mfn_poised
 
     def diagnostics_json(self):
-        if self.spec is None:
+        if self.kind != "qs":
             return self.diagnostics.to_json_dict()
         return {
             "interpolation_max_violation": self.diagnostics.max_violation,
@@ -336,20 +336,51 @@ class BuiltModel:
         }
 
 
+def _centred_qs(f, Y):
+    """The ``qs:centred`` model on the symmetric set ``Y = [Dh, -Dh]`` of
+    radius r, from ``f(x0)`` and ``f(x0 +- d^i)``: with the odd part
+    ``(f+ - f-) / 2`` and the even part ``f+ + f- - 2 f(x0)``,
+    ``g = pinv(Dbar_h^T) odd / r`` and
+    ``H = pinv(Dbar_h^T) diag(even / ||dbar^i||^2) Dbar_h^T / r^2``.
+
+    This is :func:`build_qs` on the centred preset in closed form: its
+    gradient terms average to the odd part, and ``gsh`` row i, on the one
+    direction ``-d^i``, is ``even_i d^i / ||d^i||^2``.
+    """
+    sym = Y.symmetric_factors
+    p, r = sym.Dh.shape[1], Y.radius
+    shifted = delta_f(f, Y.x0, Y.D)
+    plus, minus = shifted[:p], shifted[p:]
+    g = sym.pinv @ (0.5 * (plus - minus)) / r
+    curvature = (plus + minus) / (sym.Dh ** 2).sum(axis=0)
+    H = (sym.pinv * curvature) @ sym.Dh.T / r ** 2
+    return QuadraticModel(Y.x0, f(Y.x0), g, H)
+
+
 def build(family, f, st: StructuredSet, Y: SampleSet | None = None, tol=None):
     """The ``family`` model (mn | mfn | qs:<preset>) of f on the structured set ``st``.
 
     mn and mfn solve on ``Y``, by default the symmetric set ``st.expand()``.
-    qs applies the preset's recipe to the half frame of ``st`` and ignores
-    ``Y``; its set is the recipe's points.  Returns a :class:`BuiltModel`.
+    qs ignores ``Y``.  qs:centred solves on ``st.expand()`` in closed form;
+    a half frame holding some d and -d has no symmetric set, and there, as
+    for every other preset, qs applies the preset's recipe to the half frame
+    and its set is the recipe's points.  Returns a :class:`BuiltModel`.
     """
     kind, preset = parse_family(family)
     f = as_oracle(f)
     if kind != "qs":
         Y = st.expand() if Y is None else Y
         model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
-        return BuiltModel(model, Y, diag)
+        return BuiltModel(model, Y, diag, kind)
+    if preset == "centred":
+        try:
+            Y = st.expand()
+        except InvalidInputError:
+            pass  # the half frame holds some d and -d: the recipe's merged set
+        else:
+            model = _centred_qs(f, Y)
+            return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind)
     spec = qs_preset(preset, st)
     model = build_qs(f, st.x0, spec)
     Y = SampleSet.from_points(st.x0, spec.points(st.x0))
-    return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), spec)
+    return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import InvalidInputError
 __all__ = [
     "SampleSet",
     "StructuredSet",
+    "SymmetricFactors",
     "PoisednessReport",
     "poisedness",
 ]
@@ -131,6 +133,30 @@ def _unchecked(cls, **fields):
     return obj
 
 
+class SymmetricFactors(NamedTuple):
+    """Radius-free factors of a symmetric set ``[Dh, -Dh]`` of radius r.
+
+    With ``Dbar_h = Dh / r``, ``F_scaled`` is orthogonally similar to
+    ``blockdiag(r^4 Qbar / 2, [[0, sqrt(2) r Dbar_h^T], [sqrt(2) r Dbar_h, 0]])``
+    with ``Qbar = (Dbar_h^T Dbar_h)^o2``, and the odd and even parts of the
+    interpolation conditions solve with ``pinv(Dbar_h^T)``.
+    """
+
+    Dh: np.ndarray                  # normalized half frame Dbar_h (n x p)
+    half: linalg.Factorization      # of Dbar_h^T
+    quartic: linalg.Factorization   # symmetric, of Qbar
+    pinv: np.ndarray                # pinv(Dbar_h^T) (n x p)
+
+
+def _symmetric_bordered_rank(sym, r, n):
+    """:func:`linalg.numerical_rank` of ``F_scaled`` on a symmetric set of
+    radius ``r`` in R^n: its singular values are ``r^4 eig(Qbar) / 2``, each
+    ``sqrt(2) r sigma(Dbar_h)`` twice and ``|n - p|`` zeros."""
+    p = sym.Dh.shape[1]
+    s = np.concatenate([r ** 4 * sym.quartic.s / 2, np.repeat(np.sqrt(2.0) * r * sym.half.s, 2)])
+    return linalg.spectrum_rank(s, (2 * p + n, 2 * p + n))
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Center ``x0`` and direction matrix ``D`` (n x m, one point per column).
@@ -170,23 +196,49 @@ class SampleSet:
         return self.D / self.radius
 
     # The set caches verdicts, norms and the factors of the systems it is
-    # solved with.  F_unit (read by solve_mfn and kappa_mH_mfn) and the
-    # normalized directions do not depend on the radius, so a set made by
-    # scale() reads both radius-free caches from the set it was scaled from,
-    # and the F_unit factor lives as long as any set scaled from that one
-    # (5.6 MB at m + n = 592).  The solves apply factors without forming the
+    # solved with.  F_unit (read by solve_mfn and kappa_mH_mfn), the
+    # normalized directions and the half-frame factors of a symmetric set do
+    # not depend on the radius, so a set made by scale() reads these
+    # radius-free caches from the set it was scaled from, and the F_unit
+    # factor lives as long as any set scaled from that one (5.6 MB at
+    # m + n = 592).  The solves apply factors without forming the
     # pseudoinverse, so holding them does not raise the peak: the fullquad
     # benchmark (m up to 560) peaks at 136 MB, as it did when solve_mn let
-    # its factor go on return.  mfn_poised
-    # reads the radius-dependent F_scaled and mn_factor the radius-dependent
-    # split system of solve_mn, so every set takes its own.
+    # its factor go on return.  mfn_poised reads the radius-dependent
+    # F_scaled (on a symmetric set, only its spectrum) and mn_factor the
+    # radius-dependent split system of solve_mn, so every set takes its own.
 
     @functools.cached_property
     def mfn_poised(self):
         """Whether the bordered system ``F_scaled`` is nonsingular at the rank
-        tolerance; the minimum-Frobenius gradient is unique exactly then."""
+        tolerance; the minimum-Frobenius gradient is unique exactly then.
+
+        On a symmetric set ``[Dh, -Dh]`` the rank comes from the spectra of
+        :attr:`symmetric_factors`, without forming ``F_scaled``.
+        """
+        sym = self.symmetric_factors
+        if sym is not None:
+            return _symmetric_bordered_rank(sym, self.radius, self.n) == self.m + self.n
         F_scaled = _bordered(self, self.D, self.radius ** 4)
         return linalg.numerical_rank(F_scaled) == self.m + self.n
+
+    @functools.cached_property
+    def symmetric_factors(self):
+        """:class:`SymmetricFactors` of the normalized half frame when the
+        directions are exactly ``[Dh, -Dh]``, else None.
+
+        The check reads the set's own values, so the verdict does not depend
+        on how the set was made.
+        """
+        if self._origin is not None:
+            return self._origin.symmetric_factors
+        p, odd = divmod(self.m, 2)
+        if odd or not np.array_equal(self.D[:, p:], -self.D[:, :p]):
+            return None
+        Dh = np.ascontiguousarray(self.normalized()[:, :p])
+        half = linalg.Factorization(Dh.T)
+        return SymmetricFactors(Dh, half, linalg.Factorization.symmetric((Dh.T @ Dh) ** 2),
+                                half.pinv())
 
     @functools.cached_property
     def F_unit_factor(self):
@@ -313,10 +365,16 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class StructuredSet:
-    """Half frame of a plus-minus symmetric set: points ``x0 +- d^i``."""
+    """Half frame of a plus-minus symmetric set: points ``x0 +- d^i``.
+
+    A set made by :meth:`scale` keeps the set it was scaled from in
+    ``_origin``; its :meth:`expand` reads the radius-free factors of the
+    origin's symmetric set.
+    """
 
     x0: np.ndarray
     Dhalf: np.ndarray
+    _origin: StructuredSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x0 = linalg.as_vector(self.x0, "x0")
@@ -341,10 +399,23 @@ class StructuredSet:
 
     def scale(self, t):
         """Same half frame with every direction multiplied by ``t > 0``."""
-        return _unchecked(StructuredSet, x0=self.x0, Dhalf=_scaled(self.Dhalf, t, "Dhalf"))
+        return _unchecked(StructuredSet, x0=self.x0, Dhalf=_scaled(self.Dhalf, t, "Dhalf"),
+                          _origin=self if self._origin is None else self._origin)
 
     def expand(self):
-        """Full symmetric SampleSet with directions ``[Dhalf, -Dhalf]``."""
+        """Full symmetric SampleSet with directions ``[Dhalf, -Dhalf]``.
+
+        A set made by :meth:`scale` checks the antipodes once, on its origin,
+        and its symmetric set is its origin's scaled: ``t (-d) = -(t d)``
+        exactly, so the directions are those of ``origin.expand().scale(t)``.
+        """
+        if self._origin is None:
+            return self._symmetric
+        return _unchecked(SampleSet, x0=self.x0, D=np.hstack([self.Dhalf, -self.Dhalf]),
+                          _origin=self._origin._symmetric)
+
+    @functools.cached_property
+    def _symmetric(self):
         _validate_antipodes(self.Dhalf)
         # the half frame is valid, so the full check of SampleSet would
         # repeat every pair within Dhalf and within -Dhalf

@@ -182,12 +182,12 @@ def _worst_cross_pair(cross, bound_table):
     return float(cross[i, j]), float(bound_table[i, j])
 
 
-def _build_row(tf, unit, unit_Y, kqs_unit, family, delta, samples, tol):
-    """One row at radius ``delta`` from the sweep's unit geometry: the half
-    frame ``unit``, its symmetric set ``unit_Y`` (mn/mfn) and the radius-free
-    qs curvature constant ``kqs_unit`` (qs), each built once per sweep."""
-    Y = None if unit_Y is None else unit_Y.scale(delta)
-    built = models.build(family, tf.f, unit.scale(delta), Y=Y, tol=tol)
+def _build_row(tf, unit, kqs_unit, hess_norm, family, delta, samples, tol):
+    """One row at radius ``delta`` from the sweep's unit half frame ``unit``,
+    whose scaled copies share its symmetric set's radius-free factors, and
+    from constants taken once per sweep: the radius-free qs curvature
+    constant ``kqs_unit`` (qs) and ``||hess f(x0)||`` (qs:centred)."""
+    built = models.build(family, tf.f, unit.scale(delta), tol=tol)
     meas_Y, poised = built.Y, built.poised
     radius = meas_Y.radius
     if radius > tf.region_radius:
@@ -227,7 +227,6 @@ def _build_row(tf, unit, unit_Y, kqs_unit, family, delta, samples, tol):
         if family == "qs:centred":
             # the centred preset's H is the structured-pack GSH, the one
             # case the directional theory covers among the presets
-            hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
             bound_aligned = bounds.directional_bound_aligned(lip.L_hess, delta)
             cross_bound_table = np.full(
                 (meas_Y.m, meas_Y.m),
@@ -252,7 +251,7 @@ def _build_row(tf, unit, unit_Y, kqs_unit, family, delta, samples, tol):
         bound_dir_cross=bound_cross,
         poised=poised,
     )
-    interp_violation = None if built.spec is None else built.diagnostics.max_violation
+    interp_violation = built.diagnostics.max_violation if built.kind == "qs" else None
     return row, interp_violation
 
 
@@ -287,12 +286,19 @@ def run_sweep(config: SweepConfig):
     tf = testbed.get(config.function, dim=dim, x0=config.x0)
     kind, preset = models.parse_family(config.model)  # reported before a bad set
     unit = StructuredSet(tf.x0, resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed))
-    # Only mn/mfn solve on the symmetric set: a qs sweep on a half frame
-    # holding some d and -d is valid.  kappa_mH_qs is linear in L_grad and
-    # reads each frame normalized, so the unit recipe's value serves every row.
-    unit_Y = unit.expand() if kind != "qs" else None
-    kqs_unit = bounds.kappa_mH_qs(1.0, models.qs_preset(preset, unit)) if kind == "qs" else None
-    results = [_build_row(tf, unit, unit_Y, kqs_unit, config.model, d, config.samples, config.tol)
+    # mn/mfn need the symmetric set, refused here, before any row, for a half
+    # frame holding some d and -d; such a frame is valid for qs.  kappa_mH_qs
+    # is linear in L_grad and reads each frame normalized, so the unit
+    # recipe's value serves every row.
+    kqs_unit = hess_norm = None
+    if kind != "qs":
+        unit.expand()
+    else:
+        kqs_unit = bounds.kappa_mH_qs(1.0, models.qs_preset(preset, unit))
+    if config.model == "qs:centred":
+        hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
+    results = [_build_row(tf, unit, kqs_unit, hess_norm, config.model, d, config.samples,
+                          config.tol)
                for d in config.deltas]
     rows = [r for r, _ in results]
     interp = [v for _, v in results if v is not None]

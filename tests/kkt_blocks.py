@@ -1,8 +1,11 @@
-"""Eager reference builder of the minimum-Frobenius KKT blocks, shared by the tests."""
+"""Reference linear algebra shared by the tests: the eagerly built
+minimum-Frobenius KKT blocks and a null-space basis."""
 
 from typing import NamedTuple
 
 import numpy as np
+
+from dfoq import linalg
 
 
 class KKTBlocks(NamedTuple):
@@ -32,3 +35,10 @@ def kkt_blocks(Y):
         return F
 
     return KKTBlocks(P, bordered(Y.D, Y.radius ** 4 * P), bordered(Dbar, P))
+
+
+def null_space_basis(A, tol=None):
+    """Orthonormal basis of the null space of ``A``, one column per direction,
+    at :func:`dfoq.linalg.numerical_rank`'s cutoff."""
+    _, _, Vt = np.linalg.svd(A)
+    return Vt[linalg.numerical_rank(A, tol):].T.copy()

@@ -12,6 +12,7 @@ from dfoq.cli import main
 from dfoq.models import build_qs, qs_preset, solve_mn
 from dfoq.sample_sets import SampleSet, StructuredSet
 from dfoq.simplex import Oracle
+from dfoq.sweep import SweepConfig, parse_deltas, rows_to_csv, run_sweep
 
 GOLD_TOL = 1e-10
 
@@ -93,8 +94,8 @@ def test_unknown_model_reported_alike_and_before_the_set(capsys):
 def test_model_takes_no_extra_factorization(capsys, monkeypatch, family, svds):
     # mn and mfn take the SVD counts they took before the family dispatch
     # was shared; mn in particular never reads the set's poised verdict.
-    # qs:centred factors S^T for each gsg and for gsh's stack, and its
-    # one-column frames T_i take the closed form
+    # qs:centred, in closed form, factors only the half frame (three SVDs
+    # when its recipe ran)
     count = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))
@@ -149,6 +150,25 @@ def test_usage_errors(capsys, five_point_file):
     for argv in cases:
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_parser_is_built_once_and_parses_alike_after_an_error(tmp_path, capsys):
+    from dfoq import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    bad = ["sweep", "--function", "sphere", "--bogus-flag"]
+    assert main(bad) == 1
+    first = capsys.readouterr().err
+    assert first == "error: unrecognized arguments: --bogus-flag\n"
+    args = ["sweep", "--function", "sphere", "--x0", "0,0", "--set", "structured:2",
+            "--model", "mn", "--deltas", "1:0.5:3"]
+    out = tmp_path / "rows.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    config = SweepConfig("sphere", "structured:2", "mn", parse_deltas("1:0.5:3"), x0=(0.0, 0.0))
+    assert out.read_text() == rows_to_csv(run_sweep(config)[0])
+    capsys.readouterr()
+    assert main(bad) == 1
+    assert capsys.readouterr().err == first
 
 
 def test_set_lengths_out_of_double_range_exit_1(tmp_path, capsys):

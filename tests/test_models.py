@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfoq import linalg
+from dfoq import testbed
 from dfoq.errors import InfeasibleError, InvalidInputError
 from dfoq.models import (
     GradTerm,
@@ -19,8 +19,9 @@ from dfoq.models import (
 )
 from dfoq.sample_sets import SampleSet, StructuredSet
 from dfoq.simplex import DirectionPack, Oracle, delta_f, gsg, gsh
+from dfoq.sweep import SweepConfig, parse_deltas, resolve_frame, run_sweep
 
-from kkt_blocks import kkt_blocks
+from kkt_blocks import kkt_blocks, null_space_basis
 
 GOLD_TOL = 1e-10
 EPS = float(np.finfo(float).eps)
@@ -131,7 +132,7 @@ def test_mfn_hessian_ignores_multiplier_family():
     Y = degenerate_axes_set()
     model, diag = solve_mfn(sphere, Y)
     F = kkt_blocks(Y).F_unit
-    N = linalg.null_space_basis(F)
+    N = null_space_basis(F)
     assert N.shape[1] > 0
     rng = np.random.default_rng(3)
     r = Y.radius
@@ -188,7 +189,7 @@ def test_mn_objective_is_optimal_over_feasible_set():
         [model.g, [model.H[a, b] for (a, b) in slots]]
     )
     weights = np.concatenate([np.ones(n), [1.0 if a == b else 2.0 for (a, b) in slots]])
-    N = linalg.null_space_basis(A)
+    N = null_space_basis(A)
     rng = np.random.default_rng(23)
     best = float(z_star @ (weights * z_star))
     for _ in range(20):
@@ -462,7 +463,8 @@ def trig(x):
 
 def _direct(family, st, Y=None):
     """The family's model by the direct solver calls, as the CLI and the
-    sweep each made them before sharing :func:`build`."""
+    sweep each made them before sharing :func:`build`; for qs:centred, the
+    recipe that the closed form replaces."""
     f = Oracle(trig)
     if family in ("mn", "mfn"):
         Y = st.expand() if Y is None else Y
@@ -479,13 +481,21 @@ def _assert_same_build(family, st, Y=None):
     f = Oracle(trig)
     built = build(family, f, st, Y=Y)
     assert built.model.c == model.c
-    assert np.array_equal(built.model.g, model.g)
-    assert np.array_equal(built.model.H, model.H)
+    if family == "qs:centred":
+        # the closed form on the symmetric set, which reads f(x0) and
+        # f(x0 +- d^i) only, against the recipe to rounding
+        for got, want in ((built.model.g, model.g), (built.model.H, model.H)):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        want_Y = st.expand()
+        calls = 2 * st.p + 1
+    else:
+        assert np.array_equal(built.model.g, model.g)
+        assert np.array_equal(built.model.H, model.H)
     assert np.array_equal(built.Y.x0, want_Y.x0)
     assert np.array_equal(built.Y.D, want_Y.D)
     assert built.poised is verdict
     assert f.calls == calls
-    assert (built.spec is None) == (family in ("mn", "mfn"))
+    assert built.kind == family.split(":")[0]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -551,3 +561,74 @@ def test_feasibility_residual_is_the_interpolation_check():
     for solver in (solve_mn, solve_mfn):
         model, diag = solver(trig, Y)
         assert diag.feasibility_residual == interpolation_check(model, trig, Y).max_violation
+
+
+def _frames(n):
+    """Unit half frames at dimension n: coordinate and random, p = n and
+    p < n, and a random frame with p > n."""
+    specs = {f"structured:{n}", f"structured:{max(1, n // 2)}", f"random:{n}:1",
+             f"random:{max(1, n - 3)}:2", f"random:{n + 3}:4"}
+    return [resolve_frame(spec, n) for spec in sorted(specs)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_centred_qs_closed_form_matches_the_recipe(n):
+    # the closed form on the symmetric set against build_qs on the centred
+    # recipe, which also reads f((x0 + d^i) - d^i) and solves p one-column
+    # frames: measured gaps 2.2e-14 on g and 2.2e-13 on H
+    for name in ("trigonometric", "quartic"):
+        tf = testbed.get(name, dim=n, x0=[0.4] * n)
+        for frame in _frames(n):
+            for delta in (1.0, 0.1, 0.01):
+                st = StructuredSet(tf.x0, frame).scale(delta)
+                f = Oracle(tf.f)
+                built = build("qs:centred", f, st)
+                assert f.calls == 2 * st.p + 1
+                assert np.array_equal(built.Y.D, np.hstack([st.Dhalf, -st.Dhalf]))
+                want = build_qs(tf.f, st.x0, qs_preset("centred", st))
+                assert built.model.c == want.c
+                assert np.linalg.norm(built.model.g - want.g) <= 1e-12 * np.linalg.norm(want.g)
+                assert np.linalg.norm(built.model.H - want.H) <= 1e-10 * np.linalg.norm(want.H)
+
+
+def test_centred_qs_on_a_half_frame_holding_d_and_minus_d(tmp_path):
+    # such a half frame has no symmetric set, so qs:centred keeps the
+    # recipe's merged set: the six points x0 +- 0.1 e_i
+    st = StructuredSet(np.array([0.3, -0.2, 0.5]), 0.1 * np.column_stack([np.eye(3), -np.eye(3)[:, 0]]))
+    with pytest.raises(InvalidInputError, match="duplicate directions"):
+        st.expand()
+    built = build("qs:centred", trig, st)
+    assert built.Y.m == 6 and built.poised is True
+    model = build_qs(trig, st.x0, qs_preset("centred", st))
+    assert np.array_equal(built.model.g, model.g) and np.array_equal(built.model.H, model.H)
+    path = tmp_path / "antipodes.json"
+    SampleSet(st.x0, st.Dhalf).save(path)
+    rows, summary = run_sweep(SweepConfig("trigonometric", f"file:{path}", "qs:centred",
+                                          parse_deltas("0.1:0.1:3"), x0=tuple(st.x0)))
+    assert all(r.poised for r in rows) and summary["violations"] == []
+    with pytest.raises(InvalidInputError, match="duplicate directions"):
+        run_sweep(SweepConfig("trigonometric", f"file:{path}", "mfn",
+                              parse_deltas("0.1:0.1:3"), x0=tuple(st.x0)))
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+def test_mn_and_mfn_coincide_on_plus_minus_sets(n):
+    # on [Dh, -Dh] the minimum-norm and minimum-Frobenius models coincide,
+    # and share their gradient with qs:centred.  Measured worst gaps: 4.4e-11
+    # on g (quartic, random:64:1, delta = 0.01, where mn's dense multiplier
+    # system drifts from the odd/even solution, which mfn matches to 1.3e-14)
+    # and 4.7e-11 on H
+    for name in ("trigonometric", "quartic"):
+        tf = testbed.get(name, dim=n, x0=[0.4] * n)
+        for frame in _frames(n):
+            if frame.shape[1] > n:
+                continue
+            for delta in (1.0, 0.1, 0.01):
+                st = StructuredSet(tf.x0, frame).scale(delta)
+                f = Oracle(tf.f)
+                mn, _ = solve_mn(f, st.expand())
+                mfn, _ = solve_mfn(f, st.expand())
+                qs = build("qs:centred", f, st).model
+                assert np.linalg.norm(mn.g - mfn.g) <= 1e-10 * np.linalg.norm(mfn.g)
+                assert np.linalg.norm(mn.H - mfn.H) <= 1e-8 * np.linalg.norm(mfn.H)
+                assert np.linalg.norm(qs.g - mfn.g) <= 1e-12 * np.linalg.norm(mfn.g)

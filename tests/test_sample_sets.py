@@ -11,6 +11,7 @@ from dfoq.sample_sets import (
     SampleSet,
     StructuredSet,
     _bordered,
+    _symmetric_bordered_rank,
     _validate_directions,
     poisedness,
 )
@@ -623,3 +624,68 @@ def test_normalized_rank_and_pinv_norm():
     rank, norm = Y.normalized_rank_and_pinv_norm
     assert rank == 2
     assert norm == linalg.matrix_norm(linalg.pinv(Y.normalized()), "op1")
+
+
+def test_symmetric_factors_read_the_set_values():
+    rng = np.random.default_rng(35)
+    x0, Dh = rng.standard_normal(3), rng.standard_normal((3, 2))
+    for Y in (SampleSet(x0, np.hstack([Dh, -Dh])), StructuredSet(x0, Dh).expand(),
+              SampleSet(x0, np.hstack([-Dh, Dh]))):
+        sym = Y.symmetric_factors
+        assert np.array_equal(sym.Dh, Y.normalized()[:, :2])
+        assert np.array_equal(sym.pinv, sym.half.pinv())
+        assert np.allclose(sym.Dh.T @ sym.pinv, np.eye(2), atol=1e-13)
+        assert np.allclose(sym.quartic.s, np.linalg.eigvalsh((sym.Dh.T @ sym.Dh) ** 2)[::-1])
+    # directions that are not [Dh, -Dh] column for column, bit for bit
+    for D in (np.column_stack([Dh[:, 0], -Dh[:, 0], Dh[:, 1], -Dh[:, 1]]),
+              np.hstack([Dh, -Dh, Dh[:, :1] + Dh[:, 1:]]),
+              np.hstack([Dh, -np.nextafter(Dh, 0.0)])):
+        Y = SampleSet(x0, D)
+        assert Y.symmetric_factors is None
+        assert Y.mfn_poised is _inline_mfn_verdict(Y)
+
+
+def test_scaled_symmetric_sets_share_the_origin_factors(monkeypatch):
+    rng = np.random.default_rng(36)
+    x0, Dh = rng.standard_normal(4), rng.standard_normal((4, 4))
+    unit = StructuredSet(x0, Dh)
+    origin = unit.expand()
+    assert unit.expand() is origin  # the antipodes are checked once
+    first = origin.symmetric_factors
+    calls = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, *a, _f=real, _n=name, **k: calls.append(_n) or _f(A, *a, **k))
+    for t in (0.5, 1e-3, 1e-8):
+        Y = unit.scale(t).expand()
+        assert Y.D.tobytes() == origin.scale(t).D.tobytes()
+        assert Y.symmetric_factors is first
+        assert Y.mfn_poised is (t >= 1e-3)
+    assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(1, 6), st.integers(7, 64)),
+       shape=st.sampled_from(("p<n", "p=n", "p>n")),
+       structured=st.booleans(), dependent=st.booleans(),
+       exponent=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_mfn_poised_is_the_rank_of_F_scaled(n, shape, structured, dependent,
+                                                        exponent, seed):
+    # the rank from the half frame's spectra against the SVD of F_scaled
+    assume(n > 1 or shape != "p<n")
+    rng = np.random.default_rng(seed)
+    p = {"p<n": int(rng.integers(1, max(n, 2))), "p=n": n, "p>n": n + int(rng.integers(1, 4))}[shape]
+    frame = rng.standard_normal((n, p))
+    if structured:
+        frame[:, :min(n, p)] = np.eye(n)[:, :min(n, p)]
+    if dependent and p >= 3:
+        frame[:, -1] = frame[:, 0] + frame[:, 1]  # a column in the span of two others
+    frame /= np.linalg.norm(frame, axis=0)
+    assume(_verdict(_validate_directions_columns, frame) is None)
+    unit = StructuredSet(rng.standard_normal(n), frame)
+    delta = 10.0 ** -exponent
+    for Y in (unit.scale(delta).expand(), StructuredSet(unit.x0, delta * frame).expand()):
+        want = linalg.numerical_rank(kkt_blocks(Y).F_scaled)
+        assert _symmetric_bordered_rank(Y.symmetric_factors, Y.radius, n) == want
+        assert Y.mfn_poised is (want == Y.m + n)

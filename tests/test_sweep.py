@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfoq import bounds, models, testbed
+from dfoq import bounds, linalg, models, testbed
 from dfoq.errors import InvalidInputError
 from dfoq.sample_sets import SampleSet, StructuredSet, poisedness
 from dfoq.simplex import Oracle, delta_f
@@ -267,20 +267,45 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
     assert sum(np.array_equal(A, F_unit) for A in factored) == 1
 
 
-def test_centred_qs_sweep_at_n64_takes_two_svds_a_row(monkeypatch):
-    # the recipe's one factor of S^T, which both gradient terms and gsh's
-    # stack read, and the normalized set in kappa_generic; kappa_mH_qs
-    # factors the unit frame once per sweep, and the 64 one-column frames
-    # T_i take the closed form (133 SVDs a row when they went through LAPACK)
-    count = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))
-    config = SweepConfig("trigonometric", "structured:64", "qs:centred",
-                         parse_deltas("1:0.01:3"), x0=(0.4,) * 64)
+@pytest.mark.parametrize("model", ["mfn", "qs:centred"])
+def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
+    # the first row factors the unit symmetric set (its half frame, the
+    # Hadamard square of its Gram matrix, its normalized directions and, for
+    # mfn, F_unit); every later row reads those factors, takes mfn_poised from
+    # their spectra and builds qs:centred in closed form.  kappa_mH_qs
+    # factors the unit recipe once, before the first row
+    count, at_row = [], []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _f=real, **k: count.append(1) or _f(*a, **k))
+    build = models.build
+    monkeypatch.setattr(models, "build", lambda *a, **k: at_row.append(len(count)) or build(*a, **k))
+    config = SweepConfig("trigonometric", "structured:64", model,
+                         parse_deltas("1:0.1:4"), x0=(0.4,) * 64)
     rows, _ = run_sweep(config)
     monkeypatch.undo()
-    assert all(row.bound_f is not None for row in rows)  # kappa_mH_qs ran
-    assert len(count) <= 2 * len(rows) + 1
+    assert all(row.poised and row.bound_f is not None for row in rows)
+    assert len(at_row) == len(rows)
+    assert at_row[1] > at_row[0]
+    assert at_row[1] == len(count)
+
+
+def test_centred_qs_sweep_takes_the_hessian_norm_once(monkeypatch):
+    # the cross bound's ||hess f(x0)|| is at the sweep's fixed center
+    norms = []
+    real = linalg.matrix_norm
+    monkeypatch.setattr(linalg, "matrix_norm",
+                        lambda M, kind="spectral": norms.append(kind) or real(M, kind))
+    config = SweepConfig("trigonometric", "structured:3", "qs:centred", parse_deltas("1:0.1:6"))
+    rows, _ = run_sweep(config)
+    monkeypatch.undo()
+    assert norms.count("spectral") == 1
+    tf = testbed.get("trigonometric")
+    hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
+    for delta, row in zip(config.deltas, rows):
+        lip = tf.lipschitz_on(tf.x0, row.delta)
+        assert row.bound_dir_cross == bounds.directional_bound_gsh_cross(hess_norm, lip.L_hess, delta)
 
 
 @pytest.mark.parametrize("set_spec", ["structured:3", "random:3:5"])
@@ -300,7 +325,7 @@ def test_qs_sweep_takes_kappa_mH_qs_once_on_the_unit_recipe(monkeypatch, set_spe
         built = models.build("qs:centred", tf.f, unit.scale(delta))
         r = built.Y.radius
         lip = tf.lipschitz_on(tf.x0, r)
-        kqs = bounds.kappa_mH_qs(lip.L_grad, built.spec)
+        kqs = bounds.kappa_mH_qs(lip.L_grad, models.qs_preset("centred", unit.scale(delta)))
         want = bounds.kappa_generic(lip.L_grad, kqs, built.Y).kappa_ef * r ** 2
         assert row.bound_f is not None
         if set_spec.startswith("structured"):
