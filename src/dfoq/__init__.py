@@ -20,7 +20,7 @@ from .linalg import (
     pinv,
     solve_min_norm,
 )
-from .sample_sets import PoisednessReport, SampleSet, StructuredSet, poisedness
+from .sample_sets import PoisednessReport, SampleSet, poisedness
 from .simplex import (
     DirectionPack,
     Oracle,
@@ -79,7 +79,7 @@ __all__ = [
     "InvalidInputError",
     "DEFAULT_RESIDUAL_TOL", "pinv", "matrix_norm", "solve_min_norm",
     "constrained_least_norm",
-    "SampleSet", "StructuredSet", "PoisednessReport", "poisedness",
+    "SampleSet", "PoisednessReport", "poisedness",
     "Oracle", "DirectionPack", "delta_f", "gsg", "delta_delta_f", "gsh",
     "centred_gsg", "shifted_frame",
     "QuadraticModel", "SolveDiagnostics", "QSSpec", "GradTerm",

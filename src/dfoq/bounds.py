@@ -98,7 +98,7 @@ def kappa_mH_mfn(L_grad, Y: SampleSet):
     fac = Y.F_unit_factor
     if fac.s[-1] <= fac.cutoff:
         raise NotPoisedError("bordered system singular: set not poised")
-    return 0.25 * L * Y.m * float(np.linalg.norm(fac.pinv(), np.inf))
+    return 0.25 * L * Y.m * Y.F_unit_pinv_norm
 
 
 def kappa_mH_mn(kappa_g, kappa_eg_mfn, delta_bar, kappa_mH_mfn_value, Y: SampleSet | None = None):

@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
-from . import testbed, verify
+from . import bounds, testbed, verify
 from .errors import EvaluationError, InfeasibleError, InvalidInputError, NotPoisedError
 from .models import build
-from .sample_sets import SampleSet, StructuredSet
+from .sample_sets import SampleSet
 from .simplex import Oracle
 from .sweep import SweepConfig, parse_deltas, resolve_frame, rows_to_csv, row_to_json_dict, run_sweep
 
@@ -78,6 +78,24 @@ def _x0_option(merged):
     return None
 
 
+def _deltas_option(merged):
+    """Radii from a "start:factor:count" grid or a config-file list."""
+    deltas = merged["deltas"]
+    if isinstance(deltas, str):
+        return parse_deltas(deltas)
+    try:
+        return tuple(float(d) for d in deltas)
+    except (TypeError, ValueError):
+        raise _UsageError(f"bad deltas value {deltas!r}, want start:factor:count "
+                          "or a list of numbers") from None
+
+
+# Config values whose flags argparse types: (JSON type, what is wanted).  x0
+# and deltas also take a list and are checked where they are read.
+_CONFIG_TYPES = {"seed": (int, "an integer"), "samples": (int, "an integer"),
+                 **dict.fromkeys(("function", "set", "model", "out", "format"), (str, "a string"))}
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -97,6 +115,10 @@ def _merged(args, keys):
         unknown = set(cfg) - set(keys)
         if unknown:
             raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, (kind, want) in _CONFIG_TYPES.items():
+            value = cfg.get(key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise _UsageError(f"bad {key} value {value!r}, want {want}")
         merged.update(cfg)
     for key in keys:
         attr = {"set": "set_spec", "format": "fmt"}.get(key, key)
@@ -164,15 +186,15 @@ def cmd_model(args):
             raise _UsageError("--x0 conflicts with file sets; the file carries the center")
         tf = testbed.get(merged["function"], dim=stored.n)
         # mn and mfn solve on the stored set as it is; qs reads it as a half frame
-        st, Y = StructuredSet(stored.x0, stored.D), stored
+        half, Y = stored, stored
     else:
         tf = testbed.get(merged["function"],
                          dim=len(x0) if x0 is not None else None, x0=x0)
         frame = resolve_frame(set_spec, tf.dim, fallback_seed=merged.get("seed"))
-        st, Y = StructuredSet(tf.x0, frame), None
+        half, Y = SampleSet(tf.x0, frame), None
 
     f = Oracle(tf.f)
-    built = build(merged["model"], f, st, Y=Y, tol=tol)
+    built = build(merged["model"], f, half, Y=Y, tol=tol)
     doc = built.model.to_json_dict()
     doc["diagnostics"] = built.diagnostics_json()
     doc["oracle_calls"] = f.calls
@@ -184,21 +206,15 @@ def cmd_sweep(args):
     merged = _merged(args, ("function", "x0", "set", "model", "deltas", "samples",
                             "out", "format", "seed"))
     _require(merged, "function", "set", "model", "deltas")
-    x0 = _x0_option(merged)
-    deltas = merged["deltas"]
-    if isinstance(deltas, str):
-        deltas = parse_deltas(deltas)
-    else:
-        deltas = tuple(float(d) for d in deltas)
     # only a missing value takes the default: an explicit 0 must reach validation
     samples = merged.get("samples")
     config = SweepConfig(
         function=merged["function"],
         set_spec=merged["set"],
         model=merged["model"],
-        deltas=deltas,
-        x0=x0,
-        samples=512 if samples is None else samples,
+        deltas=_deltas_option(merged),
+        x0=_x0_option(merged),
+        samples=bounds.DEFAULT_SAMPLES if samples is None else samples,
         seed=merged.get("seed"),
         tol=_tol_from_env(),
     )

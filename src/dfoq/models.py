@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
-from .sample_sets import SampleSet, StructuredSet
+from .sample_sets import SampleSet
 from .simplex import DirectionPack, as_oracle, delta_f, gsh, shifted_frame
 
 __all__ = [
@@ -268,12 +268,13 @@ def build_qs(f, x0, spec: QSSpec):
     return QuadraticModel(x0, f(x0), g, H)
 
 
-def qs_preset(name, structured):
-    """Named recipes on a structured set: centred | forward | adapted-<ell>."""
-    S = structured.Dhalf
-    x0 = structured.x0
+def qs_preset(name, half: SampleSet):
+    """Named recipes on a half frame: centred | forward | adapted-<ell>.
+    centred takes the Hessian on the pack ``(S, T_i = [-s^i])``."""
+    S, x0 = half.D, half.x0
     if name == "centred":
-        return QSSpec((GradTerm(0.5, x0), GradTerm(0.5, x0, -1.0)), structured.as_gsh_pack())
+        return QSSpec((GradTerm(0.5, x0), GradTerm(0.5, x0, -1.0)),
+                      DirectionPack(S, tuple(-S[:, i:i + 1] for i in range(S.shape[1]))))
     if name == "forward":
         return QSSpec((GradTerm(1.0, x0),), DirectionPack.shared(S, S))
     if name.startswith("adapted-"):
@@ -357,11 +358,11 @@ def _centred_qs(f, Y):
     return QuadraticModel(Y.x0, f(Y.x0), g, H)
 
 
-def build(family, f, st: StructuredSet, Y: SampleSet | None = None, tol=None):
-    """The ``family`` model (mn | mfn | qs:<preset>) of f on the structured set ``st``.
+def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None):
+    """The ``family`` model (mn | mfn | qs:<preset>) of f on the half frame ``half``.
 
-    mn and mfn solve on ``Y``, by default the symmetric set ``st.expand()``.
-    qs ignores ``Y``.  qs:centred solves on ``st.expand()`` in closed form;
+    mn and mfn solve on ``Y``, by default the symmetric set ``half.expand()``.
+    qs ignores ``Y``.  qs:centred solves on ``half.expand()`` in closed form;
     a half frame holding some d and -d has no symmetric set, and there, as
     for every other preset, qs applies the preset's recipe to the half frame
     and its set is the recipe's points.  Returns a :class:`BuiltModel`.
@@ -369,18 +370,18 @@ def build(family, f, st: StructuredSet, Y: SampleSet | None = None, tol=None):
     kind, preset = parse_family(family)
     f = as_oracle(f)
     if kind != "qs":
-        Y = st.expand() if Y is None else Y
+        Y = half.expand() if Y is None else Y
         model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
         return BuiltModel(model, Y, diag, kind)
     if preset == "centred":
         try:
-            Y = st.expand()
+            Y = half.expand()
         except InvalidInputError:
             pass  # the half frame holds some d and -d: the recipe's merged set
         else:
             model = _centred_qs(f, Y)
             return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind)
-    spec = qs_preset(preset, st)
-    model = build_qs(f, st.x0, spec)
-    Y = SampleSet.from_points(st.x0, spec.points(st.x0))
+    spec = qs_preset(preset, half)
+    model = build_qs(f, half.x0, spec)
+    Y = SampleSet.from_points(half.x0, spec.points(half.x0))
     return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind)

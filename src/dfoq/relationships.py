@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
 from .models import QuadraticModel, build_qs, qs_preset
-from .sample_sets import SampleSet, StructuredSet
+from .sample_sets import SampleSet
 from .simplex import DirectionPack, Oracle, as_oracle, centred_gsg, delta_delta_f, gsg
 
 __all__ = [
@@ -159,7 +159,7 @@ def mn_shifted_frame(f, x0, S, ell):
     Works for every function: the shifted frame keeps the symmetric system
     feasible by construction.
     """
-    return build_qs(f, x0, qs_preset(f"adapted-{ell}", StructuredSet(x0, S)))
+    return build_qs(f, x0, qs_preset(f"adapted-{ell}", SampleSet(x0, S)))
 
 
 def mn_coordinate_centred(f, x0, p):

@@ -1,8 +1,9 @@
 """Sample sets around a center point, and their poisedness diagnostics.
 
 A sample set stores the center ``x0`` and the nonzero displacement directions
-``D`` (one column per interpolation point ``x0 + d^i``).  A structured set
-stores only the half frame of a plus-minus symmetric set.
+``D`` (one column per interpolation point ``x0 + d^i``).  Read as a half
+frame, a set gives its plus-minus symmetric set ``[D, -D]`` by
+:meth:`SampleSet.expand`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import InvalidInputError
 
 __all__ = [
     "SampleSet",
-    "StructuredSet",
     "SymmetricFactors",
     "PoisednessReport",
     "poisedness",
@@ -52,8 +52,8 @@ def _direction_lengths(D):
     return norms
 
 
-def _gram_gaps(D, sign=1.0):
-    """``(gaps2, sq)``: the squared gaps ``||d_i - sign d_j||^2`` between the
+def _gram_gaps(D):
+    """``(gaps2, sq)``: the squared gaps ``||d_i - d_j||^2`` between the
     columns of ``D`` in Gram form, from one product, and the squared lengths.
 
     Both are taken on ``D`` divided by its largest entry, so no square
@@ -63,7 +63,7 @@ def _gram_gaps(D, sign=1.0):
     Ds = D / np.abs(D).max()
     gaps2 = Ds.T @ Ds
     sq = gaps2.diagonal().copy()
-    gaps2 *= -2.0 * sign
+    gaps2 *= -2.0
     gaps2 += sq[:, None]
     gaps2 += sq[None, :]
     return gaps2, sq
@@ -80,49 +80,22 @@ def _screen(gaps2, bound2):
     return np.nonzero(np.triu(gaps2 <= _SCREEN_RTOL2 * bound2 + _TINY, 1))
 
 
-def _check_duplicates(D, norms, sign=1.0, shift=0):
-    """Refuse a pair ``d_j, sign d_i``, ``i < j``, at direct gap
-    ``||d_j - sign d_i|| <= 1e-12 max(||d_i||, ||d_j||)``, reported as
-    columns ``i`` and ``j + shift``; the first such pair in row-major order.
+def _validate_directions(D):
+    """Refuse a bad length (:func:`_direction_lengths`) or a pair ``i < j``
+    at direct gap ``||d_j - d_i|| <= 1e-12 max(||d_i||, ||d_j||)``, reported
+    as columns ``i`` and ``j``; the first such pair in row-major order.
 
     One Gram product screens every pair and only the candidates take the
     direct difference.
     """
-    gaps2, sq = _gram_gaps(D, sign)
+    norms = _direction_lengths(D)
+    gaps2, sq = _gram_gaps(D)
     I, J = _screen(gaps2, np.maximum(sq[:, None], sq[None, :]))
-    gaps = np.linalg.norm(D[:, J] - sign * D[:, I], axis=0)
+    gaps = np.linalg.norm(D[:, J] - D[:, I], axis=0)
     dup = gaps <= _DUP_RTOL * np.maximum(norms[I], norms[J])
     if dup.any():
         k = int(np.argmax(dup))
-        raise InvalidInputError(f"duplicate directions at columns {I[k]} and {J[k] + shift}")
-
-
-def _validate_directions(D):
-    _check_duplicates(D, _direction_lengths(D))
-
-
-def _validate_antipodes(Dhalf):
-    """Duplicate check of ``[Dhalf, -Dhalf]`` for a half frame that passed
-    :func:`_validate_directions`, reporting the pair that check would.
-
-    ``fl(-a - (-b)) = -fl(a - b)``, so only a pair ``d^i, -d^k`` can be a
-    new duplicate, at gap ``||d^i + d^k||``.  The gap is symmetric in i and
-    k, so the first pair in the full check's order has ``k >= i``, and
-    ``k = i`` gives ``2 ||d^i||``, never a duplicate.
-    """
-    _check_duplicates(Dhalf, np.linalg.norm(Dhalf, axis=0), -1.0, Dhalf.shape[1])
-
-
-def _scaled(M, t, name):
-    """``t * M`` for a positive finite ``t``.  Scaling moves every gap and
-    length by a few ulps only, so of the direction checks only the range of
-    the lengths is repeated."""
-    t = float(t)
-    if not (t > 0) or not np.isfinite(t):
-        raise InvalidInputError("scale factor must be positive and finite")
-    M = linalg.as_matrix(t * M, name)
-    _direction_lengths(M)
-    return M
+        raise InvalidInputError(f"duplicate directions at columns {I[k]} and {J[k]}")
 
 
 def _unchecked(cls, **fields):
@@ -162,7 +135,8 @@ class SampleSet:
     """Center ``x0`` and direction matrix ``D`` (n x m, one point per column).
 
     A set made by :meth:`scale` keeps the set it was scaled from in
-    ``_origin`` and reads the radius-free factors from it.
+    ``_origin`` and reads the radius-free factors from it.  Read as a half
+    frame, the set gives its plus-minus symmetric set by :meth:`expand`.
     """
 
     x0: np.ndarray
@@ -199,14 +173,15 @@ class SampleSet:
     # solved with.  F_unit (read by solve_mfn and kappa_mH_mfn), the
     # normalized directions and the half-frame factors of a symmetric set do
     # not depend on the radius, so a set made by scale() reads these
-    # radius-free caches from the set it was scaled from, and the F_unit
-    # factor lives as long as any set scaled from that one (5.6 MB at
-    # m + n = 592).  The solves apply factors without forming the
-    # pseudoinverse, so holding them does not raise the peak: the fullquad
-    # benchmark (m up to 560) peaks at 136 MB, as it did when solve_mn let
-    # its factor go on return.  mfn_poised reads the radius-dependent
-    # F_scaled (on a symmetric set, only its spectrum) and mn_factor the
-    # radius-dependent split system of solve_mn, so every set takes its own.
+    # radius-free caches (and expand() its symmetric set) from the set it was
+    # scaled from, and the F_unit factor lives as long as any set scaled from
+    # that one (5.6 MB at m + n = 592).  The solves apply factors without
+    # forming the pseudoinverse, so holding them does not raise the peak: the
+    # fullquad benchmark (m up to 560) peaks at 136 MB, as it did when
+    # solve_mn let its factor go on return.  mfn_poised reads the
+    # radius-dependent F_scaled (on a symmetric set, only its spectrum) and
+    # mn_factor the radius-dependent split system of solve_mn, so every set
+    # takes its own.
 
     @functools.cached_property
     def mfn_poised(self):
@@ -249,6 +224,13 @@ class SampleSet:
         return linalg.Factorization.symmetric(_bordered(self, self.normalized(), 1.0))
 
     @functools.cached_property
+    def F_unit_pinv_norm(self):
+        """``||pinv(F_unit)||_inf``, from :attr:`F_unit_factor`."""
+        if self._origin is not None:
+            return self._origin.F_unit_pinv_norm
+        return float(np.linalg.norm(self.F_unit_factor.pinv(), np.inf))
+
+    @functools.cached_property
     def mn_factor(self):
         """``(Factorization(M), Vr, Vp)`` of the split multiplier system of
         the minimum-norm model; :meth:`mn_residual` forms its right-hand side.
@@ -287,9 +269,32 @@ class SampleSet:
 
     def scale(self, t):
         """Same geometry with every direction multiplied by ``t > 0``; it shares
-        this set's radius-free factors."""
-        return _unchecked(SampleSet, x0=self.x0, D=_scaled(self.D, t, "D"),
-                          _origin=self if self._origin is None else self._origin)
+        this set's radius-free factors.  Scaling moves every gap and length by
+        a few ulps only, so of the direction checks only the lengths' range is
+        repeated."""
+        t = float(t)
+        if not (t > 0) or not np.isfinite(t):
+            raise InvalidInputError("scale factor must be positive and finite")
+        D = linalg.as_matrix(t * self.D, "D")
+        _direction_lengths(D)
+        return _unchecked(SampleSet, x0=self.x0, D=D, _origin=self._origin or self)
+
+    def expand(self):
+        """The plus-minus symmetric set ``[D, -D]`` of this half frame.
+
+        It is checked in full and cached on the set; a set made by
+        :meth:`scale` takes its origin's, scaled: ``t (-d) = -(t d)``
+        exactly, so its directions are those of ``origin.expand().scale(t)``
+        and it shares that set's radius-free factors.
+        """
+        if self._origin is None:
+            return self._expanded
+        return _unchecked(SampleSet, x0=self.x0, D=np.hstack([self.D, -self.D]),
+                          _origin=self._origin._expanded)
+
+    @functools.cached_property
+    def _expanded(self):
+        return SampleSet(self.x0, np.hstack([self.D, -self.D]))
 
     def points(self):
         """Interpolation points ``x0 + d^i`` as rows (m x n); excludes x0."""
@@ -338,7 +343,11 @@ class SampleSet:
         for i, j in zip(I[close], J[close]):
             if keep[i]:
                 keep[j] = False
-        return cls(x0, offsets[keep].T)
+        # every kept pair is more than 1e-10 * scale apart, so none is a
+        # duplicate (1e-12 of the longer one) and only the lengths are checked
+        D = offsets[keep].T
+        _direction_lengths(D)
+        return _unchecked(cls, x0=x0, D=D)
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -361,72 +370,6 @@ class SampleSet:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class StructuredSet:
-    """Half frame of a plus-minus symmetric set: points ``x0 +- d^i``.
-
-    A set made by :meth:`scale` keeps the set it was scaled from in
-    ``_origin``; its :meth:`expand` reads the radius-free factors of the
-    origin's symmetric set.
-    """
-
-    x0: np.ndarray
-    Dhalf: np.ndarray
-    _origin: StructuredSet | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        x0 = linalg.as_vector(self.x0, "x0")
-        Dhalf = linalg.as_matrix(self.Dhalf, "Dhalf")
-        if Dhalf.shape[0] != x0.size:
-            raise InvalidInputError("Dhalf row count must match len(x0)")
-        _validate_directions(Dhalf)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "Dhalf", Dhalf)
-
-    @property
-    def n(self):
-        return self.x0.size
-
-    @property
-    def p(self):
-        return self.Dhalf.shape[1]
-
-    @property
-    def radius(self):
-        return float(np.max(np.linalg.norm(self.Dhalf, axis=0)))
-
-    def scale(self, t):
-        """Same half frame with every direction multiplied by ``t > 0``."""
-        return _unchecked(StructuredSet, x0=self.x0, Dhalf=_scaled(self.Dhalf, t, "Dhalf"),
-                          _origin=self if self._origin is None else self._origin)
-
-    def expand(self):
-        """Full symmetric SampleSet with directions ``[Dhalf, -Dhalf]``.
-
-        A set made by :meth:`scale` checks the antipodes once, on its origin,
-        and its symmetric set is its origin's scaled: ``t (-d) = -(t d)``
-        exactly, so the directions are those of ``origin.expand().scale(t)``.
-        """
-        if self._origin is None:
-            return self._symmetric
-        return _unchecked(SampleSet, x0=self.x0, D=np.hstack([self.Dhalf, -self.Dhalf]),
-                          _origin=self._origin._symmetric)
-
-    @functools.cached_property
-    def _symmetric(self):
-        _validate_antipodes(self.Dhalf)
-        # the half frame is valid, so the full check of SampleSet would
-        # repeat every pair within Dhalf and within -Dhalf
-        return _unchecked(SampleSet, x0=self.x0, D=np.hstack([self.Dhalf, -self.Dhalf]))
-
-    def as_gsh_pack(self):
-        """Direction pack ``(S, T_i = [-d^i])`` for the centred simplex Hessian."""
-        from .simplex import DirectionPack
-
-        Ts = [-self.Dhalf[:, i:i + 1].copy() for i in range(self.p)]
-        return DirectionPack(self.Dhalf, tuple(Ts))
 
 
 def _bordered(Y, Dmat, weight):

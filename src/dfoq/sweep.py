@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds, linalg, models, testbed
 from .errors import InvalidInputError, NotPoisedError
-from .sample_sets import SampleSet, StructuredSet
+from .sample_sets import SampleSet
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def run_sweep(config: SweepConfig):
     dim = len(config.x0) if config.x0 is not None else None
     tf = testbed.get(config.function, dim=dim, x0=config.x0)
     kind, preset = models.parse_family(config.model)  # reported before a bad set
-    unit = StructuredSet(tf.x0, resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed))
+    unit = SampleSet(tf.x0, resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed))
     # mn/mfn need the symmetric set, refused here, before any row, for a half
     # frame holding some d and -d; such a frame is valid for qs.  kappa_mH_qs
     # is linear in L_grad and reads each frame normalized, so the unit

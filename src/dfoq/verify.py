@@ -22,7 +22,7 @@ from .relationships import (
     solve_bilinear_min_frobenius,
     transform_instance,
 )
-from .sample_sets import SampleSet, StructuredSet, poisedness
+from .sample_sets import SampleSet, poisedness
 from .simplex import (
     DirectionPack,
     Oracle,
@@ -121,7 +121,7 @@ def _examples_suite():
     H_star = np.diag([2.0, 2.0, 0.0])
     mn3, _ = solve_mn(Oracle(sq), Y3)
     mfn3, d3 = solve_mfn(Oracle(sq), Y3)
-    st3 = StructuredSet(np.zeros(3), np.eye(3)[:, :2])
+    st3 = SampleSet(np.zeros(3), np.eye(3)[:, :2])
     qs3 = build_qs(Oracle(sq), np.zeros(3), qs_preset("centred", st3))
     rep = poisedness(Y3, delta_f(Oracle(sq), Y3.x0, Y3.D))
     gap = max(

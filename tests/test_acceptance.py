@@ -21,7 +21,7 @@ from dfoq.relationships import (
     solve_bilinear_min_frobenius,
     transform_instance,
 )
-from dfoq.sample_sets import SampleSet, StructuredSet, poisedness
+from dfoq.sample_sets import SampleSet, poisedness
 from dfoq.simplex import DirectionPack, delta_delta_f, delta_f, gsh, shifted_frame
 from dfoq.sweep import SweepConfig, parse_deltas, run_sweep
 
@@ -317,7 +317,7 @@ def test_criterion_6():
     worst_ratio = 0.0
     for tf in testbed.registry():
         n, delta = tf.dim, 0.5
-        st = StructuredSet(tf.x0, delta * np.eye(n))
+        st = SampleSet(tf.x0, delta * np.eye(n))
         Y = st.expand()
         lip = tf.lipschitz_on(tf.x0, Y.radius)
         kappa_mfn = bounds.kappa_mH_mfn(lip.L_grad, Y)
@@ -377,7 +377,7 @@ def test_criterion_6():
     sphere = testbed.get("sphere")
     e3 = np.eye(3)[:, 2]
     for delta in (1.0, 0.25):
-        st = StructuredSet(sphere.x0, delta * np.eye(3)[:, :2])
+        st = SampleSet(sphere.x0, delta * np.eye(3)[:, :2])
         model, _ = solve_mn(sphere.f, st.expand())
         off_gap = abs(float(e3 @ (model.H - sphere.hess(sphere.x0)) @ e3))
         assert off_gap == 2.0, (delta, off_gap)

@@ -8,7 +8,7 @@ from scipy.stats import qmc
 from dfoq import bounds, linalg, testbed
 from dfoq.errors import DirectionDomainError, InvalidInputError, NotPoisedError
 from dfoq.models import GradTerm, QSSpec, qs_preset, solve_mfn, solve_mn
-from dfoq.sample_sets import SampleSet, StructuredSet
+from dfoq.sample_sets import SampleSet
 from dfoq.simplex import DirectionPack
 
 from kkt_blocks import kkt_blocks
@@ -56,13 +56,18 @@ def test_kappa_mfn_full_plus_minus_set():
     assert bounds.kappa_mH_mfn(2.0, Y) == pytest.approx(expected, rel=1e-12)
 
 
-def test_kappa_mfn_scale_invariant():
+def test_kappa_mfn_scale_invariant(monkeypatch):
     rng = np.random.default_rng(5)
     Y = SampleSet(rng.standard_normal(2), rng.standard_normal((2, 5)))
     base = bounds.kappa_mH_mfn(3.0, Y)
+    pinvs = []
+    real = linalg.Factorization.pinv
+    monkeypatch.setattr(linalg.Factorization, "pinv", lambda fac: pinvs.append(1) or real(fac))
     for t in (0.25, 1e-3, 40.0):
-        # a scaled set reads its origin's factor of F_unit
+        # a scaled set reads its origin's factor of F_unit and the norm of
+        # its pseudoinverse
         assert bounds.kappa_mH_mfn(3.0, Y.scale(t)) == base
+    assert pinvs == []
 
 
 def test_kappa_mfn_rejects_degenerate_set():
@@ -89,7 +94,7 @@ def test_kappa_qs_fixtures():
     spec = QSSpec((GradTerm(1.0, np.zeros(n)),), DirectionPack(np.eye(n), eye_cols))
     assert bounds.kappa_mH_qs(5.0, spec) == pytest.approx(5.0 * np.sqrt(n), rel=1e-14)
 
-    st = StructuredSet(np.zeros(2), np.eye(2))
+    st = SampleSet(np.zeros(2), np.eye(2))
     assert bounds.kappa_mH_qs(2.0, qs_preset("centred", st)) == pytest.approx(
         2.0 * np.sqrt(2.0), rel=1e-14
     )
@@ -124,7 +129,7 @@ def test_kappa_qs_on_centred_packs_matches_the_pinv_norm_form():
         for frame in (np.eye(n), rng.standard_normal((n, n))):
             frame = frame / np.linalg.norm(frame, axis=0)
             for k in range(9):
-                spec = qs_preset("centred", StructuredSet(np.full(n, 0.4), 10.0 ** -k * frame))
+                spec = qs_preset("centred", SampleSet(np.full(n, 0.4), 10.0 ** -k * frame))
                 want = _old_kappa_mH_qs(3.0, spec)
                 assert bounds.kappa_mH_qs(3.0, spec) == pytest.approx(want, rel=32 * EPS, abs=0.0)
     singular = QSSpec((GradTerm(1.0, np.zeros(2)),), DirectionPack.shared(np.eye(2), np.ones((2, 2))))
@@ -336,7 +341,7 @@ def test_kappa_mfn_matches_the_inverse_formula():
 
     rng = np.random.default_rng(77)
     sets = [plus_minus_axes(n) for n in (1, 2, 5)]
-    sets += [StructuredSet(np.zeros(n), rng.standard_normal((n, n))).expand() for n in (2, 8, 16)]
+    sets += [SampleSet(np.zeros(n), rng.standard_normal((n, n))).expand() for n in (2, 8, 16)]
     sets += [SampleSet(np.zeros(n), 1e-2 * rng.standard_normal((n, m)))
              for n, m in ((2, 3), (2, 5), (4, 9), (6, 20))]
     for Y in sets:

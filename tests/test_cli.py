@@ -10,7 +10,7 @@ import pytest
 from dfoq import testbed
 from dfoq.cli import main
 from dfoq.models import build_qs, qs_preset, solve_mn
-from dfoq.sample_sets import SampleSet, StructuredSet
+from dfoq.sample_sets import SampleSet
 from dfoq.simplex import Oracle
 from dfoq.sweep import SweepConfig, parse_deltas, rows_to_csv, run_sweep
 
@@ -65,9 +65,9 @@ def test_model_file_set_semantics(capsys, five_point_file):
     assert code == 0
     assert doc["g"] == mn.g.tolist() and doc["H"] == mn.H.tolist()
 
-    half = StructuredSet(np.array([0.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    half = SampleSet(np.array([0.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
     half_file = five_point_file.replace("plane", "half")
-    SampleSet(half.x0, half.Dhalf).save(half_file)
+    half.save(half_file)
     f = Oracle(sphere)
     qs = build_qs(f, half.x0, qs_preset("adapted-1", half))
     code, doc = run_json(capsys, ["model", "--function", "sphere", "--set",
@@ -254,6 +254,20 @@ def test_config_x0_must_be_a_list_of_numbers(tmp_path, capsys, x0):
     assert main(["model", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad x0 value")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value", [("samples", "10"), ("samples", 2.5),
+                                       ("deltas", [1, "a", 0.1]), ("deltas", 5),
+                                       ("seed", "x"), ("seed", True), ("set", 5),
+                                       ("out", 3), ("format", ["json"])])
+def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "sphere", "set": "random:2", "model": "mn",
+                               "x0": [0.1, 0.2], "deltas": "1:0.5:3", "seed": 1, key: value}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {key} value {value!r}")
     assert err.count("\n") == 1
 
 

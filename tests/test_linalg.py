@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from dfoq import linalg
 from dfoq.errors import InfeasibleError, InvalidInputError
-from dfoq.sample_sets import SampleSet, StructuredSet
+from dfoq.sample_sets import SampleSet
 
 from kkt_blocks import kkt_blocks, null_space_basis
 
@@ -376,8 +376,8 @@ def _symmetric_cases():
     for n, m in ((2, 4), (3, 9), (8, 16), (8, 44), (16, 152), (64, 128), (32, 560)):
         yield kkt_blocks(SampleSet(np.zeros(n), 1e-3 * rng.standard_normal((n, m)))).F_unit
     for n in (3, 64):
-        yield kkt_blocks(StructuredSet(np.zeros(n), 0.1 * np.eye(n)).expand()).F_unit
-        yield kkt_blocks(StructuredSet(np.zeros(n), rng.standard_normal((n, n))).expand()).F_unit
+        yield kkt_blocks(SampleSet(np.zeros(n), 0.1 * np.eye(n)).expand()).F_unit
+        yield kkt_blocks(SampleSet(np.zeros(n), rng.standard_normal((n, n))).expand()).F_unit
     yield _symmetric_straddling_cutoff()
     yield np.zeros((4, 4))
 

@@ -17,7 +17,7 @@ from dfoq.models import (
     solve_mfn,
     solve_mn,
 )
-from dfoq.sample_sets import SampleSet, StructuredSet
+from dfoq.sample_sets import SampleSet
 from dfoq.simplex import DirectionPack, Oracle, delta_f, gsg, gsh
 from dfoq.sweep import SweepConfig, parse_deltas, resolve_frame, run_sweep
 
@@ -260,7 +260,7 @@ def qs_recipes(preset):
             random[rng.random((n, n)) < 0.2] = -0.0
         for frame, last in ((coordinate, 0), (random / np.linalg.norm(random, axis=0), 8)):
             for k in (range(9) if n <= 16 else (last,)):
-                yield x0, qs_preset(name, StructuredSet(x0, 10.0 ** -k * frame))
+                yield x0, qs_preset(name, SampleSet(x0, 10.0 ** -k * frame))
 
 
 def _sorted_points(x0, grads, pack):
@@ -337,7 +337,7 @@ def test_spec_points_match_the_column_loop_bitwise(preset):
         x0 = rng.standard_normal(n)
         x0[:1] = -0.0
         for D in (np.eye(n), 0.1 * rng.standard_normal((n, n))):
-            spec = qs_preset(preset, StructuredSet(x0, D))
+            spec = qs_preset(preset, SampleSet(x0, D))
             assert spec.points(x0).tobytes() == _column_loop_spec_points(spec, x0).tobytes()
 
 
@@ -379,7 +379,7 @@ def test_interpolation_check_center_mismatch():
 
 def test_forward_preset_misses_centred_set():
     # forward differences never see x0 - d, so an odd function breaks the fit
-    st = StructuredSet(np.zeros(1), np.array([[1.0]]))
+    st = SampleSet(np.zeros(1), np.array([[1.0]]))
     spec = qs_preset("forward", st)
     model = build_qs(lambda x: float(x[0] ** 3), st.x0, spec)
     report = interpolation_check(model, lambda x: float(x[0] ** 3), st.expand())
@@ -388,7 +388,7 @@ def test_forward_preset_misses_centred_set():
 
 
 def test_qs_centred_matches_mn_fixture():
-    st = StructuredSet(np.zeros(3), np.eye(3)[:, :2])
+    st = SampleSet(np.zeros(3), np.eye(3)[:, :2])
     model = build_qs(sphere, st.x0, qs_preset("centred", st))
     assert np.allclose(model.g, np.zeros(3), atol=1e-12)
     assert np.allclose(model.H, np.diag([2.0, 2.0, 0.0]), atol=1e-12)
@@ -399,7 +399,7 @@ def test_qs_centred_matches_mn_fixture():
 
 def test_qs_forward_gradient_alone_differs():
     spec = QSSpec((GradTerm(1.0, np.zeros(3)),),
-                  StructuredSet(np.zeros(3), np.eye(3)[:, :1]).as_gsh_pack())
+                  qs_preset("centred", SampleSet(np.zeros(3), np.eye(3)[:, :1])).pack)
     model = build_qs(sphere, np.zeros(3), spec)
     assert np.allclose(model.g, np.eye(3)[:, 0], atol=1e-12)
     assert np.linalg.norm(model.g) > 0
@@ -407,7 +407,7 @@ def test_qs_forward_gradient_alone_differs():
 
 def test_qs_linear_function():
     a = np.array([2.0, -1.0])
-    st = StructuredSet(np.zeros(2), np.eye(2))
+    st = SampleSet(np.zeros(2), np.eye(2))
     for preset in ("centred", "forward", "adapted-0", "adapted-1"):
         model = build_qs(lambda x: float(a @ x), st.x0, qs_preset(preset, st))
         assert np.allclose(model.g, a, atol=1e-11)
@@ -415,7 +415,7 @@ def test_qs_linear_function():
 
 
 def test_qs_preset_validation():
-    st = StructuredSet(np.zeros(2), np.eye(2))
+    st = SampleSet(np.zeros(2), np.eye(2))
     with pytest.raises(InvalidInputError):
         qs_preset("midpoint", st)
     with pytest.raises(InvalidInputError):
@@ -423,7 +423,7 @@ def test_qs_preset_validation():
     with pytest.raises(InvalidInputError):
         qs_preset("adapted-x", st)
     with pytest.raises(InvalidInputError):
-        QSSpec((), st.as_gsh_pack())
+        QSSpec((), qs_preset("centred", st).pack)
     for scale in (0.0, np.inf, np.nan):
         with pytest.raises(InvalidInputError):
             GradTerm(1.0, st.x0, scale)
@@ -438,7 +438,7 @@ def _points_within(spec, x0, Y, rtol=1e-10):
 
 
 def test_qs_point_audit():
-    st = StructuredSet(np.zeros(2), 0.5 * np.eye(2))
+    st = SampleSet(np.zeros(2), 0.5 * np.eye(2))
     Y = st.expand()
     assert _points_within(qs_preset("centred", st), st.x0, Y)
     # forward stencils use x0 + d^i + d^j, which the plus-minus set lacks
@@ -487,7 +487,7 @@ def _assert_same_build(family, st, Y=None):
         for got, want in ((built.model.g, model.g), (built.model.H, model.H)):
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
         want_Y = st.expand()
-        calls = 2 * st.p + 1
+        calls = 2 * st.m + 1
     else:
         assert np.array_equal(built.model.g, model.g)
         assert np.array_equal(built.model.H, model.H)
@@ -502,9 +502,9 @@ def _assert_same_build(family, st, Y=None):
 def test_build_matches_direct_solver_calls(family):
     rng = np.random.default_rng(5)
     x0 = np.array([0.3, -0.2, 0.5])
-    for st in (StructuredSet(x0, 0.1 * np.eye(3)),
-               StructuredSet(x0, 0.01 * np.eye(3)[:, :2]),
-               StructuredSet(x0, 0.2 * rng.standard_normal((3, 3)))):
+    for st in (SampleSet(x0, 0.1 * np.eye(3)),
+               SampleSet(x0, 0.01 * np.eye(3)[:, :2]),
+               SampleSet(x0, 0.2 * rng.standard_normal((3, 3)))):
         _assert_same_build(family, st)
 
 
@@ -515,14 +515,14 @@ def test_build_on_a_stored_set(family):
     stored = SampleSet(np.array([0.1, 0.4, -0.3]), np.array([[0.3, 0.0, -0.2],
                                                              [0.0, 0.2, 0.1],
                                                              [0.1, -0.1, 0.3]]))
-    st = StructuredSet(stored.x0, stored.D)
+    st = SampleSet(stored.x0, stored.D)
     _assert_same_build(family, st, Y=stored)
     built = build(family, trig, st, Y=stored)
     assert (built.Y is stored) == (family in ("mn", "mfn"))
 
 
 def test_build_mn_leaves_the_poised_verdict_unfactored():
-    st = StructuredSet(np.zeros(2), 0.5 * np.eye(2))
+    st = SampleSet(np.zeros(2), 0.5 * np.eye(2))
     built = build("mn", sphere, st)
     assert "mfn_poised" not in vars(built.Y)
     assert built.poised is True
@@ -530,7 +530,7 @@ def test_build_mn_leaves_the_poised_verdict_unfactored():
 
 
 def test_build_diagnostics_json():
-    st = StructuredSet(np.zeros(2), 0.5 * np.eye(2))
+    st = SampleSet(np.zeros(2), 0.5 * np.eye(2))
     mfn = build("mfn", sphere, st).diagnostics_json()
     assert list(mfn) == ["multipliers", "kkt_residual", "feasibility_residual", "alpha_unique"]
     qs = build("qs:centred", sphere, st)
@@ -549,7 +549,7 @@ def test_parse_family():
     for bad in ("cubic", "MN", "qs", "", 3, None):
         with pytest.raises(InvalidInputError, match="unknown model"):
             parse_family(bad)
-    st = StructuredSet(np.zeros(2), np.eye(2))
+    st = SampleSet(np.zeros(2), np.eye(2))
     with pytest.raises(InvalidInputError, match="unknown model 'cubic'"):
         build("cubic", sphere, st)
     with pytest.raises(InvalidInputError, match="unknown QS preset"):
@@ -580,11 +580,11 @@ def test_centred_qs_closed_form_matches_the_recipe(n):
         tf = testbed.get(name, dim=n, x0=[0.4] * n)
         for frame in _frames(n):
             for delta in (1.0, 0.1, 0.01):
-                st = StructuredSet(tf.x0, frame).scale(delta)
+                st = SampleSet(tf.x0, frame).scale(delta)
                 f = Oracle(tf.f)
                 built = build("qs:centred", f, st)
-                assert f.calls == 2 * st.p + 1
-                assert np.array_equal(built.Y.D, np.hstack([st.Dhalf, -st.Dhalf]))
+                assert f.calls == 2 * st.m + 1
+                assert np.array_equal(built.Y.D, np.hstack([st.D, -st.D]))
                 want = build_qs(tf.f, st.x0, qs_preset("centred", st))
                 assert built.model.c == want.c
                 assert np.linalg.norm(built.model.g - want.g) <= 1e-12 * np.linalg.norm(want.g)
@@ -594,7 +594,7 @@ def test_centred_qs_closed_form_matches_the_recipe(n):
 def test_centred_qs_on_a_half_frame_holding_d_and_minus_d(tmp_path):
     # such a half frame has no symmetric set, so qs:centred keeps the
     # recipe's merged set: the six points x0 +- 0.1 e_i
-    st = StructuredSet(np.array([0.3, -0.2, 0.5]), 0.1 * np.column_stack([np.eye(3), -np.eye(3)[:, 0]]))
+    st = SampleSet(np.array([0.3, -0.2, 0.5]), 0.1 * np.column_stack([np.eye(3), -np.eye(3)[:, 0]]))
     with pytest.raises(InvalidInputError, match="duplicate directions"):
         st.expand()
     built = build("qs:centred", trig, st)
@@ -602,7 +602,7 @@ def test_centred_qs_on_a_half_frame_holding_d_and_minus_d(tmp_path):
     model = build_qs(trig, st.x0, qs_preset("centred", st))
     assert np.array_equal(built.model.g, model.g) and np.array_equal(built.model.H, model.H)
     path = tmp_path / "antipodes.json"
-    SampleSet(st.x0, st.Dhalf).save(path)
+    st.save(path)
     rows, summary = run_sweep(SweepConfig("trigonometric", f"file:{path}", "qs:centred",
                                           parse_deltas("0.1:0.1:3"), x0=tuple(st.x0)))
     assert all(r.poised for r in rows) and summary["violations"] == []
@@ -624,7 +624,7 @@ def test_mn_and_mfn_coincide_on_plus_minus_sets(n):
             if frame.shape[1] > n:
                 continue
             for delta in (1.0, 0.1, 0.01):
-                st = StructuredSet(tf.x0, frame).scale(delta)
+                st = SampleSet(tf.x0, frame).scale(delta)
                 f = Oracle(tf.f)
                 mn, _ = solve_mn(f, st.expand())
                 mfn, _ = solve_mfn(f, st.expand())

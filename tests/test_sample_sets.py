@@ -6,10 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dfoq import linalg, testbed
 from dfoq.errors import InfeasibleError, InvalidInputError
-from dfoq.models import solve_mfn, solve_mn
+from dfoq.models import qs_preset, solve_mfn, solve_mn
 from dfoq.sample_sets import (
     SampleSet,
-    StructuredSet,
     _bordered,
     _symmetric_bordered_rank,
     _validate_directions,
@@ -136,17 +135,6 @@ def _validate_directions_columns(D):
             raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
 
 
-def _validate_antipodes_columns(Dhalf):
-    p = Dhalf.shape[1]
-    norms = np.linalg.norm(Dhalf, axis=0)
-    for i in range(p):
-        gaps = np.linalg.norm(Dhalf[:, i:] + Dhalf[:, i:i + 1], axis=0)
-        dup = gaps <= 1e-12 * np.maximum(norms[i], norms[i:])
-        if dup.any():
-            j = p + i + int(np.argmax(dup))
-            raise InvalidInputError(f"duplicate directions at columns {i} and {j}")
-
-
 def _from_points_columns(x0, points):
     """``D`` of ``from_points``, as the kept block's transposed view."""
     offsets = np.asarray(points, dtype=float) - x0[None, :]
@@ -230,6 +218,29 @@ def test_vectorized_validation_matches_pairwise_loops(case, x0_seed):
 
 
 @settings(max_examples=200, deadline=None)
+@given(case=_near_duplicate_sets(), x0_seed=st.integers(0, 1000),
+       merges=st.lists(st.tuples(st.integers(0, 559), st.integers(0, 559),
+                                 st.sampled_from((0.5e-10, 0.999e-10, 1.001e-10, 2e-10))),
+                       max_size=4))
+def test_from_points_keeps_a_set_the_full_check_accepts(case, x0_seed, merges):
+    # offsets on either side of the merge distance, 1e-10 times the largest
+    # length: from_points checks only the lengths of what it keeps
+    D, _, entry_scale = case
+    n, m = D.shape
+    rng = np.random.default_rng(x0_seed)
+    scale = float(np.max(np.linalg.norm(D, axis=0)))
+    for src, dst, rel in merges:
+        src, dst = src % m, dst % m
+        if src != dst:
+            u = rng.standard_normal(n)
+            D[:, dst] = D[:, src] + rel * scale * u / np.linalg.norm(u)
+    x0 = entry_scale * rng.standard_normal(n)
+    Y = SampleSet.from_points(x0, x0[None, :] + D.T)
+    full = SampleSet(x0, Y.D)
+    assert _same_array(full.D, Y.D) and np.array_equal(full.x0, Y.x0)
+
+
+@settings(max_examples=200, deadline=None)
 @given(n=st.one_of(st.integers(1, 6), st.integers(7, 64)),
        p=st.one_of(st.integers(1, 10), st.integers(11, 280)),
        seed=st.integers(0, 2 ** 32 - 1),
@@ -245,10 +256,9 @@ def test_expand_checks_antipodes_like_the_full_check(n, p, seed, pairs):
             u = rng.standard_normal(n)
             Dhalf[:, k] = -Dhalf[:, i] + rel * np.linalg.norm(Dhalf[:, i]) * u / np.linalg.norm(u)
     assume(_verdict(_validate_directions_columns, Dhalf) is None)
-    half = StructuredSet(rng.standard_normal(n), Dhalf)
+    half = SampleSet(rng.standard_normal(n), Dhalf)
     full = np.hstack([Dhalf, -Dhalf])
     want = _verdict(_validate_directions_columns, full)
-    assert _verdict(_validate_antipodes_columns, Dhalf) == want
     if 2 * p <= _SMALL:
         assert _verdict(_validate_directions_loop, full) == want
     assert _verdict(half.expand) == want
@@ -277,11 +287,9 @@ def test_lengths_that_square_out_of_range_are_reported():
         SampleSet(np.zeros(2), 1e154 * np.array([[1.0, 1.0], [0.0, 1.0]]))
     # the same checks guard the other ways of making a set
     with pytest.raises(InvalidInputError, match="too short"):
-        StructuredSet(np.zeros(2), 1e-170 * np.eye(2))
-    with pytest.raises(InvalidInputError, match="too short"):
         SampleSet(np.zeros(2), np.eye(2)).scale(1e-170)
     with pytest.raises(InvalidInputError, match="too long"):
-        StructuredSet(np.zeros(2), np.eye(2)).scale(1e200)
+        SampleSet(np.zeros(2), np.eye(2)).scale(1e200)
     with pytest.raises(InvalidInputError, match="squares outside the double range"):
         SampleSet.from_points(np.zeros(2), 1e-170 * np.eye(2))
     with pytest.raises(InvalidInputError, match="not all finite"):
@@ -346,10 +354,11 @@ def test_scale_gives_the_bytes_of_a_set_built_scaled():
     Dhalf = rng.standard_normal((4, 3))
     x0 = rng.standard_normal(4)
     for t in (1.0, 0.1, 1e-8):
-        st_scaled = StructuredSet(x0, Dhalf).scale(t)
-        assert st_scaled.Dhalf.tobytes() == StructuredSet(x0, t * Dhalf).Dhalf.tobytes()
-        Y = StructuredSet(x0, Dhalf).expand().scale(t)
-        assert Y.D.tobytes() == StructuredSet(x0, t * Dhalf).expand().D.tobytes()
+        half = SampleSet(x0, Dhalf)
+        assert half.scale(t).D.tobytes() == SampleSet(x0, t * Dhalf).D.tobytes()
+        want = SampleSet(x0, t * Dhalf).expand().D.tobytes()
+        assert half.expand().scale(t).D.tobytes() == want
+        assert half.scale(t).expand().D.tobytes() == want
 
 
 def test_json_roundtrip(tmp_path):
@@ -369,20 +378,20 @@ def test_from_json_dict_errors():
 
 
 def test_structured_expand_and_pack():
-    S = StructuredSet(np.zeros(1), np.array([[1.0]]))
+    S = SampleSet(np.zeros(1), np.array([[1.0]]))
     assert np.array_equal(S.expand().D, np.array([[1.0, -1.0]]))
 
-    S = StructuredSet(np.zeros(2), np.eye(2))
-    pack = S.as_gsh_pack()
+    S = SampleSet(np.zeros(2), np.eye(2))
+    pack = qs_preset("centred", S).pack
     assert np.array_equal(pack.S, np.eye(2))
     assert len(pack.Ts) == 2
     assert np.array_equal(pack.Ts[0], -np.eye(2)[:, :1])
     assert np.array_equal(pack.Ts[1], -np.eye(2)[:, 1:])
 
     rng = np.random.default_rng(2)
-    St = StructuredSet(np.zeros(3), rng.standard_normal((3, 2)))
+    St = SampleSet(np.zeros(3), rng.standard_normal((3, 2)))
     assert St.expand().radius == St.radius
-    assert St.expand().m == 2 * St.p
+    assert St.expand().m == 2 * St.m
 
 
 def _set_bordered(Y):
@@ -392,7 +401,7 @@ def _set_bordered(Y):
 
 
 def test_kkt_matrices_plus_minus_frame():
-    Y = StructuredSet(np.zeros(2), np.eye(2)).expand()
+    Y = SampleSet(np.zeros(2), np.eye(2)).expand()
     _, F_unit = _set_bordered(Y)
     expected = 0.25 * np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float
@@ -629,7 +638,7 @@ def test_normalized_rank_and_pinv_norm():
 def test_symmetric_factors_read_the_set_values():
     rng = np.random.default_rng(35)
     x0, Dh = rng.standard_normal(3), rng.standard_normal((3, 2))
-    for Y in (SampleSet(x0, np.hstack([Dh, -Dh])), StructuredSet(x0, Dh).expand(),
+    for Y in (SampleSet(x0, np.hstack([Dh, -Dh])), SampleSet(x0, Dh).expand(),
               SampleSet(x0, np.hstack([-Dh, Dh]))):
         sym = Y.symmetric_factors
         assert np.array_equal(sym.Dh, Y.normalized()[:, :2])
@@ -648,9 +657,9 @@ def test_symmetric_factors_read_the_set_values():
 def test_scaled_symmetric_sets_share_the_origin_factors(monkeypatch):
     rng = np.random.default_rng(36)
     x0, Dh = rng.standard_normal(4), rng.standard_normal((4, 4))
-    unit = StructuredSet(x0, Dh)
+    unit = SampleSet(x0, Dh)
     origin = unit.expand()
-    assert unit.expand() is origin  # the antipodes are checked once
+    assert unit.expand() is origin  # the symmetric set is checked once
     first = origin.symmetric_factors
     calls = []
     for name in ("svd", "eigh"):
@@ -682,10 +691,11 @@ def test_symmetric_mfn_poised_is_the_rank_of_F_scaled(n, shape, structured, depe
     if dependent and p >= 3:
         frame[:, -1] = frame[:, 0] + frame[:, 1]  # a column in the span of two others
     frame /= np.linalg.norm(frame, axis=0)
-    assume(_verdict(_validate_directions_columns, frame) is None)
-    unit = StructuredSet(rng.standard_normal(n), frame)
+    # the symmetric set must be valid: at n = 1 a half frame [1, -1] is not
+    assume(_verdict(_validate_directions_columns, np.hstack([frame, -frame])) is None)
+    unit = SampleSet(rng.standard_normal(n), frame)
     delta = 10.0 ** -exponent
-    for Y in (unit.scale(delta).expand(), StructuredSet(unit.x0, delta * frame).expand()):
+    for Y in (unit.scale(delta).expand(), SampleSet(unit.x0, delta * frame).expand()):
         want = linalg.numerical_rank(kkt_blocks(Y).F_scaled)
         assert _symmetric_bordered_rank(Y.symmetric_factors, Y.radius, n) == want
         assert Y.mfn_poised is (want == Y.m + n)

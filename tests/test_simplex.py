@@ -6,7 +6,7 @@ import pytest
 from dfoq import linalg, testbed
 from dfoq.errors import EvaluationError, InvalidInputError
 from dfoq.models import build_qs, qs_preset
-from dfoq.sample_sets import StructuredSet
+from dfoq.sample_sets import SampleSet
 from dfoq.simplex import (
     DirectionPack,
     Oracle,
@@ -177,7 +177,7 @@ def centred_packs():
             frame = frame / np.linalg.norm(frame, axis=0)
             tf = testbed.get(name, x0=[0.4] * n)
             for k in range(9):
-                spec = qs_preset("centred", StructuredSet(tf.x0, 10.0 ** -k * frame))
+                spec = qs_preset("centred", SampleSet(tf.x0, 10.0 ** -k * frame))
                 yield tf, spec
 
 
@@ -277,7 +277,7 @@ def test_centred_gsg():
 def test_adapted_centred_gsg():
     # the adapted-<ell> preset's gradient
     def adapted_g(f, x0, S, ell):
-        return build_qs(f, x0, qs_preset(f"adapted-{ell}", StructuredSet(x0, S))).g
+        return build_qs(f, x0, qs_preset(f"adapted-{ell}", SampleSet(x0, S))).g
 
     assert np.allclose(adapted_g(sphere, np.zeros(2), np.eye(2), 0), np.zeros(2), atol=TOL)
     a = np.array([1.0, 2.0, 3.0])

@@ -5,7 +5,7 @@ import pytest
 
 from dfoq import bounds, linalg, models, testbed
 from dfoq.errors import InvalidInputError
-from dfoq.sample_sets import SampleSet, StructuredSet, poisedness
+from dfoq.sample_sets import SampleSet, poisedness
 from dfoq.simplex import Oracle, delta_f
 from dfoq.sweep import (
     CSV_HEADER,
@@ -239,7 +239,7 @@ def test_sweep_poised_column_matches_poisedness(model):
     frame = resolve_frame("structured:3", tf.dim)
     verdicts = []
     for delta, row in zip(config.deltas, rows):
-        Y = StructuredSet(tf.x0, delta * frame).expand()
+        Y = SampleSet(tf.x0, delta * frame).expand()
         want = poisedness(Y, delta_f(Oracle(tf.f), Y.x0, Y.D)).mfn_poised
         assert row.poised is want
         verdicts.append(want)
@@ -263,7 +263,7 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
     # would equal this one
     tf = testbed.get("trigonometric")
     frame = resolve_frame("structured:3", tf.dim)
-    F_unit = kkt_blocks(StructuredSet(tf.x0, frame).expand()).F_unit
+    F_unit = kkt_blocks(SampleSet(tf.x0, frame).expand()).F_unit
     assert sum(np.array_equal(A, F_unit) for A in factored) == 1
 
 
@@ -320,7 +320,7 @@ def test_qs_sweep_takes_kappa_mH_qs_once_on_the_unit_recipe(monkeypatch, set_spe
     # each row's bound against the one its own recipe's constant gives: the
     # same float on the coordinate frame, which normalizes exactly
     tf = testbed.get("trigonometric")
-    unit = StructuredSet(tf.x0, resolve_frame(set_spec, tf.dim))
+    unit = SampleSet(tf.x0, resolve_frame(set_spec, tf.dim))
     for delta, row in zip(config.deltas, rows):
         built = models.build("qs:centred", tf.f, unit.scale(delta))
         r = built.Y.radius
@@ -344,7 +344,7 @@ def test_random_frame_rows_match_sets_factored_per_row(model):
     tf = testbed.get("trigonometric")
     frame = resolve_frame("random:3:5", tf.dim)
     for delta, row in zip(config.deltas, rows):
-        Y = StructuredSet(tf.x0, delta * frame).expand()
+        Y = SampleSet(tf.x0, delta * frame).expand()
         assert row.poised is Y.mfn_poised is True
         r = Y.radius
         lip = tf.lipschitz_on(tf.x0, r)
