@@ -28,6 +28,10 @@ class _UsageError(Exception):
     pass
 
 
+# output formats of a sweep; a model is printed as JSON only
+_FORMATS = ("csv", "json")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the CLI contract wants 1
     def error(self, message):
@@ -47,7 +51,7 @@ def _build_parser():
                        help="sample directions: file:<path> | structured:p | random:p:seed")
         p.add_argument("--model", help="mn | mfn | qs:<preset>")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+        p.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
         p.add_argument("--config", help="JSON file with the same keys; flags override")
         p.add_argument("--seed", type=int, default=None)
         if deltas:
@@ -119,6 +123,8 @@ def _merged(args, keys):
             value = cfg.get(key)
             if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
                 raise _UsageError(f"bad {key} value {value!r}, want {want}")
+        if cfg.get("format") not in (None,) + _FORMATS:
+            raise _UsageError(f"bad format value {cfg['format']!r}, want csv or json")
         merged.update(cfg)
     for key in keys:
         attr = {"set": "set_spec", "format": "fmt"}.get(key, key)
@@ -176,6 +182,8 @@ def _require(merged, *keys):
 def cmd_model(args):
     merged = _merged(args, ("function", "x0", "set", "model", "out", "format", "seed"))
     _require(merged, "function", "set", "model")
+    if merged.get("format") not in (None, "json"):
+        raise _UsageError(f"a model is printed as JSON only, not {merged['format']}")
     x0 = _x0_option(merged)
     tol = _tol_from_env()
     set_spec = merged["set"]

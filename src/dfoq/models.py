@@ -25,6 +25,7 @@ __all__ = [
     "InterpolationReport",
     "GradTerm",
     "QSSpec",
+    "QSStencil",
     "BuiltModel",
     "parse_family",
     "build",
@@ -33,6 +34,7 @@ __all__ = [
     "build_qs",
     "interpolation_check",
     "qs_preset",
+    "qs_stencil",
     "QS_PRESETS",
 ]
 
@@ -210,18 +212,24 @@ def interpolation_check(model: QuadraticModel, f, Y: SampleSet, tol=None):
 
 @dataclass(frozen=True)
 class GradTerm:
-    """One gradient contribution: ``coeff * gsg(f, base, scale * S)`` on the
-    recipe's frame ``S``."""
+    """One gradient contribution: ``coeff * gsg(f, x0 + shift, scale * S)``
+    on the recipe's frame ``S``; without a ``shift`` the base is ``x0``."""
 
     coeff: float
-    base: np.ndarray
+    shift: np.ndarray | None = None
     scale: float = 1.0
 
     def __post_init__(self):
+        if self.shift is not None:
+            object.__setattr__(self, "shift", linalg.as_vector(self.shift, "shift"))
         scale = float(self.scale)
         if scale == 0.0 or not np.isfinite(scale):
             raise InvalidInputError("a gradient term's scale must be nonzero and finite")
         object.__setattr__(self, "scale", scale)
+
+    def base(self, x0):
+        """The point the term's differences start from."""
+        return x0 if self.shift is None else x0 + self.shift
 
 
 @dataclass(frozen=True)
@@ -238,45 +246,132 @@ class QSSpec:
         if not self.grad_terms:
             raise InvalidInputError("a QS spec needs at least one gradient term")
 
-    def points(self, x0):
-        """Every evaluation point the recipe touches (rows), unsorted and with
-        repeats; :meth:`SampleSet.from_points` merges them."""
-        x0 = linalg.as_vector(x0, "x0")
-        chunks = [x0[None, :]]
-        for term in self.grad_terms:
-            base = linalg.as_vector(term.base, "base")
-            chunks += [base[None, :], base[None, :] + (term.scale * self.pack.S).T]
-        chunks.append(self.pack.points(x0))
-        return np.vstack(chunks)
-
 
 def build_qs(f, x0, spec: QSSpec):
     """Assemble the quadratic whose g and H follow the recipe in ``spec``.
 
     Every gradient term solves with the pack's one factor of ``S^T``: the
     minimum-norm solution on ``scale * S`` is the one on ``S`` divided by
-    ``scale``.
+    ``scale``.  This evaluates f where the recipe names its points; it is
+    the reference for :class:`QSStencil`, which :func:`build` uses.
     """
     f = as_oracle(f)
     x0 = linalg.as_vector(x0, "x0")
     S, fac = spec.pack.S, spec.pack.factor
     g = np.zeros(x0.size)
     for term in spec.grad_terms:
-        g = g + float(term.coeff) * (fac.solve(delta_f(f, term.base, term.scale * S)) / term.scale)
+        g = g + float(term.coeff) * (fac.solve(delta_f(f, term.base(x0), term.scale * S))
+                                     / term.scale)
     # a sum from zeros, as over several terms, turns -0.0 entries into 0.0
     H = np.zeros((x0.size, x0.size)) + gsh(f, x0, spec.pack)
     return QuadraticModel(x0, f(x0), g, H)
 
 
+class _StencilIndex(NamedTuple):
+    """Where a recipe's differences read the values ``fv`` of a stencil
+    (``fv[0] = f(x0)``, ``fv[k] = f(x0 + d^k)``), and the radius-free
+    pseudoinverses they are solved with."""
+
+    grads: tuple            # per term: (coeff, scale, index of base + scale s^i, of base)
+    at_s: np.ndarray        # per Hessian-table entry (i, j): index of x0 + s^i,
+    at_t: np.ndarray        # of x0 + t^j
+    at_st: np.ndarray       # and of x0 + s^i + t^j, rows T_1, T_2, ... in turn
+    pinv_S: np.ndarray      # pinv(S^T), n x p
+    pinv_T: tuple           # pinv(T): one for a shared frame, else one per T_i
+    splits: np.ndarray      # where each T_i's entries end, but the last
+
+
+@dataclass(frozen=True)
+class QSStencil:
+    """A QS recipe's evaluation points as one merged set ``Y``, with an
+    index from every gradient-term and Hessian-table entry into it.
+
+    Each point is listed as its offset from ``x0``, computed without ``x0``,
+    and the offsets are merged by :meth:`SampleSet.from_offsets`, so the set
+    does not depend on the radius.  The recipe scales with its frame: on the
+    half frame scaled by t every offset is t times its unit one, every
+    difference quotient divides by t and the Hessian by t^2.  :meth:`scale`
+    therefore shares the merge, the index and the pseudoinverses, and ``Y``
+    shares its radius-free factors through :meth:`SampleSet.scale`.
+    ``spec`` is the recipe on the half frame the stencil was built on.
+    """
+
+    spec: QSSpec
+    Y: SampleSet
+    t: float
+    index: _StencilIndex
+
+    @classmethod
+    def of(cls, spec: QSSpec, x0):
+        """The stencil of ``spec`` around ``x0`` at t = 1."""
+        x0 = linalg.as_vector(x0, "x0")
+        pack = spec.pack
+        S, p = pack.S, pack.p
+        chunks = []
+        for term in spec.grad_terms:
+            heads = (term.scale * S).T
+            if term.shift is not None:
+                chunks.append(term.shift[None, :])
+                heads = term.shift[None, :] + heads
+            chunks.append(heads)
+        T = np.hstack(pack.Ts).T
+        shared = pack.shared_T
+        owner = np.repeat(np.arange(p), [Ti.shape[1] for Ti in pack.Ts])
+        chunks += [S.T, T if shared is None else shared.T, S.T[owner] + T]
+        Y, index = SampleSet.from_offsets(x0, np.vstack(chunks))
+
+        grads, k = [], 0
+        for term in spec.grad_terms:
+            base = 0
+            if term.shift is not None:
+                base, k = index[k], k + 1
+            grads.append((float(term.coeff), term.scale, index[k:k + p], base))
+            k += p
+        at_s, k = index[k:k + p][owner], k + p
+        if shared is None:
+            at_t, pinv_T = index[k:k + len(T)], tuple(linalg.pinv(Ti) for Ti in pack.Ts)
+        else:
+            at_t, pinv_T = np.tile(index[k:k + shared.shape[1]], p), (linalg.pinv(shared),)
+        at_st = index[len(index) - len(T):]
+        splits = np.cumsum([Ti.shape[1] for Ti in pack.Ts])[:-1]
+        return cls(spec, Y, 1.0, _StencilIndex(tuple(grads), at_s, at_t, at_st,
+                                               pack.factor.pinv(), pinv_T, splits))
+
+    def scale(self, t):
+        """The stencil of the same recipe on the half frame scaled by t."""
+        return QSStencil(self.spec, self.Y.scale(t), self.t * float(t), self.index)
+
+    def model(self, f):
+        """The recipe's quadratic from f at ``x0`` and at each point of ``Y``:
+        ``Y.m + 1`` evaluations.
+
+        ``g = sum coeff pinv(S^T) (f[head] - f[base]) / (t scale)`` and
+        ``H = pinv(S^T) R / t^2``, where row i of R is the table row
+        ``f[s^i + t^j] - f[s^i] - f[t^j] + f(x0)`` times ``pinv(T_i)``.
+        """
+        f = as_oracle(f)
+        Y, t, ix = self.Y, self.t, self.index
+        fv = np.array([f(Y.x0)] + [f(x) for x in Y.points()])
+        g = np.zeros(Y.n)
+        for coeff, scale, heads, base in ix.grads:
+            g = g + coeff * (ix.pinv_S @ (fv[heads] - fv[base])) / (t * scale)
+        table = fv[ix.at_st] - fv[ix.at_s] - fv[ix.at_t] + fv[0]
+        if len(ix.pinv_T) == 1:
+            rows = table.reshape(ix.pinv_S.shape[1], -1) @ ix.pinv_T[0]
+        else:
+            rows = np.array([row @ P for row, P in zip(np.split(table, ix.splits), ix.pinv_T)])
+        return QuadraticModel(Y.x0, fv[0], g, ix.pinv_S @ rows / t ** 2)
+
+
 def qs_preset(name, half: SampleSet):
     """Named recipes on a half frame: centred | forward | adapted-<ell>.
     centred takes the Hessian on the pack ``(S, T_i = [-s^i])``."""
-    S, x0 = half.D, half.x0
+    S = half.D
     if name == "centred":
-        return QSSpec((GradTerm(0.5, x0), GradTerm(0.5, x0, -1.0)),
+        return QSSpec((GradTerm(0.5), GradTerm(0.5, None, -1.0)),
                       DirectionPack(S, tuple(-S[:, i:i + 1] for i in range(S.shape[1]))))
     if name == "forward":
-        return QSSpec((GradTerm(1.0, x0),), DirectionPack.shared(S, S))
+        return QSSpec((GradTerm(1.0),), DirectionPack.shared(S, S))
     if name.startswith("adapted-"):
         try:
             ell = int(name.split("-", 1)[1])
@@ -285,10 +380,10 @@ def qs_preset(name, half: SampleSet):
         if not (0 <= ell <= S.shape[1]):
             raise InvalidInputError(f"adapted preset index out of range: {ell}")
         if ell == 0:
-            grads = (GradTerm(2.0, x0), GradTerm(-1.0, x0, 2.0))
+            grads = (GradTerm(2.0), GradTerm(-1.0, None, 2.0))
         else:
-            base = x0 - S[:, ell - 1]
-            grads = (GradTerm(1.0, x0), GradTerm(1.0, base), GradTerm(-1.0, base, 2.0))
+            shift = -S[:, ell - 1]
+            grads = (GradTerm(1.0), GradTerm(1.0, shift), GradTerm(-1.0, shift, 2.0))
         return QSSpec(grads, DirectionPack.shared(S, shifted_frame(S, ell)))
     raise InvalidInputError(f"unknown QS preset {name!r}")
 
@@ -311,9 +406,10 @@ class BuiltModel:
     """One family's model, as :func:`build` returns it.
 
     ``kind`` is ``"mn"``, ``"mfn"`` or ``"qs"``.  ``Y`` is the set the model
-    interpolates: the solve set for mn/mfn, the symmetric set or the recipe's
-    points for qs.  ``diagnostics`` is the solver's :class:`SolveDiagnostics`
-    for mn/mfn and the :class:`InterpolationReport` on ``Y`` for qs.
+    interpolates: the solve set for mn/mfn, the symmetric set or the
+    stencil's merged points for qs.  ``diagnostics`` is the solver's
+    :class:`SolveDiagnostics` for mn/mfn and the :class:`InterpolationReport`
+    on ``Y`` for qs.
     """
 
     model: QuadraticModel
@@ -358,14 +454,30 @@ def _centred_qs(f, Y):
     return QuadraticModel(Y.x0, f(Y.x0), g, H)
 
 
-def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None):
+def qs_stencil(preset, half: SampleSet):
+    """The :class:`QSStencil` of the preset's recipe on the half frame, or
+    None for ``qs:centred`` on a half frame with a symmetric set, which
+    :func:`build` takes in closed form."""
+    if preset == "centred":
+        try:
+            half.expand()
+        except InvalidInputError:
+            pass  # the half frame holds some d and -d: the recipe's stencil
+        else:
+            return None
+    return QSStencil.of(qs_preset(preset, half), half.x0)
+
+
+def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None,
+          stencil: QSStencil | None = None):
     """The ``family`` model (mn | mfn | qs:<preset>) of f on the half frame ``half``.
 
     mn and mfn solve on ``Y``, by default the symmetric set ``half.expand()``.
     qs ignores ``Y``.  qs:centred solves on ``half.expand()`` in closed form;
-    a half frame holding some d and -d has no symmetric set, and there, as
-    for every other preset, qs applies the preset's recipe to the half frame
-    and its set is the recipe's points.  Returns a :class:`BuiltModel`.
+    every other qs model, and qs:centred on a half frame holding some d and
+    -d, is ``stencil.model(f)`` on the set ``stencil.Y``.  ``stencil``
+    defaults to :func:`qs_stencil` of ``half``; a sweep passes its unit
+    stencil scaled to ``half``.  Returns a :class:`BuiltModel`.
     """
     kind, preset = parse_family(family)
     f = as_oracle(f)
@@ -373,15 +485,11 @@ def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None):
         Y = half.expand() if Y is None else Y
         model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
         return BuiltModel(model, Y, diag, kind)
-    if preset == "centred":
-        try:
-            Y = half.expand()
-        except InvalidInputError:
-            pass  # the half frame holds some d and -d: the recipe's merged set
-        else:
-            model = _centred_qs(f, Y)
-            return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind)
-    spec = qs_preset(preset, half)
-    model = build_qs(f, half.x0, spec)
-    Y = SampleSet.from_points(half.x0, spec.points(half.x0))
+    if stencil is None:
+        stencil = qs_stencil(preset, half)
+    if stencil is None:
+        Y = half.expand()
+        model = _centred_qs(f, Y)
+    else:
+        model, Y = stencil.model(f), stencil.Y
     return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind)

@@ -305,25 +305,37 @@ class SampleSet:
 
     @classmethod
     def from_points(cls, x0, points):
-        """Set whose directions are ``point - x0`` with near-duplicates merged.
+        """Set whose directions are ``point - x0`` with near-duplicates merged
+        by the rules of :meth:`from_offsets`."""
+        x0 = linalg.as_vector(x0, "x0")
+        return cls.from_offsets(x0, np.asarray(points, dtype=float) - x0[None, :])[0]
+
+    @classmethod
+    def from_offsets(cls, x0, offsets):
+        """``(set, index)``: the set whose directions are the rows of
+        ``offsets`` with near-duplicates merged, and where each row went.
 
         Offsets indistinguishable at relative 1e-10 collapse to one direction
         and offsets of relative length below 1e-14 (the center) are dropped.
+        ``index[r]`` is 0 when row r is the center, else one more than the
+        column of ``set.D`` that row r merged into.
         """
         x0 = linalg.as_vector(x0, "x0")
-        offsets = np.asarray(points, dtype=float) - x0[None, :]
+        offsets = np.asarray(offsets, dtype=float)
         if offsets.ndim != 2 or offsets.shape[1] != x0.size:
-            raise InvalidInputError("points must be rows of the same dimension as x0")
+            raise InvalidInputError("points and offsets must be rows of the same dimension as x0")
         if not np.isfinite(offsets).all():
             raise InvalidInputError("offsets of the points from x0 are not all finite")
         if not offsets.any():
             raise InvalidInputError("no nonzero offsets among the points")
         # An offset whose bytes repeat an earlier one is always merged into
         # it (or into what it was merged into), so it is dropped up front.
-        first = {}
+        seen, firsts, repeat_of = {}, [], np.empty(len(offsets), dtype=np.intp)
         for i, row in enumerate(offsets):
-            first.setdefault(row.tobytes(), i)
-        offsets = offsets[list(first.values())]
+            repeat_of[i] = seen.setdefault(row.tobytes(), len(firsts))
+            if repeat_of[i] == len(firsts):
+                firsts.append(i)
+        offsets = offsets[firsts]
         with np.errstate(over="ignore"):
             lengths = np.linalg.norm(offsets, axis=1)
         scale = float(np.max(lengths))
@@ -331,23 +343,30 @@ class SampleSet:
             raise InvalidInputError(
                 f"largest offset length {scale:g} squares outside the double range"
             )
-        offsets = offsets[lengths > 1e-14 * scale]
+        long = np.flatnonzero(lengths > 1e-14 * scale)
+        offsets = offsets[long]
         # Greedy merge in row order: an offset is dropped when it lies within
-        # 1e-10 * scale of an earlier kept one.  Pairs are screened by the
-        # Gram form against the scale and decided by the direct gap; in
-        # row-major order keep[i] is final before any pair (i, j) is read.
+        # 1e-10 * scale of an earlier kept one, and merges into the first
+        # such one.  Pairs are screened by the Gram form against the scale
+        # and decided by the direct gap; in row-major order keep[i] is final
+        # before any pair (i, j) is read.
         gaps2, sq = _gram_gaps(offsets.T)
         I, J = _screen(gaps2, sq.max())
         close = np.linalg.norm(offsets[I] - offsets[J], axis=1) <= 1e-10 * scale
         keep = np.ones(len(offsets), dtype=bool)
+        into = np.arange(len(offsets))
         for i, j in zip(I[close], J[close]):
-            if keep[i]:
+            if keep[i] and keep[j]:
                 keep[j] = False
+                into[j] = i
         # every kept pair is more than 1e-10 * scale apart, so none is a
         # duplicate (1e-12 of the longer one) and only the lengths are checked
         D = offsets[keep].T
         _direction_lengths(D)
-        return _unchecked(cls, x0=x0, D=D)
+        column = np.cumsum(keep)  # one more than each kept row's column
+        where = np.zeros(len(lengths), dtype=np.intp)
+        where[long] = column[into]
+        return _unchecked(cls, x0=x0, D=D), where[repeat_of]
 
     @classmethod
     def from_json_dict(cls, doc):

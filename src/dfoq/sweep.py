@@ -182,12 +182,14 @@ def _worst_cross_pair(cross, bound_table):
     return float(cross[i, j]), float(bound_table[i, j])
 
 
-def _build_row(tf, unit, kqs_unit, hess_norm, family, delta, samples, tol):
+def _build_row(tf, unit, stencil, kqs_unit, hess_norm, family, delta, samples, tol):
     """One row at radius ``delta`` from the sweep's unit half frame ``unit``,
     whose scaled copies share its symmetric set's radius-free factors, and
-    from constants taken once per sweep: the radius-free qs curvature
+    from what is taken once per sweep: the unit qs stencil ``stencil``
+    (qs, but closed-form qs:centred), the radius-free qs curvature
     constant ``kqs_unit`` (qs) and ``||hess f(x0)||`` (qs:centred)."""
-    built = models.build(family, tf.f, unit.scale(delta), tol=tol)
+    built = models.build(family, tf.f, unit.scale(delta), tol=tol,
+                         stencil=None if stencil is None else stencil.scale(delta))
     meas_Y, poised = built.Y, built.poised
     radius = meas_Y.radius
     if radius > tf.region_radius:
@@ -287,18 +289,21 @@ def run_sweep(config: SweepConfig):
     kind, preset = models.parse_family(config.model)  # reported before a bad set
     unit = SampleSet(tf.x0, resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed))
     # mn/mfn need the symmetric set, refused here, before any row, for a half
-    # frame holding some d and -d; such a frame is valid for qs.  kappa_mH_qs
-    # is linear in L_grad and reads each frame normalized, so the unit
-    # recipe's value serves every row.
-    kqs_unit = hess_norm = None
+    # frame holding some d and -d; such a frame is valid for qs.  A qs
+    # recipe scales with its frame, so one unit stencil, scaled, serves every
+    # row.  kappa_mH_qs is linear in L_grad and reads each frame normalized,
+    # so the unit recipe's value serves every row too.
+    stencil = kqs_unit = hess_norm = None
     if kind != "qs":
         unit.expand()
     else:
-        kqs_unit = bounds.kappa_mH_qs(1.0, models.qs_preset(preset, unit))
+        stencil = models.qs_stencil(preset, unit)
+        spec = models.qs_preset(preset, unit) if stencil is None else stencil.spec
+        kqs_unit = bounds.kappa_mH_qs(1.0, spec)
     if config.model == "qs:centred":
         hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
-    results = [_build_row(tf, unit, kqs_unit, hess_norm, config.model, d, config.samples,
-                          config.tol)
+    results = [_build_row(tf, unit, stencil, kqs_unit, hess_norm, config.model, d,
+                          config.samples, config.tol)
                for d in config.deltas]
     rows = [r for r, _ in results]
     interp = [v for _, v in results if v is not None]

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import testbed
-from .models import build_qs, qs_preset, solve_mfn, solve_mn
+from .models import build, build_qs, qs_preset, solve_mfn, solve_mn
 from .relationships import (
     BilinearProblem,
     gsh_sample_set,
@@ -131,6 +131,18 @@ def _examples_suite():
         0.0 if (rep.mn_feasible and not rep.mfn_poised and not d3.alpha_unique) else 1.0,
     )
     checks.append(_gap_check("degenerate-axes", gap, 1e-10))
+
+    # the merged stencil that build evaluates against the recipe evaluated
+    # where it names its points
+    rng = np.random.default_rng(20261019)
+    cubic = random_cubic(rng, 3)
+    half = SampleSet(np.array([0.3, -0.2, 0.5]), 0.1 * random_orthogonal(rng, 3))
+    gap = 0.0
+    for preset in ("forward", "adapted-0", "adapted-1"):
+        stencil = build(f"qs:{preset}", cubic, half).model
+        recipe = build_qs(Oracle(cubic), half.x0, qs_preset(preset, half))
+        gap = max(gap, model_gap(stencil, recipe))
+    checks.append(_gap_check("qs-stencil-vs-recipe", gap, 1e-10))
 
     rank1 = lambda x: float(np.asarray(x).sum()) ** 2
     pack = DirectionPack(np.eye(2), (np.eye(2)[:, :1], np.eye(2)[:, :1]))

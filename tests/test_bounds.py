@@ -91,7 +91,7 @@ def test_kappa_mn_combinations():
 def test_kappa_qs_fixtures():
     n = 3
     eye_cols = tuple(np.eye(n)[:, i : i + 1] for i in range(n))
-    spec = QSSpec((GradTerm(1.0, np.zeros(n)),), DirectionPack(np.eye(n), eye_cols))
+    spec = QSSpec((GradTerm(1.0),), DirectionPack(np.eye(n), eye_cols))
     assert bounds.kappa_mH_qs(5.0, spec) == pytest.approx(5.0 * np.sqrt(n), rel=1e-14)
 
     st = SampleSet(np.zeros(2), np.eye(2))
@@ -132,7 +132,7 @@ def test_kappa_qs_on_centred_packs_matches_the_pinv_norm_form():
                 spec = qs_preset("centred", SampleSet(np.full(n, 0.4), 10.0 ** -k * frame))
                 want = _old_kappa_mH_qs(3.0, spec)
                 assert bounds.kappa_mH_qs(3.0, spec) == pytest.approx(want, rel=32 * EPS, abs=0.0)
-    singular = QSSpec((GradTerm(1.0, np.zeros(2)),), DirectionPack.shared(np.eye(2), np.ones((2, 2))))
+    singular = QSSpec((GradTerm(1.0),), DirectionPack.shared(np.eye(2), np.ones((2, 2))))
     assert bounds.kappa_mH_qs(1.0, singular) == pytest.approx(_old_kappa_mH_qs(1.0, singular),
                                                               rel=32 * EPS)
 

@@ -9,10 +9,10 @@ import pytest
 
 from dfoq import testbed
 from dfoq.cli import main
-from dfoq.models import build_qs, qs_preset, solve_mn
+from dfoq.models import build, solve_mn
 from dfoq.sample_sets import SampleSet
 from dfoq.simplex import Oracle
-from dfoq.sweep import SweepConfig, parse_deltas, rows_to_csv, run_sweep
+from dfoq.sweep import SweepConfig, parse_deltas, resolve_frame, rows_to_csv, run_sweep
 
 GOLD_TOL = 1e-10
 
@@ -69,11 +69,27 @@ def test_model_file_set_semantics(capsys, five_point_file):
     half_file = five_point_file.replace("plane", "half")
     half.save(half_file)
     f = Oracle(sphere)
-    qs = build_qs(f, half.x0, qs_preset("adapted-1", half))
+    qs = build("qs:adapted-1", f, half)
     code, doc = run_json(capsys, ["model", "--function", "sphere", "--set",
                                   f"file:{half_file}", "--model", "qs:adapted-1"])
     assert code == 0
-    assert doc["g"] == qs.g.tolist() and doc["H"] == qs.H.tolist()
+    assert doc["g"] == qs.model.g.tolist() and doc["H"] == qs.model.H.tolist()
+    assert doc["oracle_calls"] == f.calls == qs.Y.m + 1
+
+
+def test_model_qs_matches_build_bitwise(capsys):
+    # dfoq model builds the stencil of the half frame it resolves, at t = 1
+    tf = testbed.get("trigonometric")
+    half = SampleSet(tf.x0, resolve_frame("random:3:2", tf.dim))
+    f = Oracle(tf.f)
+    want = build("qs:adapted-1", f, half)
+    code, doc = run_json(capsys, ["model", "--function", "trigonometric", "--set",
+                                  "random:3:2", "--model", "qs:adapted-1"])
+    assert code == 0
+    assert doc["c"] == want.model.c
+    assert np.array(doc["g"]).tobytes() == want.model.g.tobytes()
+    assert np.array(doc["H"]).tobytes() == want.model.H.tobytes()
+    assert doc["diagnostics"]["points"] == want.Y.m
     assert doc["oracle_calls"] == f.calls
 
 
@@ -269,6 +285,33 @@ def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad {key} value {value!r}")
     assert err.count("\n") == 1
+
+
+def test_config_format_outside_csv_and_json_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "sphere", "set": "structured:2", "model": "mn",
+                               "deltas": "1:0.5:3", "format": "xml"}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad format value 'xml', want csv or json\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_model_refuses_the_csv_format(tmp_path, capsys, via_config):
+    args = ["model", "--function", "sphere", "--set", "structured:2", "--model", "mn"]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--format", "csv"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: a model is printed as JSON only, not csv\n"
+    assert captured.out == ""
+    code, doc = run_json(capsys, args[:7] + ["--format", "json"])
+    assert code == 0 and "g" in doc
 
 
 def test_tol_env(capsys, monkeypatch):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dfoq import testbed
+from dfoq.bounds import ROUNDOFF_FLOOR
 from dfoq.errors import InfeasibleError, InvalidInputError
 from dfoq.models import (
     GradTerm,
     QSSpec,
+    QSStencil,
     QuadraticModel,
     build,
     build_qs,
@@ -263,10 +265,22 @@ def qs_recipes(preset):
                 yield x0, qs_preset(name, SampleSet(x0, 10.0 ** -k * frame))
 
 
+def recipe_points(spec, x0):
+    """Every evaluation point :func:`build_qs` touches (rows), unsorted and
+    with repeats: x0, then per gradient term its base and the base plus each
+    column of its frame, then the pack's points."""
+    chunks = [x0[None, :]]
+    for term in spec.grad_terms:
+        base = term.base(x0)
+        chunks += [base[None, :], base[None, :] + (term.scale * spec.pack.S).T]
+    chunks.append(spec.pack.points(x0))
+    return np.vstack(chunks)
+
+
 def _sorted_points(x0, grads, pack):
     # the points of a recipe's gradient terms ``(base, frame)`` and pack as
-    # QSSpec.points listed them before: a loop over the columns, sorted and
-    # with exact repeats removed by np.unique; kept as the reference
+    # recipe_points lists them: a loop over the columns, sorted and with
+    # exact repeats removed by np.unique; kept as the reference
     pts = [x0]
     for base, frame in grads:
         pts += [base] + [base + frame[:, i] for i in range(frame.shape[1])]
@@ -296,8 +310,9 @@ def _assert_same_merged_set(x0, rows, sorted_rows):
 def test_recipe_points_merge_to_the_sorted_set():
     for preset in PRESETS:
         for x0, spec in qs_recipes(preset):
-            grads = [(term.base, term.scale * spec.pack.S) for term in spec.grad_terms]
-            _assert_same_merged_set(x0, spec.points(x0), _sorted_points(x0, grads, spec.pack))
+            grads = [(term.base(x0), term.scale * spec.pack.S) for term in spec.grad_terms]
+            _assert_same_merged_set(x0, recipe_points(spec, x0),
+                                    _sorted_points(x0, grads, spec.pack))
     # packs with a frame per direction, several columns each, and signed zeros
     rng = np.random.default_rng(77)
     for _ in range(200):
@@ -317,28 +332,74 @@ def test_recipe_points_merge_to_the_sorted_set():
                 _assert_same_merged_set(x0, rows, _sorted_points(x0, [], pack))
 
 
-def _column_loop_spec_points(spec, x0):
-    # QSSpec.points as a loop over each gradient frame's columns, then the
-    # pack's points, unsorted and with repeats; kept as the reference
-    pts = [x0]
+def _column_loop_offsets(spec):
+    # the offsets QSStencil lists, as a loop over the columns, unsorted and
+    # with repeats; kept as the reference: per gradient term its shift (if
+    # any) and shift + scale s^i, then s^i, t^j (once for a shared frame)
+    # and s^i + t^j
+    pack, rows = spec.pack, []
     for term in spec.grad_terms:
-        base = np.asarray(term.base, dtype=float)
-        frame = float(term.scale) * spec.pack.S
-        pts.append(base)
-        for i in range(frame.shape[1]):
-            pts.append(base + frame[:, i])
-    return np.vstack([np.asarray(pts), spec.pack.points(x0)])
+        frame = term.scale * pack.S
+        if term.shift is not None:
+            rows.append(term.shift)
+        for i in range(pack.p):
+            rows.append(frame[:, i] if term.shift is None else term.shift + frame[:, i])
+    rows += [pack.S[:, i] for i in range(pack.p)]
+    Ts = pack.Ts if pack.shared_T is None else pack.Ts[:1]
+    rows += [T[:, j] for T in Ts for j in range(T.shape[1])]
+    rows += [pack.S[:, i] + pack.Ts[i][:, j] for i in range(pack.p)
+             for j in range(pack.Ts[i].shape[1])]
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("preset", ["centred", "forward", "adapted-0", "adapted-2"])
 def test_spec_points_match_the_column_loop_bitwise(preset):
+    # the stencil lists the recipe's points as offsets from x0, vectorized;
+    # its merged set is that of the column loop's offsets, bit for bit
     rng = np.random.default_rng(8)
     for n in (2, 3, 16):
         x0 = rng.standard_normal(n)
         x0[:1] = -0.0
         for D in (np.eye(n), 0.1 * rng.standard_normal((n, n))):
             spec = qs_preset(preset, SampleSet(x0, D))
-            assert spec.points(x0).tobytes() == _column_loop_spec_points(spec, x0).tobytes()
+            Y, index = SampleSet.from_offsets(x0, _column_loop_offsets(spec))
+            stencil = QSStencil.of(spec, x0)
+            assert stencil.Y.D.tobytes() == Y.D.tobytes()
+            assert stencil.Y.x0.tobytes() == x0.tobytes()
+            # the gradient terms' rows lead and the table's sums close the list
+            ix, grads = stencil.index, []
+            for (_, _, heads, base), term in zip(stencil.index.grads, spec.grad_terms):
+                grads += ([base] if term.shift is not None else []) + list(heads)
+            assert np.array_equal(index[:len(grads)], grads)
+            assert np.array_equal(index[len(index) - len(ix.at_st):], ix.at_st)
+
+
+def _offset_at(Y, index):
+    """Offsets of the stencil's entries: column ``index - 1`` of ``Y.D``, or
+    zero where ``index`` is 0 (the center)."""
+    D0 = np.hstack([np.zeros((Y.n, 1)), Y.D])
+    return D0[:, index].T
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_stencil_index_reads_each_recipe_offset(preset):
+    # every gradient-term and Hessian-table entry reads a merged offset
+    # within the merge tolerance of the one the recipe names
+    for x0, spec in qs_recipes(preset):
+        stencil = QSStencil.of(spec, x0)
+        ix, pack = stencil.index, spec.pack
+        tol = 1e-10 * stencil.Y.radius
+        S_at = pack.S.T[np.repeat(np.arange(pack.p), [T.shape[1] for T in pack.Ts])]
+        T_at = np.hstack(pack.Ts).T
+        want = [(ix.at_s, S_at), (ix.at_t, T_at), (ix.at_st, S_at + T_at)]
+        for (coeff, scale, heads, base), term in zip(ix.grads, spec.grad_terms):
+            assert (coeff, scale) == (term.coeff, term.scale)
+            shift = np.zeros(x0.size) if term.shift is None else term.shift
+            want += [(np.array([base]), shift[None, :]),
+                     (heads, shift[None, :] + (term.scale * pack.S).T)]
+        for index, offsets in want:
+            gap = np.linalg.norm(_offset_at(stencil.Y, index) - offsets, axis=1)
+            assert np.all(gap <= tol)
 
 
 def _per_term_qs(f, x0, spec):
@@ -346,7 +407,7 @@ def _per_term_qs(f, x0, spec):
     # reference for the one-factor form
     g = np.zeros(x0.size)
     for term in spec.grad_terms:
-        g = g + term.coeff * gsg(f, term.base, term.scale * spec.pack.S)
+        g = g + term.coeff * gsg(f, term.base(x0), term.scale * spec.pack.S)
     H = np.zeros((x0.size, x0.size)) + gsh(f, x0, spec.pack)
     return QuadraticModel(x0, f(x0), g, H)
 
@@ -398,7 +459,7 @@ def test_qs_centred_matches_mn_fixture():
 
 
 def test_qs_forward_gradient_alone_differs():
-    spec = QSSpec((GradTerm(1.0, np.zeros(3)),),
+    spec = QSSpec((GradTerm(1.0),),
                   qs_preset("centred", SampleSet(np.zeros(3), np.eye(3)[:, :1])).pack)
     model = build_qs(sphere, np.zeros(3), spec)
     assert np.allclose(model.g, np.eye(3)[:, 0], atol=1e-12)
@@ -426,7 +487,7 @@ def test_qs_preset_validation():
         QSSpec((), qs_preset("centred", st).pack)
     for scale in (0.0, np.inf, np.nan):
         with pytest.raises(InvalidInputError):
-            GradTerm(1.0, st.x0, scale)
+            GradTerm(1.0, None, scale)
 
 
 def _points_within(spec, x0, Y, rtol=1e-10):
@@ -434,7 +495,7 @@ def _points_within(spec, x0, Y, rtol=1e-10):
     allowed = np.vstack([Y.x0[None, :], Y.points()])
     scale = max(1.0, float(np.max(np.abs(allowed))))
     return all(np.min(np.linalg.norm(allowed - u[None, :], axis=1)) <= rtol * scale
-               for u in spec.points(x0))
+               for u in recipe_points(spec, x0))
 
 
 def test_qs_point_audit():
@@ -463,8 +524,8 @@ def trig(x):
 
 def _direct(family, st, Y=None):
     """The family's model by the direct solver calls, as the CLI and the
-    sweep each made them before sharing :func:`build`; for qs:centred, the
-    recipe that the closed form replaces."""
+    sweep each made them before sharing :func:`build`; for qs, the recipe
+    evaluated where it names its points, with its merged points as the set."""
     f = Oracle(trig)
     if family in ("mn", "mfn"):
         Y = st.expand() if Y is None else Y
@@ -472,8 +533,17 @@ def _direct(family, st, Y=None):
         return model, Y, Y.mfn_poised, f.calls
     spec = qs_preset(family.split(":", 1)[1], st)
     model = build_qs(f, st.x0, spec)
-    Y = SampleSet.from_points(st.x0, spec.points(st.x0))
+    Y = SampleSet.from_points(st.x0, recipe_points(spec, st.x0))
     return model, Y, interpolation_check(model, f, Y).passed, f.calls
+
+
+def _assert_close_to_the_recipe(got, want, fx0, radius):
+    """g and H within ``1e-9 ||.||`` plus the sweep's roundoff floor
+    ``ROUNDOFF_FLOOR (1 + |f(x0)|) / radius^k``: the stencil reads f at the
+    merged points, which differ from the recipe's in their last bits."""
+    floor = ROUNDOFF_FLOOR * (1.0 + abs(fx0))
+    for a, b, k in ((got.g, want.g, 1), (got.H, want.H, 2)):
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b) + floor / radius ** k
 
 
 def _assert_same_build(family, st, Y=None):
@@ -481,18 +551,22 @@ def _assert_same_build(family, st, Y=None):
     f = Oracle(trig)
     built = build(family, f, st, Y=Y)
     assert built.model.c == model.c
-    if family == "qs:centred":
-        # the closed form on the symmetric set, which reads f(x0) and
-        # f(x0 +- d^i) only, against the recipe to rounding
-        for got, want in ((built.model.g, model.g), (built.model.H, model.H)):
-            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
-        want_Y = st.expand()
-        calls = 2 * st.m + 1
-    else:
+    if family in ("mn", "mfn"):
         assert np.array_equal(built.model.g, model.g)
         assert np.array_equal(built.model.H, model.H)
+        assert np.array_equal(built.Y.D, want_Y.D)
+    else:
+        _assert_close_to_the_recipe(built.model, model, model.c, st.radius)
+        if family == "qs:centred":
+            # the closed form on the symmetric set
+            want_Y = st.expand()
+            assert np.array_equal(built.Y.D, want_Y.D)
+        # the stencil's set merges the offsets taken without x0: the recipe's
+        # merged points, to the merge tolerance
+        assert built.Y.D.shape == want_Y.D.shape
+        assert np.max(np.abs(built.Y.D - want_Y.D)) <= 1e-10 * want_Y.radius
+        calls = built.Y.m + 1
     assert np.array_equal(built.Y.x0, want_Y.x0)
-    assert np.array_equal(built.Y.D, want_Y.D)
     assert built.poised is verdict
     assert f.calls == calls
     assert built.kind == family.split(":")[0]
@@ -600,7 +674,7 @@ def test_centred_qs_on_a_half_frame_holding_d_and_minus_d(tmp_path):
     built = build("qs:centred", trig, st)
     assert built.Y.m == 6 and built.poised is True
     model = build_qs(trig, st.x0, qs_preset("centred", st))
-    assert np.array_equal(built.model.g, model.g) and np.array_equal(built.model.H, model.H)
+    _assert_close_to_the_recipe(built.model, model, model.c, st.radius)
     path = tmp_path / "antipodes.json"
     st.save(path)
     rows, summary = run_sweep(SweepConfig("trigonometric", f"file:{path}", "qs:centred",
@@ -632,3 +706,25 @@ def test_mn_and_mfn_coincide_on_plus_minus_sets(n):
                 assert np.linalg.norm(mn.g - mfn.g) <= 1e-10 * np.linalg.norm(mfn.g)
                 assert np.linalg.norm(mn.H - mfn.H) <= 1e-8 * np.linalg.norm(mfn.H)
                 assert np.linalg.norm(qs.g - mfn.g) <= 1e-12 * np.linalg.norm(mfn.g)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_stencil_set_and_verdict_do_not_depend_on_the_radius(n):
+    # the stencil merges the recipe's offsets taken without x0, so its set
+    # has the same size at every radius; merging the points x0 + offset
+    # instead gave random:16:3 qs:adapted-1 152 points at delta >= 1e-6 and
+    # 303 at 1e-8, as copies of one point drifted apart by rounding.
+    # qs:forward's verdict is its interpolation check, and its one-sided
+    # gradient misses its own points by O(delta^2), so only its set is
+    # compared across radii
+    deltas = 10.0 ** -np.arange(9)
+    for name in ("trigonometric", "quartic"):
+        tf = testbed.get(name, dim=n, x0=[0.4] * n)
+        for spec in (f"structured:{n}", f"random:{n}:3"):
+            frame = resolve_frame(spec, n)
+            for family in ("qs:forward", "qs:adapted-0", "qs:adapted-1"):
+                built = [build(family, tf.f, SampleSet(tf.x0, d * frame)) for d in deltas]
+                sizes = [b.Y.m for b in built]
+                assert len(set(sizes)) == 1, (name, spec, family, sizes)
+                if family != "qs:forward":
+                    assert all(b.poised for b in built), (name, spec, family)

@@ -267,28 +267,61 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
     assert sum(np.array_equal(A, F_unit) for A in factored) == 1
 
 
-@pytest.mark.parametrize("model", ["mfn", "qs:centred"])
+@pytest.mark.parametrize("model", ["mfn", "qs:centred", "qs:forward", "qs:adapted-1"])
 def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
     # the first row factors the unit symmetric set (its half frame, the
     # Hadamard square of its Gram matrix, its normalized directions and, for
     # mfn, F_unit); every later row reads those factors, takes mfn_poised from
     # their spectra and builds qs:centred in closed form.  kappa_mH_qs
-    # factors the unit recipe once, before the first row
-    count, at_row = [], []
+    # factors the unit recipe once, before the first row.  qs:forward and
+    # qs:adapted-1 (at n = 16: their stencils have O(n^2) points) build their
+    # unit stencil, and merge its points, once before the first row; the
+    # first row factors the stencil's normalized directions.  Their grid
+    # starts at 1e-5, where qs:forward's model meets its interpolation check
+    n, grid = (64, "1:0.1:4") if model in ("mfn", "qs:centred") else (16, "1e-5:0.1:4")
+    count, at_row, merges = [], [], []
     for name in ("svd", "eigh"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _f=real, **k: count.append(1) or _f(*a, **k))
     build = models.build
     monkeypatch.setattr(models, "build", lambda *a, **k: at_row.append(len(count)) or build(*a, **k))
-    config = SweepConfig("trigonometric", "structured:64", model,
-                         parse_deltas("1:0.1:4"), x0=(0.4,) * 64)
+    from_offsets = SampleSet.from_offsets
+    monkeypatch.setattr(SampleSet, "from_offsets",
+                        lambda x0, offsets: merges.append(1) or from_offsets(x0, offsets))
+    config = SweepConfig("trigonometric", f"structured:{n}", model,
+                         parse_deltas(grid), x0=(0.4,) * n)
     rows, _ = run_sweep(config)
     monkeypatch.undo()
     assert all(row.poised and row.bound_f is not None for row in rows)
     assert len(at_row) == len(rows)
     assert at_row[1] > at_row[0]
     assert at_row[1] == len(count)
+    assert len(merges) == (model in ("qs:forward", "qs:adapted-1"))
+
+
+@pytest.mark.parametrize("model", ["qs:forward", "qs:adapted-1"])
+def test_qs_row_evaluates_f_once_per_point_of_its_set(monkeypatch, model):
+    # a row reads f at x0 and at each point of its merged set, once each:
+    # on random:16:3 qs:adapted-1 that is 153 calls, where the recipe's
+    # points, rounded apart around x0, took 314 at delta = 0.1
+    calls = []
+    build = models.build
+
+    def counted(family, f, *a, **k):
+        oracle = Oracle(f)
+        built = build(family, oracle, *a, **k)
+        calls.append((oracle.calls, built.Y.m))
+        return built
+
+    monkeypatch.setattr(models, "build", counted)
+    config = SweepConfig("trigonometric", "random:16:3", model, parse_deltas("0.1:0.01:5"),
+                         x0=(0.4,) * 16)
+    rows, _ = run_sweep(config)
+    monkeypatch.undo()
+    assert len(calls) == len(rows)
+    assert all(n_calls == m + 1 for n_calls, m in calls)
+    assert len({m for _, m in calls}) == 1
 
 
 def test_centred_qs_sweep_takes_the_hessian_norm_once(monkeypatch):
