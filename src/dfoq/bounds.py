@@ -332,15 +332,24 @@ class ErrorMeasurement:
         return float(np.max(off))
 
 
-def measure_errors(tf, model, Y: SampleSet, n_samples=DEFAULT_SAMPLES):
+def measure_errors(tf, model, Y: SampleSet, n_samples=DEFAULT_SAMPLES, f=None):
     """Sup-style error estimates over ``B(x0, Y.radius)`` plus the set's points.
 
     ``tf`` provides broadcastable ``f``/``grad`` and a pointwise ``hess``.
+    Given the :class:`~dfoq.simplex.Oracle` ``f`` the model was built with,
+    f at ``x0`` and at the set's points is read from it, and only the ball's
+    other points go to ``tf.f``, in one call.
     Directional errors compare the model's stored curvature matrix against the
     true Hessian at the center, along and across the set's directions.
     """
-    pts = np.vstack([ball_points(Y.x0, Y.radius, n_samples), Y.points()])
-    err_f = float(np.max(np.abs(tf.f(pts) - model.value_many(pts))))
+    ball, at = ball_points(Y.x0, Y.radius, n_samples), Y.points()
+    pts = np.vstack([ball, at])
+    if f is None:
+        fvals = tf.f(pts)
+    else:
+        at_set = f.many(np.vstack([Y.x0[None, :], at]))
+        fvals = np.concatenate([at_set[:1], tf.f(ball[1:]), at_set[1:]])
+    err_f = float(np.max(np.abs(fvals - model.value_many(pts))))
     err_g = float(np.max(np.linalg.norm(tf.grad(pts) - model.gradient_many(pts), axis=1)))
 
     H_gap = model.H - tf.hess(Y.x0)

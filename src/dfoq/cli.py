@@ -201,7 +201,7 @@ def cmd_model(args):
         frame = resolve_frame(set_spec, tf.dim, fallback_seed=merged.get("seed"))
         half, Y = SampleSet(tf.x0, frame), None
 
-    f = Oracle(tf.f)
+    f = Oracle(tf.f, vectorized=True)
     built = build(merged["model"], f, half, Y=Y, tol=tol)
     doc = built.model.to_json_dict()
     doc["diagnostics"] = built.diagnostics_json()

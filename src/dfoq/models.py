@@ -203,7 +203,7 @@ def interpolation_check(model: QuadraticModel, f, Y: SampleSet, tol=None):
     if np.linalg.norm(model.x0 - Y.x0) > 0:
         raise InvalidInputError("model and sample set have different centers")
     pts = np.vstack([Y.x0[None, :], Y.points()])
-    fvals = np.array([f(p) for p in pts])
+    fvals = f.many(pts)
     worst = float(np.max(np.abs(model.value_many(pts) - fvals)))
     scale = 1.0 + float(np.max(np.abs(fvals)))
     base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
@@ -342,8 +342,8 @@ class QSStencil:
         return QSStencil(self.spec, self.Y.scale(t), self.t * float(t), self.index)
 
     def model(self, f):
-        """The recipe's quadratic from f at ``x0`` and at each point of ``Y``:
-        ``Y.m + 1`` evaluations.
+        """The recipe's quadratic from f at ``x0`` and at each point of ``Y``,
+        read in one :meth:`Oracle.many`: ``Y.m + 1`` evaluations.
 
         ``g = sum coeff pinv(S^T) (f[head] - f[base]) / (t scale)`` and
         ``H = pinv(S^T) R / t^2``, where row i of R is the table row
@@ -351,7 +351,7 @@ class QSStencil:
         """
         f = as_oracle(f)
         Y, t, ix = self.Y, self.t, self.index
-        fv = np.array([f(Y.x0)] + [f(x) for x in Y.points()])
+        fv = f.many(np.vstack([Y.x0[None, :], Y.points()]))
         g = np.zeros(Y.n)
         for coeff, scale, heads, base in ix.grads:
             g = g + coeff * (ix.pinv_S @ (fv[heads] - fv[base])) / (t * scale)

@@ -160,7 +160,7 @@ class SampleSet:
     def m(self):
         return self.D.shape[1]
 
-    @property
+    @functools.cached_property
     def radius(self):
         """Largest direction length (the set radius Delta)."""
         return float(np.max(np.linalg.norm(self.D, axis=0)))

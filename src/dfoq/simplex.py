@@ -33,12 +33,16 @@ class Oracle:
 
     The cache key is the exact byte image of the point, so only bit-identical
     points share an evaluation.  ``calls`` counts underlying evaluations.
+    ``vectorized=True`` states that ``fn`` broadcasts over leading axes, as
+    the testbed functions do: :meth:`many` then evaluates a batch of points
+    in one call.
     """
 
-    def __init__(self, fn):
+    def __init__(self, fn, vectorized=False):
         if isinstance(fn, Oracle):
             fn = fn._fn
         self._fn = fn
+        self.vectorized = bool(vectorized)
         self._cache = {}
         self.calls = 0
 
@@ -58,6 +62,37 @@ class Oracle:
         if not np.isfinite(value):
             raise EvaluationError(x, value)
         return value
+
+    def many(self, X):
+        """Values at the rows of ``X``, each distinct uncached row evaluated
+        once and cached as :meth:`__call__` would.
+
+        A vectorized oracle evaluates those rows in one call, on a C-ordered
+        copy: NumPy reduces a row pairwise only along a contiguous last axis,
+        so only then does a row's value equal its pointwise value bit for
+        bit.  Any other oracle evaluates them one by one.  A non-finite value
+        raises :class:`EvaluationError` for the first bad row.
+        """
+        X = np.ascontiguousarray(X, dtype=float)
+        if not self.vectorized:
+            return np.array([self(x) for x in X])
+        keys = [x.tobytes() for x in X]
+        cache = self._cache
+        new = {}
+        for i, key in enumerate(keys):
+            if key not in cache and key not in new:
+                new[key] = i
+        if new:
+            rows = list(new.values())
+            values = np.asarray(self._fn(X if len(rows) == len(X) else X[rows]), dtype=float)
+            self.calls += len(rows)
+            finite = np.isfinite(values)
+            # like the pointwise loop, cache the rows before the first bad one
+            k = len(rows) if finite.all() else int(np.argmin(finite))
+            cache.update(zip(new, values[:k].tolist()))
+            if k < len(rows):
+                raise EvaluationError(X[rows[k]], float(values[k]))
+        return np.array([cache[key] for key in keys])
 
     @property
     def cache_size(self):
@@ -137,12 +172,13 @@ class DirectionPack:
 
 
 def delta_f(f, x0, S):
-    """Forward differences ``f(x0 + s^i) - f(x0)`` over the columns of S."""
+    """Forward differences ``f(x0 + s^i) - f(x0)`` over the columns of S,
+    from one :meth:`Oracle.many` read of ``x0`` and the points."""
     f = as_oracle(f)
     x0 = linalg.as_vector(x0, "x0")
     S = linalg.as_matrix(S, "S")
-    base = f(x0)
-    return np.array([f(x0 + S[:, i]) - base for i in range(S.shape[1])])
+    values = f.many(np.vstack([x0[None, :], x0[None, :] + S.T]))
+    return values[1:] - values[0]
 
 
 def gsg(f, x0, S):

@@ -24,6 +24,7 @@ import numpy as np
 from . import bounds, linalg, models, testbed
 from .errors import InvalidInputError, NotPoisedError
 from .sample_sets import SampleSet
+from .simplex import Oracle
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,14 @@ def _build_row(tf, unit, stencil, kqs_unit, hess_norm, family, delta, samples, t
     whose scaled copies share its symmetric set's radius-free factors, and
     from what is taken once per sweep: the unit qs stencil ``stencil``
     (qs, but closed-form qs:centred), the radius-free qs curvature
-    constant ``kqs_unit`` (qs) and ``||hess f(x0)||`` (qs:centred)."""
-    built = models.build(family, tf.f, unit.scale(delta), tol=tol,
+    constant ``kqs_unit`` (qs) and ``||hess f(x0)||`` (qs:centred).
+
+    The row's one oracle serves the model and the measurement, so f is
+    evaluated once at ``x0`` and at each point of the set, in one call per
+    set.  Returns the row, the qs interpolation violation (None for mn and
+    mfn) and that oracle."""
+    f = Oracle(tf.f, vectorized=True)
+    built = models.build(family, f, unit.scale(delta), tol=tol,
                          stencil=None if stencil is None else stencil.scale(delta))
     meas_Y, poised = built.Y, built.poised
     radius = meas_Y.radius
@@ -235,7 +242,7 @@ def _build_row(tf, unit, stencil, kqs_unit, hess_norm, family, delta, samples, t
                 bounds.directional_bound_gsh_cross(hess_norm, lip.L_hess, delta),
             )
 
-    meas = bounds.measure_errors(tf, built.model, meas_Y, n_samples=samples)
+    meas = bounds.measure_errors(tf, built.model, meas_Y, n_samples=samples, f=f)
     if cross_bound_table is not None:
         err_cross, bound_cross = _worst_cross_pair(meas.cross, cross_bound_table)
     else:
@@ -254,21 +261,22 @@ def _build_row(tf, unit, stencil, kqs_unit, hess_norm, family, delta, samples, t
         poised=poised,
     )
     interp_violation = built.diagnostics.max_violation if built.kind == "qs" else None
-    return row, interp_violation
+    return row, interp_violation, f
 
 
-def _noise_floors(tf, radius):
+def _noise_floors(f0, radius):
     # bounds.fit_slope drops the same per-row floors (order 0, 1, 2) from the
     # summary's slope fits
-    scale = bounds.ROUNDOFF_FLOOR * (1.0 + abs(tf.f(tf.x0)))
+    scale = bounds.ROUNDOFF_FLOOR * (1.0 + abs(f0))
     return scale, scale / radius, scale / radius ** 2
 
 
-def count_violations(tf, rows):
-    """Bound violations above the per-quantity roundoff floor."""
+def count_violations(rows, f0):
+    """Bound violations above the per-quantity roundoff floor, which scales
+    with ``f0 = f(x0)``."""
     hits = []
     for r in rows:
-        floor_f, floor_g, floor_dir = _noise_floors(tf, r.delta)
+        floor_f, floor_g, floor_dir = _noise_floors(f0, r.delta)
         checks = (
             ("err_f", r.err_f, r.bound_f, floor_f),
             ("err_g", r.err_g, r.bound_g, floor_g),
@@ -305,12 +313,14 @@ def run_sweep(config: SweepConfig):
     results = [_build_row(tf, unit, stencil, kqs_unit, hess_norm, config.model, d,
                           config.samples, config.tol)
                for d in config.deltas]
-    rows = [r for r, _ in results]
-    interp = [v for _, v in results if v is not None]
+    rows = [r for r, _, _ in results]
+    interp = [v for _, v, _ in results if v is not None]
+    oracles = [f for _, _, f in results]
 
     deltas = [r.delta for r in rows]
-    fscale = 1.0 + abs(tf.f(tf.x0))
-    violations = count_violations(tf, rows)
+    f0 = oracles[0](tf.x0)  # read by every row's model: no new evaluation
+    fscale = 1.0 + abs(f0)
+    violations = count_violations(rows, f0)
     rows_checked = sum(1 for r in rows if any(
         b is not None for b in (r.bound_f, r.bound_g, r.bound_dir_aligned, r.bound_dir_cross)))
     summary = {
@@ -328,6 +338,9 @@ def run_sweep(config: SweepConfig):
         "violations": violations,
         "rows_poised": sum(1 for r in rows if r.poised),
         "rows_checked": rows_checked,
+        # evaluations of f: x0 and the set's points per row, and the ball's
+        # other points, which measure_errors sends to f directly
+        "oracle_calls": sum(f.calls for f in oracles) + len(rows) * config.samples,
     }
     if interp:
         summary["max_interpolation_violation"] = max(interp)

@@ -12,7 +12,10 @@ The derivations live next to each factory; they use coordinate-wise sups
 dominate every sampled difference quotient on the ball.
 
 Evaluation and gradient callables broadcast over leading axes; the Hessian
-callable is pointwise.
+callable is pointwise.  On a C-ordered batch, ``f`` gives each row the value
+it gives that point alone, bit for bit, except ``convex_quadratic`` at
+n != 3, whose einsum (n = 2) and matmul (n >= 4) take other paths on a batch
+and move some values by an ulp.
 """
 
 from __future__ import annotations
@@ -84,7 +87,9 @@ def rank_one(n, x0=None):
 
     return TestFunction(
         "rank_one", n,
-        f=lambda x: np.asarray(x, dtype=float).sum(-1) ** 2,
+        # np.square, not ** 2: a 0-d power goes to libm pow, an array power to
+        # square, and the two differ in the last bit on some points
+        f=lambda x: np.square(np.asarray(x, dtype=float).sum(-1)),
         grad=grad,
         hess=lambda x: 2.0 * np.ones((n, n)),
         x0=x0, region_radius=2.5, lipschitz_on=lip,
@@ -159,8 +164,9 @@ def rosenbrock(x0=None):
         return LipschitzData(L_grad=L_grad, L_hess=L_hess, kappa_g=float(np.hypot(gx, gy)), region_radius=r)
 
     def f(x):
+        # np.square, as in rank_one: at one point x[..., 0] is 0-d
         x = np.asarray(x, dtype=float)
-        return 100.0 * (x[..., 1] - x[..., 0] ** 2) ** 2 + (1.0 - x[..., 0]) ** 2
+        return 100.0 * np.square(x[..., 1] - np.square(x[..., 0])) + np.square(1.0 - x[..., 0])
 
     def grad(x):
         x = np.asarray(x, dtype=float)

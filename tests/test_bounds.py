@@ -9,7 +9,7 @@ from dfoq import bounds, linalg, testbed
 from dfoq.errors import DirectionDomainError, InvalidInputError, NotPoisedError
 from dfoq.models import GradTerm, QSSpec, qs_preset, solve_mfn, solve_mn
 from dfoq.sample_sets import SampleSet
-from dfoq.simplex import DirectionPack
+from dfoq.simplex import DirectionPack, Oracle
 
 from kkt_blocks import kkt_blocks
 
@@ -398,6 +398,22 @@ def test_measure_errors_exact_quadratic():
     assert meas.err_g <= 1e-12
     assert meas.aligned_max <= 1e-12
     assert meas.cross_max <= 1e-12
+
+
+def test_measure_errors_reads_x0_and_the_set_from_the_model_oracle():
+    # given the oracle the model was built with, only the ball's other points
+    # reach tf.f, in one call, and the errors are those of the direct path
+    tf = testbed.get("trigonometric", dim=3)
+    Y = SampleSet(tf.x0, 0.1 * np.hstack([np.eye(3), -np.eye(3)]))
+    f = Oracle(tf.f, vectorized=True)
+    model, _ = solve_mfn(f, Y)
+    direct = bounds.measure_errors(tf, model, Y, n_samples=64)
+    calls, seen, real = f.calls, [], tf.f
+    tf.f = lambda X: seen.append(np.shape(X)) or real(X)
+    meas = bounds.measure_errors(tf, model, Y, n_samples=64, f=f)
+    assert seen == [(64, 3)] and f.calls == calls == Y.m + 1
+    assert (meas.err_f, meas.err_g) == (direct.err_f, direct.err_g)
+    assert np.array_equal(meas.aligned, direct.aligned)
 
 
 def test_measure_errors_crafted_gap():

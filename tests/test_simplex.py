@@ -45,6 +45,80 @@ def test_oracle_rejects_non_finite():
         bad(np.zeros(2))
 
 
+MANY_FUNCTIONS = testbed.registry() + [testbed.get(name, 64) for name in
+                                       ("trigonometric", "quartic", "sphere")]
+
+
+@pytest.mark.parametrize("tf", MANY_FUNCTIONS, ids=lambda tf: f"{tf.name}-{tf.dim}")
+def test_many_matches_the_pointwise_values_bitwise(tf):
+    # NumPy sums a row pairwise only along a contiguous last axis, so many()
+    # evaluates a C-ordered copy; an F-ordered batch is copied too.  The
+    # points lie at distances 1e-8 to 3 from x0, as a sweep's do; there
+    # rank_one's (sum x)**2 at one point, libm's pow, missed the batch's
+    # square by an ulp on 2 of the 640
+    rng = np.random.default_rng(15)
+    X = tf.x0 + rng.uniform(-1.0, 1.0, (640, tf.dim)) * 10.0 ** rng.uniform(-8.0, 0.5, (640, 1))
+    pointwise = np.array([Oracle(tf.f)(x) for x in X])
+    for k in (1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 511, 640):
+        for batch in (X[:k], np.asfortranarray(X[:k])):
+            oracle = Oracle(tf.f, vectorized=True)
+            assert np.array_equal(oracle.many(batch), pointwise[:k])
+            assert oracle.calls == k
+            assert all(oracle(x) == v for x, v in zip(X[:k], pointwise[:k]))
+            assert oracle.calls == k
+
+
+def test_many_evaluates_each_distinct_uncached_row_once():
+    seen = []
+
+    def f(X):
+        seen.append(X.copy())
+        return (X ** 2).sum(-1)
+
+    oracle = Oracle(f, vectorized=True)
+    a, b, c = np.array([1.0, 2.0]), np.array([0.0, -1.0]), np.array([3.0, 0.5])
+    assert oracle(a) == 5.0 and oracle.calls == 1 and len(seen) == 1
+    values = oracle.many(np.array([b, a, b, c, c, a]))
+    assert values.tolist() == [1.0, 5.0, 1.0, 9.25, 9.25, 5.0]
+    # one call, on b and c only; a came from the cache
+    assert len(seen) == 2 and np.array_equal(seen[1], np.array([b, c]))
+    assert oracle.calls == 3 and oracle.cache_size == 3
+    assert oracle.many(np.array([c, a])).tolist() == [9.25, 5.0]
+    assert len(seen) == 2 and oracle.calls == 3
+
+
+def test_many_without_vectorized_evaluates_point_by_point():
+    seen = []
+
+    def f(x):
+        seen.append(np.shape(x))
+        return sphere(x)  # a scalar function: a batch would not broadcast
+
+    oracle = Oracle(f)
+    X = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0]])
+    assert oracle.many(X).tolist() == [5.0, 1.0, 5.0]
+    assert seen == [(2,), (2,)] and oracle.calls == 2
+
+
+def test_many_raises_for_the_first_non_finite_row_like_the_pointwise_path():
+    def f(X):
+        X = np.asarray(X, dtype=float)
+        return np.where(X[..., 0] > 0, np.nan, X.sum(-1))
+
+    X = np.array([[-1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(EvaluationError) as pointwise:
+        Oracle(f).many(X)
+    batched = Oracle(f, vectorized=True)
+    with pytest.raises(EvaluationError) as error:
+        batched.many(X)
+    assert str(error.value) == str(pointwise.value)
+    assert "np.float64" not in str(error.value)
+    assert type(error.value.value) is float and np.isnan(error.value.value)
+    assert np.array_equal(error.value.point, X[1])
+    # the row before the bad one is cached, as the pointwise loop leaves it
+    assert batched.cache_size == 1 and batched(X[0]) == -1.0
+
+
 def test_delta_f():
     assert np.array_equal(delta_f(lambda x: 7.0, np.zeros(2), np.eye(2)), np.zeros(2))
     assert np.array_equal(delta_f(sphere, np.zeros(2), np.eye(2)), np.ones(2))

@@ -213,12 +213,13 @@ def test_count_violations_floor():
             err_dir_cross_max=0.0, bound_dir_cross=None, poised=True,
         )
 
-    floor = 1e3 * np.finfo(float).eps * (1.0 + abs(tf.f(tf.x0)))
-    assert count_violations(tf, [row(floor / 2, 0.0)]) == []
-    hits = count_violations(tf, [row(10 * floor, floor)])
+    f0 = tf.f(tf.x0)
+    floor = 1e3 * np.finfo(float).eps * (1.0 + abs(f0))
+    assert count_violations([row(floor / 2, 0.0)], f0) == []
+    hits = count_violations([row(10 * floor, floor)], f0)
     assert len(hits) == 1
     assert hits[0]["quantity"] == "err_f"
-    assert count_violations(tf, [row(10 * floor, None)]) == []
+    assert count_violations([row(10 * floor, None)], f0) == []
 
 
 def test_summary_structure():
@@ -322,6 +323,39 @@ def test_qs_row_evaluates_f_once_per_point_of_its_set(monkeypatch, model):
     assert len(calls) == len(rows)
     assert all(n_calls == m + 1 for n_calls, m in calls)
     assert len({m for _, m in calls}) == 1
+
+
+@pytest.mark.parametrize("model", ["mn", "mfn", "qs:centred", "qs:adapted-1"])
+def test_sweep_row_evaluates_x0_and_each_set_point_once(monkeypatch, model):
+    # one oracle per row serves the model and measure_errors: f sees x0 and
+    # each point of the row's set once, in one call, then the ball's other
+    # points in one more; oracle_calls counts every point f saw
+    calls, sets = [], []
+    get, build = testbed.get, models.build
+
+    def counted_get(*args, **kwargs):
+        tf = get(*args, **kwargs)
+        f = tf.f
+        tf.f = lambda X: calls.append(np.array(X, ndmin=2)) or f(X)
+        return tf
+
+    def recorded_build(*args, **kwargs):
+        built = build(*args, **kwargs)
+        sets.append(built.Y)
+        return built
+
+    monkeypatch.setattr(testbed, "get", counted_get)
+    monkeypatch.setattr(models, "build", recorded_build)
+    config = SweepConfig("trigonometric", "random:3:2", model, parse_deltas("0.1:0.1:4"),
+                         samples=32)
+    rows, summary = run_sweep(config)
+    monkeypatch.undo()
+    assert len(sets) == len(rows) and len(calls) == 2 * len(rows)
+    for Y, at_set, at_ball in zip(sets, calls[::2], calls[1::2]):
+        assert np.array_equal(at_set, np.vstack([Y.x0[None, :], Y.points()]))
+        assert at_ball.shape == (config.samples, 3)
+    assert summary["oracle_calls"] == sum(len(X) for X in calls)
+    assert rows_to_csv(rows).splitlines()[0] == CSV_HEADER
 
 
 def test_centred_qs_sweep_takes_the_hessian_norm_once(monkeypatch):
