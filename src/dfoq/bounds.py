@@ -19,6 +19,7 @@ from scipy.special import ndtri
 from . import linalg
 from .errors import DirectionDomainError, InvalidInputError, NotPoisedError
 from .sample_sets import SampleSet
+from .simplex import Oracle
 
 __all__ = [
     "LipschitzData",
@@ -336,19 +337,18 @@ def measure_errors(tf, model, Y: SampleSet, n_samples=DEFAULT_SAMPLES, f=None):
     """Sup-style error estimates over ``B(x0, Y.radius)`` plus the set's points.
 
     ``tf`` provides broadcastable ``f``/``grad`` and a pointwise ``hess``.
-    Given the :class:`~dfoq.simplex.Oracle` ``f`` the model was built with,
-    f at ``x0`` and at the set's points is read from it, and only the ball's
-    other points go to ``tf.f``, in one call.
+    f at ``x0`` and at the set's points is read from the
+    :class:`~dfoq.simplex.Oracle` ``f`` the model was built with (by default
+    a vectorized oracle of ``tf.f``), so it is read as the model read it,
+    and only the ball's other points go to ``tf.f``, in one call.
     Directional errors compare the model's stored curvature matrix against the
     true Hessian at the center, along and across the set's directions.
     """
     ball, at = ball_points(Y.x0, Y.radius, n_samples), Y.points()
     pts = np.vstack([ball, at])
-    if f is None:
-        fvals = tf.f(pts)
-    else:
-        at_set = f.many(np.vstack([Y.x0[None, :], at]))
-        fvals = np.concatenate([at_set[:1], tf.f(ball[1:]), at_set[1:]])
+    f = Oracle(tf.f, vectorized=True) if f is None else f
+    at_set = f.many(np.vstack([Y.x0[None, :], at]))
+    fvals = np.concatenate([at_set[:1], tf.f(ball[1:]), at_set[1:]])
     err_f = float(np.max(np.abs(fvals - model.value_many(pts))))
     err_g = float(np.max(np.linalg.norm(tf.grad(pts) - model.gradient_many(pts), axis=1)))
 

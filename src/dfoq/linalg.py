@@ -58,22 +58,10 @@ def as_vector(v, name="vector"):
     return x
 
 
-def rank_tolerance(M, tol=None):
-    """Relative singular-value cutoff for ``M``.
-
-    ``None`` selects ``eps * max(rows, cols)``; singular values at or below
-    ``cutoff * sigma_max`` are treated as zero.
-    """
-    return _relative_tolerance(as_matrix(M).shape, tol)
-
-
-def _relative_tolerance(shape, tol):
-    if tol is None:
-        return _EPS * max(shape)
-    tol = float(tol)
-    if tol < 0:
-        raise InvalidInputError("tolerance must be nonnegative")
-    return tol
+def rank_tolerance(M):
+    """Relative singular-value cutoff for ``M``, ``eps * max(rows, cols)``:
+    singular values at or below ``cutoff * sigma_max`` are treated as zero."""
+    return _EPS * max(as_matrix(M).shape)
 
 
 def _rank(s, cutoff):
@@ -119,23 +107,23 @@ class Factorization:
     eigendecomposition.
     """
 
-    def __init__(self, M, tol=None):
+    def __init__(self, M):
         A = as_matrix(M)
         if min(A.shape) == 1:
-            self._store(A.shape, *_vector_svd(A), tol)
+            self._store(A.shape, *_vector_svd(A))
         else:
-            self._store(A.shape, *np.linalg.svd(A, full_matrices=False), tol)
+            self._store(A.shape, *np.linalg.svd(A, full_matrices=False))
 
-    def _store(self, shape, U, s, Vt, tol):
+    def _store(self, shape, U, s, Vt):
         self.shape = shape
         self.U, self.s, self.Vt = U, s, Vt
-        self.cutoff = _relative_tolerance(shape, tol) * s[0]
+        self.cutoff = _EPS * max(shape) * s[0]
 
     @classmethod
-    def _of(cls, shape, U, s, Vt, tol):
+    def _of(cls, shape, U, s, Vt):
         """Factorization from an SVD already taken, thin or full."""
         fac = cls.__new__(cls)
-        fac._store(shape, U, s, Vt, tol)
+        fac._store(shape, U, s, Vt)
         return fac
 
     @classmethod
@@ -146,7 +134,7 @@ class Factorization:
         ``|w|``, ``U = V``, ``s = |w|`` and ``Vt = (sign(w) V)^T`` is an SVD
         of ``M``; the sign carries the negative eigenvalues of a saddle-point
         matrix.  ``eigh`` reads one triangle only, so ``M`` must be exactly
-        symmetric.  The cutoff is the default relative tolerance.
+        symmetric.
         """
         A = as_matrix(M)
         if A.shape[0] != A.shape[1] or not np.array_equal(A, A.T):
@@ -154,7 +142,7 @@ class Factorization:
         w, V = np.linalg.eigh(A)
         order = np.argsort(-np.abs(w), kind="stable")
         w, V = w[order], V[:, order]
-        return cls._of(A.shape, V, np.abs(w), (V * np.where(w < 0.0, -1.0, 1.0)).T, None)
+        return cls._of(A.shape, V, np.abs(w), (V * np.where(w < 0.0, -1.0, 1.0)).T)
 
     @functools.cached_property
     def rank(self):
@@ -204,26 +192,26 @@ class Factorization:
         return float(np.linalg.norm(self.U[:, self.rank:].T @ rhs))
 
 
-def pinv(M, tol=None):
-    """Moore-Penrose pseudoinverse via SVD with relative truncation ``tol``."""
-    return Factorization(M, tol).pinv()
+def pinv(M):
+    """Moore-Penrose pseudoinverse via SVD, truncated at the relative cutoff."""
+    return Factorization(M).pinv()
 
 
-def numerical_rank(M, tol=None):
+def numerical_rank(M):
     """Number of singular values above the relative cutoff."""
     A = as_matrix(M)
     if min(A.shape) == 1:
         s = np.array([_scaled_norm(A.ravel())[0]])
     else:
         s = np.linalg.svd(A, compute_uv=False)
-    return spectrum_rank(s, A.shape, tol)
+    return spectrum_rank(s, A.shape)
 
 
-def spectrum_rank(s, shape, tol=None):
+def spectrum_rank(s, shape):
     """:func:`numerical_rank` of a matrix of ``shape`` whose singular values,
     zeros included or not and in any order, are ``s``."""
     s = np.asarray(s, dtype=float)
-    return int(np.count_nonzero(s > _relative_tolerance(shape, tol) * s.max()))
+    return int(np.count_nonzero(s > _EPS * max(shape) * s.max()))
 
 
 def matrix_norm(M, kind="spectral"):
@@ -241,14 +229,14 @@ def matrix_norm(M, kind="spectral"):
     raise InvalidInputError(f"unknown norm kind {kind!r}")
 
 
-def solve_min_norm(A, b, tol=None):
+def solve_min_norm(A, b):
     """Minimum-norm least-squares solution of ``A x = b``.
 
     Returns ``(x, residual)`` where ``residual = ||A x - b||_2``.
     """
     M = as_matrix(A, "A")
     rhs = as_vector(b, "b")
-    x = Factorization(M, tol).solve(rhs)
+    x = Factorization(M).solve(rhs)
     residual = float(np.linalg.norm(M @ x - rhs))
     return x, residual
 
@@ -280,7 +268,7 @@ def constrained_least_norm(A, b, weights, tol=None):
         raise InvalidInputError("weights must be nonnegative")
 
     # One full SVD of A gives z0, its residual and the null-space basis.
-    fac = Factorization._of(M.shape, *np.linalg.svd(M), None)
+    fac = Factorization._of(M.shape, *np.linalg.svd(M))
     z0 = fac.solve(rhs)
     residual = float(np.linalg.norm(M @ z0 - rhs))
     feas_tol = feasibility_tol(tol, rhs)

@@ -34,7 +34,6 @@ __all__ = [
     "build_qs",
     "interpolation_check",
     "qs_preset",
-    "qs_stencil",
     "QS_PRESETS",
 ]
 
@@ -277,8 +276,8 @@ class _StencilIndex(NamedTuple):
     at_t: np.ndarray        # of x0 + t^j
     at_st: np.ndarray       # and of x0 + s^i + t^j, rows T_1, T_2, ... in turn
     pinv_S: np.ndarray      # pinv(S^T), n x p
-    pinv_T: tuple           # pinv(T): one for a shared frame, else one per T_i
-    splits: np.ndarray      # where each T_i's entries end, but the last
+    pinv_T: np.ndarray      # pinv(T) of a shared frame, else every pinv(T_i) stacked
+    starts: np.ndarray | None  # where each pinv(T_i)'s rows start; None when shared
 
 
 @dataclass(frozen=True)
@@ -329,13 +328,14 @@ class QSStencil:
             k += p
         at_s, k = index[k:k + p][owner], k + p
         if shared is None:
-            at_t, pinv_T = index[k:k + len(T)], tuple(linalg.pinv(Ti) for Ti in pack.Ts)
+            at_t, pinv_T = index[k:k + len(T)], np.vstack([linalg.pinv(Ti) for Ti in pack.Ts])
+            starts = np.searchsorted(owner, np.arange(p))
         else:
-            at_t, pinv_T = np.tile(index[k:k + shared.shape[1]], p), (linalg.pinv(shared),)
+            at_t, pinv_T = np.tile(index[k:k + shared.shape[1]], p), linalg.pinv(shared)
+            starts = None
         at_st = index[len(index) - len(T):]
-        splits = np.cumsum([Ti.shape[1] for Ti in pack.Ts])[:-1]
         return cls(spec, Y, 1.0, _StencilIndex(tuple(grads), at_s, at_t, at_st,
-                                               pack.factor.pinv(), pinv_T, splits))
+                                               pack.factor.pinv(), pinv_T, starts))
 
     def scale(self, t):
         """The stencil of the same recipe on the half frame scaled by t."""
@@ -356,10 +356,10 @@ class QSStencil:
         for coeff, scale, heads, base in ix.grads:
             g = g + coeff * (ix.pinv_S @ (fv[heads] - fv[base])) / (t * scale)
         table = fv[ix.at_st] - fv[ix.at_s] - fv[ix.at_t] + fv[0]
-        if len(ix.pinv_T) == 1:
-            rows = table.reshape(ix.pinv_S.shape[1], -1) @ ix.pinv_T[0]
+        if ix.starts is None:
+            rows = table.reshape(ix.pinv_S.shape[1], -1) @ ix.pinv_T
         else:
-            rows = np.array([row @ P for row, P in zip(np.split(table, ix.splits), ix.pinv_T)])
+            rows = np.add.reduceat(table[:, None] * ix.pinv_T, ix.starts, axis=0)
         return QuadraticModel(Y.x0, fv[0], g, ix.pinv_S @ rows / t ** 2)
 
 
@@ -406,10 +406,9 @@ class BuiltModel:
     """One family's model, as :func:`build` returns it.
 
     ``kind`` is ``"mn"``, ``"mfn"`` or ``"qs"``.  ``Y`` is the set the model
-    interpolates: the solve set for mn/mfn, the symmetric set or the
-    stencil's merged points for qs.  ``diagnostics`` is the solver's
-    :class:`SolveDiagnostics` for mn/mfn and the :class:`InterpolationReport`
-    on ``Y`` for qs.
+    interpolates: the solve set for mn/mfn, the stencil's merged points for
+    qs.  ``diagnostics`` is the solver's :class:`SolveDiagnostics` for
+    mn/mfn and the :class:`InterpolationReport` on ``Y`` for qs.
     """
 
     model: QuadraticModel
@@ -433,51 +432,15 @@ class BuiltModel:
         }
 
 
-def _centred_qs(f, Y):
-    """The ``qs:centred`` model on the symmetric set ``Y = [Dh, -Dh]`` of
-    radius r, from ``f(x0)`` and ``f(x0 +- d^i)``: with the odd part
-    ``(f+ - f-) / 2`` and the even part ``f+ + f- - 2 f(x0)``,
-    ``g = pinv(Dbar_h^T) odd / r`` and
-    ``H = pinv(Dbar_h^T) diag(even / ||dbar^i||^2) Dbar_h^T / r^2``.
-
-    This is :func:`build_qs` on the centred preset in closed form: its
-    gradient terms average to the odd part, and ``gsh`` row i, on the one
-    direction ``-d^i``, is ``even_i d^i / ||d^i||^2``.
-    """
-    sym = Y.symmetric_factors
-    p, r = sym.Dh.shape[1], Y.radius
-    shifted = delta_f(f, Y.x0, Y.D)
-    plus, minus = shifted[:p], shifted[p:]
-    g = sym.pinv @ (0.5 * (plus - minus)) / r
-    curvature = (plus + minus) / (sym.Dh ** 2).sum(axis=0)
-    H = (sym.pinv * curvature) @ sym.Dh.T / r ** 2
-    return QuadraticModel(Y.x0, f(Y.x0), g, H)
-
-
-def qs_stencil(preset, half: SampleSet):
-    """The :class:`QSStencil` of the preset's recipe on the half frame, or
-    None for ``qs:centred`` on a half frame with a symmetric set, which
-    :func:`build` takes in closed form."""
-    if preset == "centred":
-        try:
-            half.expand()
-        except InvalidInputError:
-            pass  # the half frame holds some d and -d: the recipe's stencil
-        else:
-            return None
-    return QSStencil.of(qs_preset(preset, half), half.x0)
-
-
 def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None,
           stencil: QSStencil | None = None):
     """The ``family`` model (mn | mfn | qs:<preset>) of f on the half frame ``half``.
 
     mn and mfn solve on ``Y``, by default the symmetric set ``half.expand()``.
-    qs ignores ``Y``.  qs:centred solves on ``half.expand()`` in closed form;
-    every other qs model, and qs:centred on a half frame holding some d and
-    -d, is ``stencil.model(f)`` on the set ``stencil.Y``.  ``stencil``
-    defaults to :func:`qs_stencil` of ``half``; a sweep passes its unit
-    stencil scaled to ``half``.  Returns a :class:`BuiltModel`.
+    qs ignores ``Y``: every qs model is ``stencil.model(f)`` on the set
+    ``stencil.Y``.  ``stencil`` defaults to the :class:`QSStencil` of the
+    preset's recipe on ``half``; a sweep passes its unit stencil scaled to
+    ``half``.  Returns a :class:`BuiltModel`.
     """
     kind, preset = parse_family(family)
     f = as_oracle(f)
@@ -485,11 +448,6 @@ def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None,
         Y = half.expand() if Y is None else Y
         model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
         return BuiltModel(model, Y, diag, kind)
-    if stencil is None:
-        stencil = qs_stencil(preset, half)
-    if stencil is None:
-        Y = half.expand()
-        model = _centred_qs(f, Y)
-    else:
-        model, Y = stencil.model(f), stencil.Y
+    stencil = stencil or QSStencil.of(qs_preset(preset, half), half.x0)
+    model, Y = stencil.model(f), stencil.Y
     return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind)

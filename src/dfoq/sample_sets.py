@@ -111,14 +111,13 @@ class SymmetricFactors(NamedTuple):
 
     With ``Dbar_h = Dh / r``, ``F_scaled`` is orthogonally similar to
     ``blockdiag(r^4 Qbar / 2, [[0, sqrt(2) r Dbar_h^T], [sqrt(2) r Dbar_h, 0]])``
-    with ``Qbar = (Dbar_h^T Dbar_h)^o2``, and the odd and even parts of the
-    interpolation conditions solve with ``pinv(Dbar_h^T)``.
+    with ``Qbar = (Dbar_h^T Dbar_h)^o2``, so its rank reads off the two
+    factors' spectra.
     """
 
     Dh: np.ndarray                  # normalized half frame Dbar_h (n x p)
     half: linalg.Factorization      # of Dbar_h^T
     quartic: linalg.Factorization   # symmetric, of Qbar
-    pinv: np.ndarray                # pinv(Dbar_h^T) (n x p)
 
 
 def _symmetric_bordered_rank(sym, r, n):
@@ -211,9 +210,8 @@ class SampleSet:
         if odd or not np.array_equal(self.D[:, p:], -self.D[:, :p]):
             return None
         Dh = np.ascontiguousarray(self.normalized()[:, :p])
-        half = linalg.Factorization(Dh.T)
-        return SymmetricFactors(Dh, half, linalg.Factorization.symmetric((Dh.T @ Dh) ** 2),
-                                half.pinv())
+        return SymmetricFactors(Dh, linalg.Factorization(Dh.T),
+                                linalg.Factorization.symmetric((Dh.T @ Dh) ** 2))
 
     @functools.cached_property
     def F_unit_factor(self):

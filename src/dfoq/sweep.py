@@ -186,9 +186,9 @@ def _worst_cross_pair(cross, bound_table):
 def _build_row(tf, unit, stencil, kqs_unit, hess_norm, family, delta, samples, tol):
     """One row at radius ``delta`` from the sweep's unit half frame ``unit``,
     whose scaled copies share its symmetric set's radius-free factors, and
-    from what is taken once per sweep: the unit qs stencil ``stencil``
-    (qs, but closed-form qs:centred), the radius-free qs curvature
-    constant ``kqs_unit`` (qs) and ``||hess f(x0)||`` (qs:centred).
+    from what is taken once per sweep: the unit qs stencil ``stencil``, the
+    radius-free qs curvature constant ``kqs_unit`` (both qs) and
+    ``||hess f(x0)||`` (qs:centred).
 
     The row's one oracle serves the model and the measurement, so f is
     evaluated once at ``x0`` and at each point of the set, in one call per
@@ -196,7 +196,7 @@ def _build_row(tf, unit, stencil, kqs_unit, hess_norm, family, delta, samples, t
     mfn) and that oracle."""
     f = Oracle(tf.f, vectorized=True)
     built = models.build(family, f, unit.scale(delta), tol=tol,
-                         stencil=None if stencil is None else stencil.scale(delta))
+                         stencil=stencil and stencil.scale(delta))
     meas_Y, poised = built.Y, built.poised
     radius = meas_Y.radius
     if radius > tf.region_radius:
@@ -305,9 +305,8 @@ def run_sweep(config: SweepConfig):
     if kind != "qs":
         unit.expand()
     else:
-        stencil = models.qs_stencil(preset, unit)
-        spec = models.qs_preset(preset, unit) if stencil is None else stencil.spec
-        kqs_unit = bounds.kappa_mH_qs(1.0, spec)
+        stencil = models.QSStencil.of(models.qs_preset(preset, unit), unit.x0)
+        kqs_unit = bounds.kappa_mH_qs(1.0, stencil.spec)
     if config.model == "qs:centred":
         hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
     results = [_build_row(tf, unit, stencil, kqs_unit, hess_norm, config.model, d,

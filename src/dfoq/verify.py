@@ -138,7 +138,7 @@ def _examples_suite():
     cubic = random_cubic(rng, 3)
     half = SampleSet(np.array([0.3, -0.2, 0.5]), 0.1 * random_orthogonal(rng, 3))
     gap = 0.0
-    for preset in ("forward", "adapted-0", "adapted-1"):
+    for preset in ("centred", "forward", "adapted-0", "adapted-1"):
         stencil = build(f"qs:{preset}", cubic, half).model
         recipe = build_qs(Oracle(cubic), half.x0, qs_preset(preset, half))
         gap = max(gap, model_gap(stencil, recipe))

@@ -37,8 +37,8 @@ def kkt_blocks(Y):
     return KKTBlocks(P, bordered(Y.D, Y.radius ** 4 * P), bordered(Dbar, P))
 
 
-def null_space_basis(A, tol=None):
+def null_space_basis(A):
     """Orthonormal basis of the null space of ``A``, one column per direction,
     at :func:`dfoq.linalg.numerical_rank`'s cutoff."""
     _, _, Vt = np.linalg.svd(A)
-    return Vt[linalg.numerical_rank(A, tol):].T.copy()
+    return Vt[linalg.numerical_rank(A):].T.copy()

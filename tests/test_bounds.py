@@ -7,7 +7,7 @@ from scipy.stats import qmc
 
 from dfoq import bounds, linalg, testbed
 from dfoq.errors import DirectionDomainError, InvalidInputError, NotPoisedError
-from dfoq.models import GradTerm, QSSpec, qs_preset, solve_mfn, solve_mn
+from dfoq.models import GradTerm, QSSpec, build, qs_preset, solve_mfn, solve_mn
 from dfoq.sample_sets import SampleSet
 from dfoq.simplex import DirectionPack, Oracle
 
@@ -414,6 +414,20 @@ def test_measure_errors_reads_x0_and_the_set_from_the_model_oracle():
     assert seen == [(64, 3)] and f.calls == calls == Y.m + 1
     assert (meas.err_f, meas.err_g) == (direct.err_f, direct.err_g)
     assert np.array_equal(meas.aligned, direct.aligned)
+
+
+def test_measure_errors_without_an_oracle_reads_f_as_the_model_did():
+    # without an oracle, f at x0 and at the set's points is read as the
+    # model read it, not from the F-ordered batch of every point, whose row
+    # sums at n = 64 are sequential and an ulp away from the pointwise ones
+    n = 64
+    tf = testbed.get("trigonometric", dim=n, x0=[0.4] * n)
+    for delta in (1e-6, 1e-8):
+        f = Oracle(tf.f, vectorized=True)
+        built = build("mfn", f, SampleSet(tf.x0, delta * np.eye(n)))
+        direct = bounds.measure_errors(tf, built.model, built.Y)
+        meas = bounds.measure_errors(tf, built.model, built.Y, f=f)
+        assert (direct.err_f, direct.err_g) == (meas.err_f, meas.err_g)
 
 
 def test_measure_errors_crafted_gap():

@@ -110,8 +110,9 @@ def test_unknown_model_reported_alike_and_before_the_set(capsys):
 def test_model_takes_no_extra_factorization(capsys, monkeypatch, family, svds):
     # mn and mfn take the SVD counts they took before the family dispatch
     # was shared; mn in particular never reads the set's poised verdict.
-    # qs:centred, in closed form, factors only the half frame (three SVDs
-    # when its recipe ran)
+    # qs:centred's stencil factors only the half frame, once: its
+    # one-column frames T_i = [-s^i] take their pseudoinverses from one norm
+    # each (three SVDs when its recipe ran)
     count = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))

@@ -127,8 +127,6 @@ def test_input_validation():
         linalg.pinv(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
         linalg.solve_min_norm(np.eye(2), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(InvalidInputError):
-        linalg.rank_tolerance(np.eye(2), tol=-1.0)
 
 
 def test_solve_min_norm_even_split():

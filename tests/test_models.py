@@ -402,6 +402,29 @@ def test_stencil_index_reads_each_recipe_offset(preset):
             assert np.all(gap <= tol)
 
 
+def test_stencil_hessian_rows_sum_each_frame_segment():
+    # per-direction frames of one to three columns: row i of R is table
+    # segment i times pinv(T_i), all rows summed by one reduceat; on
+    # one-column frames (every centred pack) that is bit for bit the
+    # row-by-row product
+    rng = np.random.default_rng(12)
+    n = 5
+    x0 = rng.standard_normal(n)
+    S = 0.1 * rng.standard_normal((n, n))
+    Ts = tuple(0.1 * rng.standard_normal((n, q)) for q in (1, 2, 3, 1, 2))
+    spec = QSSpec((GradTerm(1.0),), DirectionPack(S, Ts))
+    stencil = QSStencil.of(spec, x0)
+    want = build_qs(trig, x0, spec)
+    _assert_close_to_the_recipe(stencil.model(trig), want, want.c, stencil.Y.radius)
+    for D in (np.eye(n), S):
+        stencil = QSStencil.of(qs_preset("centred", SampleSet(x0, D)), x0)
+        ix, Y = stencil.index, stencil.Y
+        fv = Oracle(trig).many(np.vstack([x0[None, :], Y.points()]))
+        table = fv[ix.at_st] - fv[ix.at_s] - fv[ix.at_t] + fv[0]
+        rows = np.array([table[i:i + 1] @ ix.pinv_T[i:i + 1] for i in range(n)])
+        assert np.array_equal(stencil.model(trig).H, ix.pinv_S @ rows)
+
+
 def _per_term_qs(f, x0, spec):
     # build_qs as a sum of gsg on each scaled frame, then gsh; kept as the
     # reference for the one-factor form
@@ -558,9 +581,8 @@ def _assert_same_build(family, st, Y=None):
     else:
         _assert_close_to_the_recipe(built.model, model, model.c, st.radius)
         if family == "qs:centred":
-            # the closed form on the symmetric set
-            want_Y = st.expand()
-            assert np.array_equal(built.Y.D, want_Y.D)
+            # the centred stencil merges to the symmetric set, bit for bit
+            assert np.array_equal(built.Y.D, st.expand().D)
         # the stencil's set merges the offsets taken without x0: the recipe's
         # merged points, to the merge tolerance
         assert built.Y.D.shape == want_Y.D.shape
@@ -646,28 +668,27 @@ def _frames(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 64])
-def test_centred_qs_closed_form_matches_the_recipe(n):
-    # the closed form on the symmetric set against build_qs on the centred
-    # recipe, which also reads f((x0 + d^i) - d^i) and solves p one-column
-    # frames: measured gaps 2.2e-14 on g and 2.2e-13 on H
+def test_centred_qs_stencil_matches_the_recipe(n):
+    # the stencil on its merged set [Dh, -Dh] against build_qs on the
+    # centred recipe, which also reads f((x0 + d^i) - d^i) and solves p
+    # one-column frames one by one
     for name in ("trigonometric", "quartic"):
         tf = testbed.get(name, dim=n, x0=[0.4] * n)
         for frame in _frames(n):
-            for delta in (1.0, 0.1, 0.01):
+            for delta in (1.0, 1e-2, 1e-4, 1e-8):
                 st = SampleSet(tf.x0, frame).scale(delta)
                 f = Oracle(tf.f)
                 built = build("qs:centred", f, st)
                 assert f.calls == 2 * st.m + 1
-                assert np.array_equal(built.Y.D, np.hstack([st.D, -st.D]))
+                assert np.array_equal(built.Y.D, st.expand().D)
                 want = build_qs(tf.f, st.x0, qs_preset("centred", st))
                 assert built.model.c == want.c
-                assert np.linalg.norm(built.model.g - want.g) <= 1e-12 * np.linalg.norm(want.g)
-                assert np.linalg.norm(built.model.H - want.H) <= 1e-10 * np.linalg.norm(want.H)
+                _assert_close_to_the_recipe(built.model, want, want.c, st.radius)
 
 
 def test_centred_qs_on_a_half_frame_holding_d_and_minus_d(tmp_path):
-    # such a half frame has no symmetric set, so qs:centred keeps the
-    # recipe's merged set: the six points x0 +- 0.1 e_i
+    # such a half frame has no symmetric set; the stencil merges the
+    # recipe's points to the six points x0 +- 0.1 e_i
     st = SampleSet(np.array([0.3, -0.2, 0.5]), 0.1 * np.column_stack([np.eye(3), -np.eye(3)[:, 0]]))
     with pytest.raises(InvalidInputError, match="duplicate directions"):
         st.expand()

@@ -270,15 +270,15 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
 
 @pytest.mark.parametrize("model", ["mfn", "qs:centred", "qs:forward", "qs:adapted-1"])
 def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
-    # the first row factors the unit symmetric set (its half frame, the
-    # Hadamard square of its Gram matrix, its normalized directions and, for
-    # mfn, F_unit); every later row reads those factors, takes mfn_poised from
-    # their spectra and builds qs:centred in closed form.  kappa_mH_qs
-    # factors the unit recipe once, before the first row.  qs:forward and
-    # qs:adapted-1 (at n = 16: their stencils have O(n^2) points) build their
-    # unit stencil, and merge its points, once before the first row; the
-    # first row factors the stencil's normalized directions.  Their grid
-    # starts at 1e-5, where qs:forward's model meets its interpolation check
+    # the first mfn row factors the unit symmetric set (its half frame, the
+    # Hadamard square of its Gram matrix, its normalized directions and
+    # F_unit); every later row reads those factors and takes mfn_poised from
+    # their spectra.  Every qs sweep builds its unit stencil, and merges its
+    # points, once before the first row, and kappa_mH_qs factors the unit
+    # recipe once; the first row factors the stencil's normalized directions.
+    # qs:forward and qs:adapted-1 run at n = 16 (their stencils have O(n^2)
+    # points) on a grid that starts at 1e-5, where qs:forward's model meets
+    # its interpolation check
     n, grid = (64, "1:0.1:4") if model in ("mfn", "qs:centred") else (16, "1e-5:0.1:4")
     count, at_row, merges = [], [], []
     for name in ("svd", "eigh"):
@@ -298,7 +298,7 @@ def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
     assert len(at_row) == len(rows)
     assert at_row[1] > at_row[0]
     assert at_row[1] == len(count)
-    assert len(merges) == (model in ("qs:forward", "qs:adapted-1"))
+    assert len(merges) == (model != "mfn")
 
 
 @pytest.mark.parametrize("model", ["qs:forward", "qs:adapted-1"])
