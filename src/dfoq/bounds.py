@@ -38,6 +38,7 @@ __all__ = [
     "gsh_error_bound_global",
     "ball_points",
     "measure_errors",
+    "measure_rows",
     "fit_slope",
 ]
 
@@ -320,6 +321,8 @@ class ErrorMeasurement:
     err_g: float
     aligned: np.ndarray        # per sampled direction
     cross: np.ndarray          # (i, j) entries for i != j, nan on the diagonal
+    f_at_set: np.ndarray       # f at x0 and at the set's points, in that order
+    model_at_set: np.ndarray   # the model there
 
     @property
     def aligned_max(self):
@@ -333,32 +336,74 @@ class ErrorMeasurement:
         return float(np.max(off))
 
 
+# Floats per stacked array of a measurement batch: 13 rows at n = 3, one at
+# n = 64 (a whole n = 64 sweep in one batch raised peak memory by 14 %).
+_BATCH_FLOATS = 2 ** 16
+
+
 def measure_errors(tf, model, Y: SampleSet, n_samples=DEFAULT_SAMPLES, f=None):
-    """Sup-style error estimates over ``B(x0, Y.radius)`` plus the set's points.
-
-    ``tf`` provides broadcastable ``f``/``grad`` and a pointwise ``hess``.
-    f at ``x0`` and at the set's points is read from the
-    :class:`~dfoq.simplex.Oracle` ``f`` the model was built with (by default
-    a vectorized oracle of ``tf.f``), so it is read as the model read it,
-    and only the ball's other points go to ``tf.f``, in one call.
-    Directional errors compare the model's stored curvature matrix against the
-    true Hessian at the center, along and across the set's directions.
-    """
-    ball, at = ball_points(Y.x0, Y.radius, n_samples), Y.points()
-    pts = np.vstack([ball, at])
+    """The one-row :func:`measure_rows`; without an oracle ``f`` it reads f
+    at ``x0`` and at the set's points through a vectorized oracle of ``tf.f``."""
     f = Oracle(tf.f, vectorized=True) if f is None else f
-    at_set = f.many(np.vstack([Y.x0[None, :], at]))
-    fvals = np.concatenate([at_set[:1], tf.f(ball[1:]), at_set[1:]])
-    err_f = float(np.max(np.abs(fvals - model.value_many(pts))))
-    err_g = float(np.max(np.linalg.norm(tf.grad(pts) - model.gradient_many(pts), axis=1)))
+    return measure_rows(tf, [(model, Y, f)], n_samples)[0]
 
-    H_gap = model.H - tf.hess(Y.x0)
-    unit = Y.D / np.linalg.norm(Y.D, axis=0)
-    table = np.abs(unit.T @ H_gap @ unit)
-    aligned = np.diag(table).copy()
-    cross = table.copy()
-    np.fill_diagonal(cross, np.nan)
-    return ErrorMeasurement(err_f=err_f, err_g=err_g, aligned=aligned, cross=cross)
+
+def measure_rows(tf, rows, n_samples=DEFAULT_SAMPLES):
+    """Sup-style errors of each ``(model, Y, f)`` over ``B(x0, Y.radius)``
+    plus the set's points; the sets share ``x0`` and their size m.
+
+    A batch stacks, C-ordered, each row's ball (the cached Halton draw scaled
+    to its radius), ``x0`` and its set's points, so every value is the
+    pointwise one and a batch equals its one-row calls bit for bit.  f at
+    ``x0`` and at the set's points is read from the row's oracle ``f``, the
+    one its model was built with; ``tf.f`` takes the balls in one call per
+    batch and ``tf.grad`` every point.  Directional errors compare each
+    model's curvature with ``tf.hess(x0)`` along and across its directions.
+    """
+    rows, k = list(rows), int(n_samples)
+    if k < 1:
+        raise InvalidInputError("n_samples must be at least 1")
+    x0, m = rows[0][1].x0, rows[0][1].m
+    if any(Y.m != m or not np.array_equal(Y.x0, x0) for _, Y, _ in rows):
+        raise InvalidInputError("measured rows must share x0 and their set size")
+    per_batch = max(1, _BATCH_FLOATS // ((k + 1 + m) * x0.size))
+    if len(rows) > per_batch:
+        return [meas for start in range(0, len(rows), per_batch)
+                for meas in measure_rows(tf, rows[start:start + per_batch], k)]
+    # x0 and the set's points come last, in interpolation_check's order:
+    # OpenBLAS's gemv rounds a row by its place in blocks of four, so with a
+    # sample count divisible by four the model's values there are the check's
+    unit, rad = _unit_ball_draw(x0.size, k)
+    X = np.empty((len(rows), k + 1 + m, x0.size))
+    radii = np.array([Y.radius for _, Y, _ in rows])[:, None] * rad
+    # formed along the draw's contiguous axis, then copied into the stack
+    X[:, :k] = (x0[:, None, None] + unit.T[:, None, :] * radii).transpose(1, 2, 0)
+    X[:, k] = x0
+    for i, (_, Y, _) in enumerate(rows):
+        np.add(x0, Y.D.T, out=X[i, k + 1:])
+    fvals = np.empty(X.shape[:2])
+    fvals[:, :k] = tf.f(X[:, :k])
+    for i, (_, _, f) in enumerate(rows):
+        fvals[i, k:] = f.many(X[i, k:])
+    Dm = X - x0
+    c = np.array([model.c for model, _, _ in rows])
+    g = np.stack([model.g for model, _, _ in rows])
+    H = np.stack([model.H for model, _, _ in rows])
+    mvals = (c[:, None] + np.matmul(Dm, g[:, :, None])[..., 0]
+             + 0.5 * (np.matmul(Dm, H) * Dm).sum(-1))
+    grads = g[:, None, :] + np.matmul(Dm, 0.5 * (H + H.transpose(0, 2, 1)))
+    err_f = np.abs(fvals - mvals).max(-1)
+    err_g = np.linalg.norm(tf.grad(X) - grads, axis=-1).max(-1)
+
+    hess, out = tf.hess(x0), []
+    for i, (model, Y, _) in enumerate(rows):
+        unit_D = Y.D / np.linalg.norm(Y.D, axis=0)
+        table = np.abs(unit_D.T @ (model.H - hess) @ unit_D)
+        cross = table.copy()
+        np.fill_diagonal(cross, np.nan)
+        out.append(ErrorMeasurement(float(err_f[i]), float(err_g[i]), np.diag(table).copy(),
+                                    cross, fvals[i, k:].copy(), mvals[i, k:].copy()))
+    return out
 
 
 def fit_slope(deltas, errors, f_scale=1.0, order=0):

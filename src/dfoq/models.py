@@ -9,6 +9,7 @@ matrices ``d^i d^iT``, so the Hessian never appears as an unknown.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
 from .sample_sets import SampleSet
-from .simplex import DirectionPack, as_oracle, delta_f, gsh, shifted_frame
+from .simplex import DirectionPack, Oracle, as_oracle, delta_f, gsh, shifted_frame
 
 __all__ = [
     "QuadraticModel",
@@ -129,6 +130,15 @@ class InterpolationReport(NamedTuple):
     max_violation: float
     passed: bool
 
+    @classmethod
+    def of(cls, model_values, fvals, tol=None):
+        """The largest gap of the model's values from f's at x0 and the set's
+        points, passed when within ``tol`` times ``1 + max |f|``."""
+        worst = float(np.max(np.abs(model_values - fvals)))
+        scale = 1.0 + float(np.max(np.abs(fvals)))
+        base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
+        return cls(worst, bool(worst <= base * scale))
+
 
 def _hessian_from_multipliers(D, lam):
     H = 0.5 * (D * lam) @ D.T
@@ -202,11 +212,7 @@ def interpolation_check(model: QuadraticModel, f, Y: SampleSet, tol=None):
     if np.linalg.norm(model.x0 - Y.x0) > 0:
         raise InvalidInputError("model and sample set have different centers")
     pts = np.vstack([Y.x0[None, :], Y.points()])
-    fvals = f.many(pts)
-    worst = float(np.max(np.abs(model.value_many(pts) - fvals)))
-    scale = 1.0 + float(np.max(np.abs(fvals)))
-    base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
-    return InterpolationReport(worst, bool(worst <= base * scale))
+    return InterpolationReport.of(model.value_many(pts), f.many(pts), tol)
 
 
 @dataclass(frozen=True)
@@ -407,14 +413,23 @@ class BuiltModel:
 
     ``kind`` is ``"mn"``, ``"mfn"`` or ``"qs"``.  ``Y`` is the set the model
     interpolates: the solve set for mn/mfn, the stencil's merged points for
-    qs.  ``diagnostics`` is the solver's :class:`SolveDiagnostics` for
-    mn/mfn and the :class:`InterpolationReport` on ``Y`` for qs.
+    qs.  ``f`` is the :class:`Oracle` the model read f through.
     """
 
     model: QuadraticModel
     Y: SampleSet
-    diagnostics: SolveDiagnostics | InterpolationReport
     kind: str
+    f: Oracle
+    solve: SolveDiagnostics | None = None   # mn/mfn
+    tol: float | None = None
+
+    @functools.cached_property
+    def diagnostics(self):
+        """``solve`` for mn/mfn; for qs the :class:`InterpolationReport` on
+        ``Y``, computed on first read (a sweep reads its measurement instead)."""
+        if self.kind != "qs":
+            return self.solve
+        return interpolation_check(self.model, self.f, self.Y, self.tol)
 
     @property
     def poised(self):
@@ -447,7 +462,6 @@ def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None,
     if kind != "qs":
         Y = half.expand() if Y is None else Y
         model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
-        return BuiltModel(model, Y, diag, kind)
+        return BuiltModel(model, Y, kind, f, solve=diag)
     stencil = stencil or QSStencil.of(qs_preset(preset, half), half.x0)
-    model, Y = stencil.model(f), stencil.Y
-    return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind)
+    return BuiltModel(stencil.model(f), stencil.Y, kind, f, tol=tol)

@@ -46,6 +46,8 @@ class SweepConfig:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if len(self.deltas) < 3:
             raise InvalidInputError("delta grid needs at least 3 values")
+        if not np.all(np.isfinite(self.deltas)):
+            raise InvalidInputError("deltas must be finite")
         if any(d <= 0 for d in self.deltas):
             raise InvalidInputError("deltas must be positive")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
@@ -119,10 +121,13 @@ def resolve_frame(set_spec, n, fallback_seed=None):
         if len(bits) not in (1, 2):
             raise InvalidInputError(f"bad set spec {set_spec!r}, want random:p[:seed]")
         p = _parse_count(bits[0], set_spec)
-        seed = int(bits[1]) if len(bits) == 2 else fallback_seed
+        seed = bits[1] if len(bits) == 2 else fallback_seed
         if seed is None:
             raise InvalidInputError("random set needs a seed (random:p:seed or --seed)")
-        rng = np.random.default_rng(seed)
+        try:
+            rng = np.random.default_rng(int(seed))
+        except ValueError:
+            raise InvalidInputError(f"bad random set seed {seed}, want an integer >= 0") from None
         U = rng.standard_normal((n, p))
         return U / np.linalg.norm(U, axis=0)
     if kind == "file":
@@ -183,85 +188,47 @@ def _worst_cross_pair(cross, bound_table):
     return float(cross[i, j]), float(bound_table[i, j])
 
 
-def _build_row(tf, unit, stencil, kqs_unit, hess_norm, family, delta, samples, tol):
-    """One row at radius ``delta`` from the sweep's unit half frame ``unit``,
-    whose scaled copies share its symmetric set's radius-free factors, and
-    from what is taken once per sweep: the unit qs stencil ``stencil``, the
-    radius-free qs curvature constant ``kqs_unit`` (both qs) and
-    ``||hess f(x0)||`` (qs:centred).
-
-    The row's one oracle serves the model and the measurement, so f is
-    evaluated once at ``x0`` and at each point of the set, in one call per
-    set.  Returns the row, the qs interpolation violation (None for mn and
-    mfn) and that oracle."""
-    f = Oracle(tf.f, vectorized=True)
-    built = models.build(family, f, unit.scale(delta), tol=tol,
-                         stencil=stencil and stencil.scale(delta))
-    meas_Y, poised = built.Y, built.poised
+def _row(tf, meas_Y, meas, poised, delta, kqs_unit, hess_norm, family):
+    """The row of the model on ``meas_Y`` at radius ``delta``, with the bounds
+    of its own ball's Lipschitz data, the radius-free qs curvature constant
+    ``kqs_unit`` (qs) and ``||hess f(x0)||`` (qs:centred)."""
     radius = meas_Y.radius
-    if radius > tf.region_radius:
-        raise InvalidInputError(
-            f"radius {radius:g} leaves the region of {tf.name} "
-            f"(limit {tf.region_radius:g})"
-        )
     lip = tf.lipschitz_on(tf.x0, radius)
-
-    bound_f = bound_g = bound_aligned = None
-    cross_bound_table = None
+    consts = bound_aligned = cross_bound_table = None
     if family in ("mn", "mfn"):
         bound_aligned = bounds.directional_bound_aligned(lip.L_hess, radius)
         if poised:
             kmfn = bounds.kappa_mH_mfn(lip.L_grad, meas_Y)
             consts = bounds.kappa_generic(lip.L_grad, kmfn, meas_Y)
             if family == "mn":
-                kmn = bounds.kappa_mH_mn(
-                    lip.kappa_g, consts.kappa_eg, radius, kmfn, meas_Y
-                )
+                kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn, meas_Y)
                 consts = bounds.kappa_generic(lip.L_grad, kmn, meas_Y)
-            bound_f = consts.kappa_ef * radius ** 2
-            bound_g = consts.kappa_eg * radius
             norms = np.linalg.norm(meas_Y.D, axis=0)
             cross_bound_table = bounds.directional_bound_cross(
-                consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :]
-            )
+                consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :])
     else:
         if poised:
-            kqs = lip.L_grad * kqs_unit
             try:
-                consts = bounds.kappa_generic(lip.L_grad, kqs, meas_Y)
-                bound_f = consts.kappa_ef * radius ** 2
-                bound_g = consts.kappa_eg * radius
+                consts = bounds.kappa_generic(lip.L_grad, lip.L_grad * kqs_unit, meas_Y)
             except NotPoisedError:
                 pass  # the set does not span R^n: no fully linear bound holds
         if family == "qs:centred":
             # the centred preset's H is the structured-pack GSH, the one
             # case the directional theory covers among the presets
             bound_aligned = bounds.directional_bound_aligned(lip.L_hess, delta)
-            cross_bound_table = np.full(
-                (meas_Y.m, meas_Y.m),
-                bounds.directional_bound_gsh_cross(hess_norm, lip.L_hess, delta),
-            )
+            cross_bound_table = np.full((meas_Y.m, meas_Y.m), bounds.directional_bound_gsh_cross(
+                hess_norm, lip.L_hess, delta))
 
-    meas = bounds.measure_errors(tf, built.model, meas_Y, n_samples=samples, f=f)
     if cross_bound_table is not None:
         err_cross, bound_cross = _worst_cross_pair(meas.cross, cross_bound_table)
     else:
         err_cross, bound_cross = meas.cross_max, None
-
-    row = SweepRow(
-        delta=radius,
-        err_f=meas.err_f,
-        bound_f=bound_f,
-        err_g=meas.err_g,
-        bound_g=bound_g,
-        err_dir_aligned_max=meas.aligned_max,
-        bound_dir_aligned=bound_aligned,
-        err_dir_cross_max=err_cross,
-        bound_dir_cross=bound_cross,
-        poised=poised,
-    )
-    interp_violation = built.diagnostics.max_violation if built.kind == "qs" else None
-    return row, interp_violation, f
+    return SweepRow(
+        delta=radius, err_f=meas.err_f,
+        bound_f=None if consts is None else consts.kappa_ef * radius ** 2,
+        err_g=meas.err_g, bound_g=None if consts is None else consts.kappa_eg * radius,
+        err_dir_aligned_max=meas.aligned_max, bound_dir_aligned=bound_aligned,
+        err_dir_cross_max=err_cross, bound_dir_cross=bound_cross, poised=poised)
 
 
 def _noise_floors(f0, radius):
@@ -309,15 +276,27 @@ def run_sweep(config: SweepConfig):
         kqs_unit = bounds.kappa_mH_qs(1.0, stencil.spec)
     if config.model == "qs:centred":
         hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
-    results = [_build_row(tf, unit, stencil, kqs_unit, hess_norm, config.model, d,
-                          config.samples, config.tol)
-               for d in config.deltas]
-    rows = [r for r, _, _ in results]
-    interp = [v for _, v, _ in results if v is not None]
-    oracles = [f for _, _, f in results]
+    # Build every row on its own vectorized oracle, which the measurement reads
+    # again (f is evaluated once at x0 and each set point), measure the rows in
+    # batches, then bound them; a qs row's verdict is its measured check
+    built = []
+    for d in config.deltas:
+        built.append(models.build(config.model, Oracle(tf.f, vectorized=True), unit.scale(d),
+                                  tol=config.tol, stencil=stencil and stencil.scale(d)))
+        if built[-1].Y.radius > tf.region_radius:
+            raise InvalidInputError(f"radius {built[-1].Y.radius:g} leaves the region of "
+                                    f"{tf.name} (limit {tf.region_radius:g})")
+    measured = bounds.measure_rows(tf, [(b.model, b.Y, b.f) for b in built], config.samples)
+    rows, interp = [], []
+    for b, meas, delta in zip(built, measured, config.deltas):
+        if kind == "qs":
+            interp.append(models.InterpolationReport.of(meas.model_at_set, meas.f_at_set,
+                                                        config.tol))
+        poised = interp[-1].passed if kind == "qs" else b.poised
+        rows.append(_row(tf, b.Y, meas, poised, delta, kqs_unit, hess_norm, config.model))
 
     deltas = [r.delta for r in rows]
-    f0 = oracles[0](tf.x0)  # read by every row's model: no new evaluation
+    f0 = built[0].f(tf.x0)  # read by every row's model: no new evaluation
     fscale = 1.0 + abs(f0)
     violations = count_violations(rows, f0)
     rows_checked = sum(1 for r in rows if any(
@@ -337,10 +316,11 @@ def run_sweep(config: SweepConfig):
         "violations": violations,
         "rows_poised": sum(1 for r in rows if r.poised),
         "rows_checked": rows_checked,
-        # evaluations of f: x0 and the set's points per row, and the ball's
-        # other points, which measure_errors sends to f directly
-        "oracle_calls": sum(f.calls for f in oracles) + len(rows) * config.samples,
+        # evaluations of f: x0 and the set's points per row through its
+        # oracle, and the ball's other points, which measure_rows sends to
+        # tf.f directly
+        "oracle_calls": sum(b.f.calls for b in built) + len(rows) * config.samples,
     }
     if interp:
-        summary["max_interpolation_violation"] = max(interp)
+        summary["max_interpolation_violation"] = max(r.max_violation for r in interp)
     return rows, summary

@@ -402,7 +402,8 @@ def test_measure_errors_exact_quadratic():
 
 def test_measure_errors_reads_x0_and_the_set_from_the_model_oracle():
     # given the oracle the model was built with, only the ball's other points
-    # reach tf.f, in one call, and the errors are those of the direct path
+    # reach tf.f, in one call on the one-row batch, and the errors are those
+    # of the direct path
     tf = testbed.get("trigonometric", dim=3)
     Y = SampleSet(tf.x0, 0.1 * np.hstack([np.eye(3), -np.eye(3)]))
     f = Oracle(tf.f, vectorized=True)
@@ -411,7 +412,7 @@ def test_measure_errors_reads_x0_and_the_set_from_the_model_oracle():
     calls, seen, real = f.calls, [], tf.f
     tf.f = lambda X: seen.append(np.shape(X)) or real(X)
     meas = bounds.measure_errors(tf, model, Y, n_samples=64, f=f)
-    assert seen == [(64, 3)] and f.calls == calls == Y.m + 1
+    assert seen == [(1, 64, 3)] and f.calls == calls == Y.m + 1
     assert (meas.err_f, meas.err_g) == (direct.err_f, direct.err_g)
     assert np.array_equal(meas.aligned, direct.aligned)
 

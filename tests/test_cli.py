@@ -169,6 +169,30 @@ def test_usage_errors(capsys, five_point_file):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["model", "sweep"])
+@pytest.mark.parametrize("set_args, want", [
+    (["--set", "random:3:x"], "error: bad random set seed x, want an integer >= 0\n"),
+    (["--set", "random:3:-1"], "error: bad random set seed -1, want an integer >= 0\n"),
+    (["--set", "random:3", "--seed", "-4"],
+     "error: bad random set seed -4, want an integer >= 0\n"),
+])
+def test_bad_random_set_seed_exits_1(capsys, command, set_args, want):
+    # numpy's own ValueError for these seeds used to escape with a traceback
+    argv = [command, "--function", "sphere", "--model", "mn"] + set_args
+    if command == "sweep":
+        argv += ["--deltas", "1:0.5:4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("grid", ["nan:0.5:4", "inf:0.5:4"])
+def test_non_finite_delta_grid_exits_1_before_any_row(capsys, grid):
+    argv = ["sweep", "--function", "sphere", "--set", "structured:3", "--model", "mn",
+            "--deltas", grid]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: deltas must be finite\n"
+
+
 def test_parser_is_built_once_and_parses_alike_after_an_error(tmp_path, capsys):
     from dfoq import cli
 

@@ -51,6 +51,9 @@ def test_config_validation():
         small_config(deltas=(1.0, 1.0, 0.5))
     with pytest.raises(InvalidInputError):
         small_config(samples=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="deltas must be finite"):
+            small_config(deltas=(bad, 0.5, 0.25))
 
 
 def test_resolve_frame_structured():
@@ -270,23 +273,36 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
 
 @pytest.mark.parametrize("model", ["mfn", "qs:centred", "qs:forward", "qs:adapted-1"])
 def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
-    # the first mfn row factors the unit symmetric set (its half frame, the
-    # Hadamard square of its Gram matrix, its normalized directions and
-    # F_unit); every later row reads those factors and takes mfn_poised from
-    # their spectra.  Every qs sweep builds its unit stencil, and merges its
-    # points, once before the first row, and kappa_mH_qs factors the unit
-    # recipe once; the first row factors the stencil's normalized directions.
-    # qs:forward and qs:adapted-1 run at n = 16 (their stencils have O(n^2)
-    # points) on a grid that starts at 1e-5, where qs:forward's model meets
-    # its interpolation check
+    # a sweep builds every row, measures them, then bounds them; in each
+    # phase only the first row factors.  The first mfn row factors the unit
+    # symmetric set (its half frame, the Hadamard square of its Gram matrix
+    # and F_unit); every later row reads those factors and takes mfn_poised
+    # from their spectra.  Every qs sweep builds its unit stencil, and merges
+    # its points, once before the first row, and kappa_mH_qs factors the
+    # unit recipe once.  The measurement factors nothing, and the first
+    # row's bounds factor the set's normalized directions.  qs:forward and
+    # qs:adapted-1 run at n = 16 (their stencils have O(n^2) points) on a
+    # grid that starts at 1e-5, where qs:forward's model meets its
+    # interpolation check
     n, grid = (64, "1:0.1:4") if model in ("mfn", "qs:centred") else (16, "1e-5:0.1:4")
-    count, at_row, merges = [], [], []
+    count, at_build, at_measure, at_bounds, merges = [], [], [], [], []
     for name in ("svd", "eigh"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _f=real, **k: count.append(1) or _f(*a, **k))
-    build = models.build
-    monkeypatch.setattr(models, "build", lambda *a, **k: at_row.append(len(count)) or build(*a, **k))
+    build, measure_rows, kappa_generic = models.build, bounds.measure_rows, bounds.kappa_generic
+    monkeypatch.setattr(models, "build",
+                        lambda *a, **k: at_build.append(len(count)) or build(*a, **k))
+
+    def measured(*a, **k):
+        at_measure.append(len(count))
+        out = measure_rows(*a, **k)
+        at_measure.append(len(count))
+        return out
+
+    monkeypatch.setattr(bounds, "measure_rows", measured)
+    monkeypatch.setattr(bounds, "kappa_generic",
+                        lambda *a, **k: at_bounds.append(len(count)) or kappa_generic(*a, **k))
     from_offsets = SampleSet.from_offsets
     monkeypatch.setattr(SampleSet, "from_offsets",
                         lambda x0, offsets: merges.append(1) or from_offsets(x0, offsets))
@@ -295,41 +311,44 @@ def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
     rows, _ = run_sweep(config)
     monkeypatch.undo()
     assert all(row.poised and row.bound_f is not None for row in rows)
-    assert len(at_row) == len(rows)
-    assert at_row[1] > at_row[0]
-    assert at_row[1] == len(count)
+    # one kappa_generic call per row: mfn and qs rows take one each
+    assert len(at_build) == len(at_bounds) == len(rows)
+    assert at_build[1] == at_build[-1] == at_measure[0] == at_measure[1] == at_bounds[0]
+    assert at_bounds[1] == len(count)
+    assert len(count) > at_build[0]  # the first row's factors
     assert len(merges) == (model != "mfn")
 
 
 @pytest.mark.parametrize("model", ["qs:forward", "qs:adapted-1"])
 def test_qs_row_evaluates_f_once_per_point_of_its_set(monkeypatch, model):
-    # a row reads f at x0 and at each point of its merged set, once each:
-    # on random:16:3 qs:adapted-1 that is 153 calls, where the recipe's
-    # points, rounded apart around x0, took 314 at delta = 0.1
-    calls = []
+    # a row reads f at x0 and at each point of its merged set, once each,
+    # when it is built, and its measurement reads them again from the same
+    # oracle: on random:16:3 qs:adapted-1 that is 153 calls, where the
+    # recipe's points, rounded apart around x0, took 314 at delta = 0.1
+    built = []
     build = models.build
 
     def counted(family, f, *a, **k):
         oracle = Oracle(f)
-        built = build(family, oracle, *a, **k)
-        calls.append((oracle.calls, built.Y.m))
-        return built
+        built.append(build(family, oracle, *a, **k))
+        return built[-1]
 
     monkeypatch.setattr(models, "build", counted)
     config = SweepConfig("trigonometric", "random:16:3", model, parse_deltas("0.1:0.01:5"),
                          x0=(0.4,) * 16)
     rows, _ = run_sweep(config)
     monkeypatch.undo()
-    assert len(calls) == len(rows)
-    assert all(n_calls == m + 1 for n_calls, m in calls)
-    assert len({m for _, m in calls}) == 1
+    assert len(built) == len(rows)
+    assert all(b.f.calls == b.Y.m + 1 for b in built)
+    assert len({b.Y.m for b in built}) == 1
 
 
 @pytest.mark.parametrize("model", ["mn", "mfn", "qs:centred", "qs:adapted-1"])
 def test_sweep_row_evaluates_x0_and_each_set_point_once(monkeypatch, model):
-    # one oracle per row serves the model and measure_errors: f sees x0 and
-    # each point of the row's set once, in one call, then the ball's other
-    # points in one more; oracle_calls counts every point f saw
+    # one oracle per row serves the model and the measurement: building the
+    # rows, f sees x0 and each point of a row's set once, in one call per
+    # row; measuring them, the balls' points in one call per batch (here one
+    # batch of every row); oracle_calls counts every point f saw
     calls, sets = [], []
     get, build = testbed.get, models.build
 
@@ -350,11 +369,11 @@ def test_sweep_row_evaluates_x0_and_each_set_point_once(monkeypatch, model):
                          samples=32)
     rows, summary = run_sweep(config)
     monkeypatch.undo()
-    assert len(sets) == len(rows) and len(calls) == 2 * len(rows)
-    for Y, at_set, at_ball in zip(sets, calls[::2], calls[1::2]):
+    assert len(sets) == len(rows) and len(calls) == len(rows) + 1
+    for Y, at_set in zip(sets, calls):
         assert np.array_equal(at_set, np.vstack([Y.x0[None, :], Y.points()]))
-        assert at_ball.shape == (config.samples, 3)
-    assert summary["oracle_calls"] == sum(len(X) for X in calls)
+    assert calls[-1].shape == (len(rows), config.samples, 3)
+    assert summary["oracle_calls"] == sum(len(X) for X in calls[:-1]) + calls[-1][..., 0].size
     assert rows_to_csv(rows).splitlines()[0] == CSV_HEADER
 
 
@@ -443,3 +462,84 @@ def test_qs_sweep_on_non_spanning_set_has_no_fully_linear_bounds(model):
         assert summary["all_bounds_hold"] is False
     # the model has no gradient along e_3, so err_g stays at |d f / d x_3|
     assert min(r.err_g for r in rows) > 0.5
+
+
+def _sweep_rows(function, set_spec, family, grid, x0=None):
+    """Every row's built model of a sweep, as run_sweep builds them."""
+    tf = testbed.get(function, dim=None if x0 is None else len(x0), x0=x0)
+    unit = SampleSet(tf.x0, resolve_frame(set_spec, tf.dim))
+    kind, preset = models.parse_family(family)
+    stencil = models.QSStencil.of(models.qs_preset(preset, unit), unit.x0) if kind == "qs" else None
+    built = [models.build(family, Oracle(tf.f, vectorized=True), unit.scale(d),
+                          stencil=stencil and stencil.scale(d)) for d in parse_deltas(grid)]
+    return tf, built
+
+
+def _assert_same_measurement(a, b):
+    assert (a.err_f, a.err_g) == (b.err_f, b.err_g)
+    for name in ("aligned", "cross", "f_at_set", "model_at_set"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+GRID_FAMILIES = ("mn", "mfn", "qs:centred", "qs:adapted-0", "qs:adapted-1")
+BATCH_CASES = (
+    [(tf.name, f"structured:{tf.dim}", family, "1:0.5:13", None)
+     for tf in testbed.registry() for family in GRID_FAMILIES]
+    # batches of several rows, and of one row each
+    + [("quartic", "random:16:3", family, "1:0.1:9", (0.4,) * 16)
+       for family in ("mn", "qs:centred")]
+    + [("trigonometric", "structured:64", "mfn", "1:0.1:9", (0.4,) * 64)]
+)
+
+
+@pytest.mark.parametrize("function, set_spec, family, grid, x0", BATCH_CASES)
+def test_a_batch_of_rows_equals_its_one_row_calls_bitwise(function, set_spec, family, grid, x0):
+    tf, built = _sweep_rows(function, set_spec, family, grid, x0)
+    batch = bounds.measure_rows(tf, [(b.model, b.Y, b.f) for b in built])
+    assert len(batch) == len(built)
+    for b, meas in zip(built, batch):
+        _assert_same_measurement(meas, bounds.measure_errors(tf, b.model, b.Y, f=b.f))
+
+
+@pytest.mark.parametrize("n, rows_per_batch", [(3, [13]), (64, [1] * 9)])
+def test_sweep_measures_its_rows_in_batches_of_bounded_size(monkeypatch, n, rows_per_batch):
+    # tf.f takes the balls of one batch per call: all 13 rows of an n = 3
+    # grid sweep in one, each row of an n = 64 sweep alone
+    batches = []
+    get = testbed.get
+
+    def counted_get(*args, **kwargs):
+        tf = get(*args, **kwargs)
+        f = tf.f
+        tf.f = lambda X: (np.ndim(X) == 3 and batches.append(len(X))) or f(X)
+        return tf
+
+    monkeypatch.setattr(testbed, "get", counted_get)
+    grid = "1:0.5:13" if n == 3 else "1:0.1:9"
+    run_sweep(SweepConfig("trigonometric", f"structured:{n}", "mfn", parse_deltas(grid),
+                          x0=(0.4,) * n))
+    monkeypatch.undo()
+    assert batches == rows_per_batch
+
+
+QS_VERDICT_CASES = (
+    [(tf.name, f"structured:{tf.dim}", family, "1:0.5:13", None)
+     for tf in testbed.registry() for family in GRID_FAMILIES if family.startswith("qs:")]
+    + [(name, spec, "qs:centred", "1:0.1:9", (0.4,) * n) for n in (16, 32, 64)
+       for name, spec in (("trigonometric", f"structured:{n}"), ("quartic", f"random:{n}:7"))]
+)
+
+
+@pytest.mark.parametrize("function, set_spec, family, grid, x0", QS_VERDICT_CASES)
+def test_qs_sweep_verdict_is_the_interpolation_check(monkeypatch, function, set_spec, family,
+                                                     grid, x0):
+    # a qs row takes its verdict and violation from its measurement's values
+    # at x0 and at the set's points: bit for bit interpolation_check's
+    built = []
+    build = models.build
+    monkeypatch.setattr(models, "build", lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+    rows, summary = run_sweep(SweepConfig(function, set_spec, family, parse_deltas(grid), x0=x0))
+    monkeypatch.undo()
+    checks = [models.interpolation_check(b.model, b.f, b.Y) for b in built]
+    assert [r.poised for r in rows] == [c.passed for c in checks]
+    assert summary["max_interpolation_violation"] == max(c.max_violation for c in checks)
