@@ -307,10 +307,16 @@ def ball_points(x0, delta, n_samples=DEFAULT_SAMPLES):
     k = int(n_samples)
     if k < 1:
         raise InvalidInputError("n_samples must be at least 1")
+    return np.vstack([x0[None, :], _drawn_points(x0, [delta], k)[0]])
+
+
+def _drawn_points(x0, radii, k):
+    """The ``k`` drawn points of ``B(x0, r)`` for each radius r, as a
+    ``(len(radii), k, n)`` view; each point is ``x0 + unit * (r * rad)``."""
     unit, rad = _unit_ball_draw(x0.size, k)
-    radii = delta * rad
-    pts = x0[None, :] + unit * radii[:, None]
-    return np.vstack([x0[None, :], pts])
+    scaled = np.asarray(radii, dtype=float)[:, None] * rad
+    # formed along the draw's contiguous axis
+    return (x0[:, None, None] + unit.T[:, None, :] * scaled).transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -321,8 +327,6 @@ class ErrorMeasurement:
     err_g: float
     aligned: np.ndarray        # per sampled direction
     cross: np.ndarray          # (i, j) entries for i != j, nan on the diagonal
-    f_at_set: np.ndarray       # f at x0 and at the set's points, in that order
-    model_at_set: np.ndarray   # the model there
 
     @property
     def aligned_max(self):
@@ -370,14 +374,8 @@ def measure_rows(tf, rows, n_samples=DEFAULT_SAMPLES):
     if len(rows) > per_batch:
         return [meas for start in range(0, len(rows), per_batch)
                 for meas in measure_rows(tf, rows[start:start + per_batch], k)]
-    # x0 and the set's points come last, in interpolation_check's order:
-    # OpenBLAS's gemv rounds a row by its place in blocks of four, so with a
-    # sample count divisible by four the model's values there are the check's
-    unit, rad = _unit_ball_draw(x0.size, k)
     X = np.empty((len(rows), k + 1 + m, x0.size))
-    radii = np.array([Y.radius for _, Y, _ in rows])[:, None] * rad
-    # formed along the draw's contiguous axis, then copied into the stack
-    X[:, :k] = (x0[:, None, None] + unit.T[:, None, :] * radii).transpose(1, 2, 0)
+    X[:, :k] = _drawn_points(x0, [Y.radius for _, Y, _ in rows], k)
     X[:, k] = x0
     for i, (_, Y, _) in enumerate(rows):
         np.add(x0, Y.D.T, out=X[i, k + 1:])
@@ -401,8 +399,7 @@ def measure_rows(tf, rows, n_samples=DEFAULT_SAMPLES):
         table = np.abs(unit_D.T @ (model.H - hess) @ unit_D)
         cross = table.copy()
         np.fill_diagonal(cross, np.nan)
-        out.append(ErrorMeasurement(float(err_f[i]), float(err_g[i]), np.diag(table).copy(),
-                                    cross, fvals[i, k:].copy(), mvals[i, k:].copy()))
+        out.append(ErrorMeasurement(float(err_f[i]), float(err_g[i]), np.diag(table).copy(), cross))
     return out
 
 

@@ -9,7 +9,6 @@ matrices ``d^i d^iT``, so the Hessian never appears as an unknown.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -85,10 +84,6 @@ class QuadraticModel:
         d = np.asarray(x, dtype=float) - self.x0
         return self.g + 0.5 * (self.H + self.H.T) @ d
 
-    def gradient_many(self, X):
-        Dm = np.asarray(X, dtype=float) - self.x0[None, :]
-        return self.g[None, :] + Dm @ (0.5 * (self.H + self.H.T)).T
-
     def hessian(self):
         """Effective (symmetrized) second-derivative matrix of the model."""
         return 0.5 * (self.H + self.H.T)
@@ -129,15 +124,6 @@ class SolveDiagnostics:
 class InterpolationReport(NamedTuple):
     max_violation: float
     passed: bool
-
-    @classmethod
-    def of(cls, model_values, fvals, tol=None):
-        """The largest gap of the model's values from f's at x0 and the set's
-        points, passed when within ``tol`` times ``1 + max |f|``."""
-        worst = float(np.max(np.abs(model_values - fvals)))
-        scale = 1.0 + float(np.max(np.abs(fvals)))
-        base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
-        return cls(worst, bool(worst <= base * scale))
 
 
 def _hessian_from_multipliers(D, lam):
@@ -212,7 +198,11 @@ def interpolation_check(model: QuadraticModel, f, Y: SampleSet, tol=None):
     if np.linalg.norm(model.x0 - Y.x0) > 0:
         raise InvalidInputError("model and sample set have different centers")
     pts = np.vstack([Y.x0[None, :], Y.points()])
-    return InterpolationReport.of(model.value_many(pts), f.many(pts), tol)
+    fvals = f.many(pts)
+    worst = float(np.max(np.abs(model.value_many(pts) - fvals)))
+    scale = 1.0 + float(np.max(np.abs(fvals)))
+    base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
+    return InterpolationReport(worst, bool(worst <= base * scale))
 
 
 @dataclass(frozen=True)
@@ -413,23 +403,16 @@ class BuiltModel:
 
     ``kind`` is ``"mn"``, ``"mfn"`` or ``"qs"``.  ``Y`` is the set the model
     interpolates: the solve set for mn/mfn, the stencil's merged points for
-    qs.  ``f`` is the :class:`Oracle` the model read f through.
+    qs.  ``diagnostics`` is the solver's :class:`SolveDiagnostics` for
+    mn/mfn and the :class:`InterpolationReport` on ``Y`` for qs.  ``f`` is
+    the :class:`Oracle` the model read f through.
     """
 
     model: QuadraticModel
     Y: SampleSet
+    diagnostics: SolveDiagnostics | InterpolationReport
     kind: str
     f: Oracle
-    solve: SolveDiagnostics | None = None   # mn/mfn
-    tol: float | None = None
-
-    @functools.cached_property
-    def diagnostics(self):
-        """``solve`` for mn/mfn; for qs the :class:`InterpolationReport` on
-        ``Y``, computed on first read (a sweep reads its measurement instead)."""
-        if self.kind != "qs":
-            return self.solve
-        return interpolation_check(self.model, self.f, self.Y, self.tol)
 
     @property
     def poised(self):
@@ -462,6 +445,7 @@ def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None,
     if kind != "qs":
         Y = half.expand() if Y is None else Y
         model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
-        return BuiltModel(model, Y, kind, f, solve=diag)
+        return BuiltModel(model, Y, diag, kind, f)
     stencil = stencil or QSStencil.of(qs_preset(preset, half), half.x0)
-    return BuiltModel(stencil.model(f), stencil.Y, kind, f, tol=tol)
+    model, Y = stencil.model(f), stencil.Y
+    return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind, f)

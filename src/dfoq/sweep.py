@@ -188,47 +188,68 @@ def _worst_cross_pair(cross, bound_table):
     return float(cross[i, j]), float(bound_table[i, j])
 
 
-def _row(tf, meas_Y, meas, poised, delta, kqs_unit, hess_norm, family):
-    """The row of the model on ``meas_Y`` at radius ``delta``, with the bounds
-    of its own ball's Lipschitz data, the radius-free qs curvature constant
-    ``kqs_unit`` (qs) and ``||hess f(x0)||`` (qs:centred)."""
+def _row(tf, built, meas, delta, kqs_unit, hess_norm, family):
+    """The row of the model ``built`` at radius ``delta`` and its measurement
+    ``meas``, with the bounds of its own ball's Lipschitz data and what is
+    taken once per sweep: the radius-free qs curvature constant ``kqs_unit``
+    (qs) and ``||hess f(x0)||`` (qs:centred)."""
+    meas_Y, poised = built.Y, built.poised
     radius = meas_Y.radius
     lip = tf.lipschitz_on(tf.x0, radius)
-    consts = bound_aligned = cross_bound_table = None
+
+    bound_f = bound_g = bound_aligned = None
+    cross_bound_table = None
     if family in ("mn", "mfn"):
         bound_aligned = bounds.directional_bound_aligned(lip.L_hess, radius)
         if poised:
             kmfn = bounds.kappa_mH_mfn(lip.L_grad, meas_Y)
             consts = bounds.kappa_generic(lip.L_grad, kmfn, meas_Y)
             if family == "mn":
-                kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn, meas_Y)
+                kmn = bounds.kappa_mH_mn(
+                    lip.kappa_g, consts.kappa_eg, radius, kmfn, meas_Y
+                )
                 consts = bounds.kappa_generic(lip.L_grad, kmn, meas_Y)
+            bound_f = consts.kappa_ef * radius ** 2
+            bound_g = consts.kappa_eg * radius
             norms = np.linalg.norm(meas_Y.D, axis=0)
             cross_bound_table = bounds.directional_bound_cross(
-                consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :])
+                consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :]
+            )
     else:
         if poised:
+            kqs = lip.L_grad * kqs_unit
             try:
-                consts = bounds.kappa_generic(lip.L_grad, lip.L_grad * kqs_unit, meas_Y)
+                consts = bounds.kappa_generic(lip.L_grad, kqs, meas_Y)
+                bound_f = consts.kappa_ef * radius ** 2
+                bound_g = consts.kappa_eg * radius
             except NotPoisedError:
                 pass  # the set does not span R^n: no fully linear bound holds
         if family == "qs:centred":
             # the centred preset's H is the structured-pack GSH, the one
             # case the directional theory covers among the presets
             bound_aligned = bounds.directional_bound_aligned(lip.L_hess, delta)
-            cross_bound_table = np.full((meas_Y.m, meas_Y.m), bounds.directional_bound_gsh_cross(
-                hess_norm, lip.L_hess, delta))
+            cross_bound_table = np.full(
+                (meas_Y.m, meas_Y.m),
+                bounds.directional_bound_gsh_cross(hess_norm, lip.L_hess, delta),
+            )
 
     if cross_bound_table is not None:
         err_cross, bound_cross = _worst_cross_pair(meas.cross, cross_bound_table)
     else:
         err_cross, bound_cross = meas.cross_max, None
+
     return SweepRow(
-        delta=radius, err_f=meas.err_f,
-        bound_f=None if consts is None else consts.kappa_ef * radius ** 2,
-        err_g=meas.err_g, bound_g=None if consts is None else consts.kappa_eg * radius,
-        err_dir_aligned_max=meas.aligned_max, bound_dir_aligned=bound_aligned,
-        err_dir_cross_max=err_cross, bound_dir_cross=bound_cross, poised=poised)
+        delta=radius,
+        err_f=meas.err_f,
+        bound_f=bound_f,
+        err_g=meas.err_g,
+        bound_g=bound_g,
+        err_dir_aligned_max=meas.aligned_max,
+        bound_dir_aligned=bound_aligned,
+        err_dir_cross_max=err_cross,
+        bound_dir_cross=bound_cross,
+        poised=poised,
+    )
 
 
 def _noise_floors(f0, radius):
@@ -278,7 +299,7 @@ def run_sweep(config: SweepConfig):
         hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
     # Build every row on its own vectorized oracle, which the measurement reads
     # again (f is evaluated once at x0 and each set point), measure the rows in
-    # batches, then bound them; a qs row's verdict is its measured check
+    # batches, then bound them
     built = []
     for d in config.deltas:
         built.append(models.build(config.model, Oracle(tf.f, vectorized=True), unit.scale(d),
@@ -287,13 +308,9 @@ def run_sweep(config: SweepConfig):
             raise InvalidInputError(f"radius {built[-1].Y.radius:g} leaves the region of "
                                     f"{tf.name} (limit {tf.region_radius:g})")
     measured = bounds.measure_rows(tf, [(b.model, b.Y, b.f) for b in built], config.samples)
-    rows, interp = [], []
-    for b, meas, delta in zip(built, measured, config.deltas):
-        if kind == "qs":
-            interp.append(models.InterpolationReport.of(meas.model_at_set, meas.f_at_set,
-                                                        config.tol))
-        poised = interp[-1].passed if kind == "qs" else b.poised
-        rows.append(_row(tf, b.Y, meas, poised, delta, kqs_unit, hess_norm, config.model))
+    rows = [_row(tf, b, meas, delta, kqs_unit, hess_norm, config.model)
+            for b, meas, delta in zip(built, measured, config.deltas)]
+    interp = [b.diagnostics.max_violation for b in built if b.kind == "qs"]
 
     deltas = [r.delta for r in rows]
     f0 = built[0].f(tf.x0)  # read by every row's model: no new evaluation
@@ -322,5 +339,5 @@ def run_sweep(config: SweepConfig):
         "oracle_calls": sum(b.f.calls for b in built) + len(rows) * config.samples,
     }
     if interp:
-        summary["max_interpolation_violation"] = max(r.max_violation for r in interp)
+        summary["max_interpolation_violation"] = max(interp)
     return rows, summary

@@ -221,7 +221,6 @@ def test_model_many_point_forms_agree():
     )
     X = rng.standard_normal((6, 3))
     assert np.allclose(model.value_many(X), [model.value(x) for x in X])
-    assert np.allclose(model.gradient_many(X), [model.gradient(x) for x in X])
 
 
 def test_value_many_matches_the_einsum_form():
