@@ -10,11 +10,10 @@ constants ``kappa_mH`` bound the model curvature along unit directions.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
-from scipy.special import ndtri
 
 from . import linalg
 from .errors import DirectionDomainError, InvalidInputError, NotPoisedError
@@ -276,6 +275,99 @@ def gsh_error_bound_global(hess_norm, L_hess, S):
     return _directional_bound(hn, 1.0, L, frame)
 
 
+def _first_primes(d):
+    primes = []
+    c = 2
+    while len(primes) < d:
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+        c += 1
+    return primes
+
+
+def _scrambled_halton(d, k, seed):
+    """First ``k`` points of the scrambled Halton sequence in ``[0, 1)^d``.
+
+    Owen's digit-permutation scrambling (arXiv:1706.02808) with one
+    permutation per digit, drawn base by base from ``default_rng(seed)``.
+    Equal bit for bit, strides included, to scipy's
+    ``qmc.Halton(d, scramble=True, seed=seed).random(k)``: the same
+    permutation stream and the same digit accumulation order.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.zeros((d, k))
+    for row, b in zip(u, _first_primes(d)):
+        # one permutation per digit that 1 - b**-j < 1 can still resolve
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        i = np.arange(k)
+        b2r = 1.0 / b
+        for perm in perms:
+            i, digit = np.divmod(i, b)
+            row += perm[digit] * b2r
+            b2r /= b
+    # F-ordered like scipy's: the row norms of the draw depend on its layout
+    return u.T
+
+
+# Cephes ndtri: rational approximations in y - 1/2 on the central range and in
+# 1/sqrt(-2 log y) on the tails (below and above 8 for that root).
+_EXPM2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest power first; a leading 1.0 gives Cephes'
+    ``p1evl`` bit for bit, as ``1.0 * x == x``."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _log(a):
+    # libm's log, as Cephes calls it; numpy's SIMD log differs in the last bit
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def _ndtri(u):
+    """Inverse of the standard normal CDF for ``0 < u < 1``, equal bit for
+    bit to ``scipy.special.ndtri`` (the Cephes algorithm, step by step)."""
+    upper = u > 1.0 - _EXPM2
+    y = np.where(upper, 1.0 - u, u)
+    out = np.empty_like(u)
+    mid = y > _EXPM2
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    out[mid] = (ym + ym * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1),
+                  z * _polevl(z, _P2) / _polevl(z, _Q2))
+    out[tail] = np.where(upper[tail], x0 - x1, -(x0 - x1))
+    return out
+
+
 @functools.lru_cache(maxsize=32)
 def _unit_ball_draw(n, k):
     """Unit directions and radial factors of the first ``k`` Halton points.
@@ -284,9 +376,8 @@ def _unit_ball_draw(n, k):
     read-only.  Only the radius-free factors are cached: scaling happens per
     call, in the same operation order as an uncached draw.
     """
-    u = qmc.Halton(d=n + 1, scramble=True, seed=_HALTON_SEED).random(k)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    z = ndtri(u[:, :n])
+    u = np.clip(_scrambled_halton(n + 1, k, _HALTON_SEED), 1e-12, 1.0 - 1e-12)
+    z = _ndtri(u[:, :n])
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     unit = z / norms[:, None]

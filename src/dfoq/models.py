@@ -76,8 +76,9 @@ class QuadraticModel:
         return float(self.c + d @ self.g + 0.5 * d @ self.H @ d)
 
     def value_many(self, X):
-        """Model values at the rows of ``X``."""
-        Dm = np.asarray(X, dtype=float) - self.x0[None, :]
+        """Model values at the rows of ``X``, taken on a C-ordered copy: the
+        row sums of an F-ordered stack round differently."""
+        Dm = np.ascontiguousarray(X, dtype=float) - self.x0[None, :]
         return self.c + Dm @ self.g + 0.5 * ((Dm @ self.H) * Dm).sum(1)
 
     def gradient(self, x):

@@ -353,16 +353,20 @@ def test_kappa_mfn_matches_the_inverse_formula():
         bounds.kappa_mH_mfn(1.0, singular)
 
 
-def _ball_draw_reference(x0, delta, k):
-    """Fresh scrambled-Halton draw with the ball sample's frozen seed."""
-    n = x0.size
-    u = qmc.Halton(d=n + 1, scramble=True, seed=54709).random(k)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+def _unit_draw_reference(n, k):
+    """Unit directions and radial factors of a fresh scipy scrambled-Halton
+    draw with the ball sample's frozen seed."""
+    u = np.clip(qmc.Halton(d=n + 1, scramble=True, seed=54709).random(k), 1e-12, 1.0 - 1e-12)
     z = ndtri(u[:, :n])
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = delta * u[:, n] ** (1.0 / n)
-    return np.vstack([x0[None, :], x0[None, :] + (z / norms[:, None]) * radii[:, None]])
+    return z / norms[:, None], u[:, n] ** (1.0 / n)
+
+
+def _ball_draw_reference(x0, delta, k):
+    """Fresh scrambled-Halton draw of the ball, center first."""
+    unit, rad = _unit_draw_reference(x0.size, k)
+    return np.vstack([x0[None, :], x0[None, :] + unit * (delta * rad)[:, None]])
 
 
 def test_ball_points_contract():
@@ -382,11 +386,36 @@ def test_ball_points_contract():
             got = bounds.ball_points(center, delta, n_samples=100)
             assert np.array_equal(got, _ball_draw_reference(center, delta, 100))
 
+    # the in-house Halton stream and inverse CDF are scipy's bit for bit, and
+    # the draw keeps scipy's F order, on which the row norms' rounding depends
+    for n in (1, 2, 3, 16, 64, 65, 100):
+        for k in (1, 33, 511, 512, 513, 1024):
+            for got, want in zip(bounds._unit_ball_draw(n, k), _unit_draw_reference(n, k)):
+                assert np.array_equal(got, want), (n, k)
+                assert got.strides == want.strides, (n, k)
+
     # a caller writing into its result does not reach the next call, and the
     # shared draw itself cannot be written
     pts[:] = 0.0
     assert np.array_equal(bounds.ball_points(x0, 0.75, n_samples=100), again)
     assert not any(a.flags.writeable for a in bounds._unit_ball_draw(3, 100))
+
+
+def test_ndtri_is_scipys_bit_for_bit():
+    # the clipped Halton inputs of every ball draw with n <= 64 (the stream
+    # of a lower dimension is a prefix of the columns of a higher one)
+    u = np.clip(bounds._scrambled_halton(65, 1024, 54709), 1e-12, 1.0 - 1e-12)[:, :64]
+    # branch edges: the clip, exp(-2) either side, the centre, and the tail
+    # switch at sqrt(-2 log y) = 8, that is y = exp(-32)
+    edges = [1e-12, 0.5]
+    for y in (np.exp(-2.0), np.exp(-32.0)):
+        edges += [np.nextafter(y, 0.0), y, np.nextafter(y, 1.0)]
+    edges += [1.0 - e for e in edges]
+    tails = 10.0 ** np.random.default_rng(5).uniform(-12.0, 0.0, 20000)
+    for x in (u, np.array(edges), tails, 1.0 - tails):
+        got, want = bounds._ndtri(x), ndtri(x)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
 
 
 def test_measure_errors_exact_quadratic():

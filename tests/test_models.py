@@ -223,6 +223,18 @@ def test_model_many_point_forms_agree():
     assert np.allclose(model.value_many(X), [model.value(x) for x in X])
 
 
+def test_value_many_does_not_depend_on_the_point_layout():
+    # interpolation_check stacks x0 over a +- symmetric set's points, which
+    # is F-ordered; the values must be those of the C-ordered copy
+    rng = np.random.default_rng(20)
+    for n in (3, 16, 64):
+        model = QuadraticModel(rng.standard_normal(n), 0.3, rng.standard_normal(n),
+                               rng.standard_normal((n, n)))
+        X = model.x0 + rng.standard_normal((2 * n + 1, n))
+        assert np.array_equal(model.value_many(np.asfortranarray(X)),
+                              model.value_many(np.ascontiguousarray(X)))
+
+
 def test_value_many_matches_the_einsum_form():
     # (Dm @ H) * Dm summed over rows against einsum: both are sums of n^2
     # products, each within 2n eps of sum |Dm_i| |H_ij| |Dm_j|
