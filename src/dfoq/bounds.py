@@ -437,22 +437,23 @@ _BATCH_FLOATS = 2 ** 16
 
 
 def measure_errors(tf, model, Y: SampleSet, n_samples=DEFAULT_SAMPLES, f=None):
-    """The one-row :func:`measure_rows`; without an oracle ``f`` it reads f
-    at ``x0`` and at the set's points through a vectorized oracle of ``tf.f``."""
+    """The one-row :func:`measure_rows`, reading f at ``x0`` and the set's
+    points through the oracle ``f``, by default a vectorized one of ``tf.f``."""
     f = Oracle(tf.f, vectorized=True) if f is None else f
-    return measure_rows(tf, [(model, Y, f)], n_samples)[0]
+    return measure_rows(tf, [(model, Y, f.many(Y.evaluation_points()))], n_samples)[0]
 
 
 def measure_rows(tf, rows, n_samples=DEFAULT_SAMPLES):
-    """Sup-style errors of each ``(model, Y, f)`` over ``B(x0, Y.radius)``
-    plus the set's points; the sets share ``x0`` and their size m.
+    """Sup-style errors of each ``(model, Y, fv)`` over ``B(x0, Y.radius)``
+    plus the set's points, where ``fv`` holds f at ``Y.evaluation_points()``;
+    the sets share ``x0`` and their size m.
 
     A batch stacks, C-ordered, each row's ball (the cached Halton draw scaled
     to its radius), ``x0`` and its set's points, so every value is the
     pointwise one and a batch equals its one-row calls bit for bit.  f at
-    ``x0`` and at the set's points is read from the row's oracle ``f``, the
-    one its model was built with; ``tf.f`` takes the balls in one call per
-    batch and ``tf.grad`` every point.  Directional errors compare each
+    ``x0`` and at the set's points is the row's ``fv``, the values its model
+    was built from; ``tf.f`` takes the balls in one call per batch and
+    ``tf.grad`` every point.  Directional errors compare each
     model's curvature with ``tf.hess(x0)`` along and across its directions.
     """
     rows, k = list(rows), int(n_samples)
@@ -472,8 +473,7 @@ def measure_rows(tf, rows, n_samples=DEFAULT_SAMPLES):
         np.add(x0, Y.D.T, out=X[i, k + 1:])
     fvals = np.empty(X.shape[:2])
     fvals[:, :k] = tf.f(X[:, :k])
-    for i, (_, _, f) in enumerate(rows):
-        fvals[i, k:] = f.many(X[i, k:])
+    fvals[:, k:] = [fv for _, _, fv in rows]
     Dm = X - x0
     c = np.array([model.c for model, _, _ in rows])
     g = np.stack([model.g for model, _, _ in rows])

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
 from .sample_sets import SampleSet
-from .simplex import DirectionPack, Oracle, as_oracle, delta_f, gsh, shifted_frame
+from .simplex import DirectionPack, as_oracle, delta_f, gsh, shifted_frame
 
 __all__ = [
     "QuadraticModel",
@@ -30,9 +30,12 @@ __all__ = [
     "parse_family",
     "build",
     "solve_mn",
+    "solve_mn_values",
     "solve_mfn",
+    "solve_mfn_values",
     "build_qs",
     "interpolation_check",
+    "interpolation_report",
     "qs_preset",
     "QS_PRESETS",
 ]
@@ -132,15 +135,27 @@ def _hessian_from_multipliers(D, lam):
     return 0.5 * (H + H.T)  # kill roundoff skew; exact value is symmetric
 
 
+def _solved(values_core, f, Y, tol, alpha_unique):
+    """``(model, SolveDiagnostics)`` of ``values_core`` on f read at Y."""
+    f = as_oracle(f)
+    model, lam, kkt_residual = values_core(Y, f.many(Y.evaluation_points()), tol)
+    residual = interpolation_check(model, f, Y, tol).max_violation
+    return model, SolveDiagnostics(lam, float(kkt_residual), residual, alpha_unique)
+
+
 def solve_mn(f, Y: SampleSet, tol=None):
     """Quadratic minimizing ``||g||^2 + ||H||_F^2`` among interpolants of f on Y.
 
     Returns ``(QuadraticModel, SolveDiagnostics)``.  Raises
     :class:`InfeasibleError` when no quadratic interpolates the data.
     """
-    f = as_oracle(f)
-    delta = delta_f(f, Y.x0, Y.D)
-    rhs, kkt_residual, feasible = Y.mn_residual(delta, tol)
+    return _solved(solve_mn_values, f, Y, tol, True)
+
+
+def solve_mn_values(Y: SampleSet, fv, tol=None):
+    """``(model, multipliers, kkt_residual)`` of :func:`solve_mn` from the
+    values ``fv`` of f at ``Y.evaluation_points()``."""
+    rhs, kkt_residual, feasible = Y.mn_residual(fv[1:] - fv[0], tol)
     if not feasible:
         raise InfeasibleError(
             f"no interpolating quadratic: multiplier system residual {kkt_residual:.3e}"
@@ -148,14 +163,7 @@ def solve_mn(f, Y: SampleSet, tol=None):
     fac, Vr, Vp = Y.mn_factor
     z = fac.solve(rhs)
     lam = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
-    model = QuadraticModel(Y.x0, f(Y.x0), Y.D @ lam, _hessian_from_multipliers(Y.D, lam))
-    diag = SolveDiagnostics(
-        multipliers=lam,
-        kkt_residual=float(kkt_residual),
-        feasibility_residual=interpolation_check(model, f, Y, tol).max_violation,
-        alpha_unique=True,
-    )
-    return model, diag
+    return QuadraticModel(Y.x0, fv[0], Y.D @ lam, _hessian_from_multipliers(Y.D, lam)), lam, kkt_residual
 
 
 def solve_mfn(f, Y: SampleSet, tol=None):
@@ -163,17 +171,18 @@ def solve_mfn(f, Y: SampleSet, tol=None):
 
     The gradient is unique only when the bordered system is invertible; the
     returned gradient is always the minimum-norm representative and
-    ``alpha_unique`` records the distinction.
+    ``alpha_unique`` records the distinction.  The verdict is read before
+    the bordered factors exist, so its own SVD adds no peak memory.
     """
-    f = as_oracle(f)
-    delta = delta_f(f, Y.x0, Y.D)
-    # read before the bordered factors exist, so its own SVD adds no peak memory
-    poised = Y.mfn_poised
+    return _solved(solve_mfn_values, f, Y, tol, Y.mfn_poised)
+
+
+def solve_mfn_values(Y: SampleSet, fv, tol=None):
+    """``(model, multipliers, kkt_residual)`` of :func:`solve_mfn` from the
+    values ``fv`` of f at ``Y.evaluation_points()``, solved on the normalized
+    directions (``F_unit``, whose condition does not degrade like radius^-3)."""
+    delta = fv[1:] - fv[0]
     rhs = np.concatenate([delta, np.zeros(Y.n)])
-    # The raw bordered system mixes radius^4 and radius^1 blocks, so its
-    # conditioning degrades like radius^-3.  The problem is scale-equivariant:
-    # solve on unit-normalized directions (condition independent of radius)
-    # and map the solution back.
     fac = Y.F_unit_factor
     kkt_residual = fac.range_residual(rhs)
     if kkt_residual > linalg.feasibility_tol(tol, delta):
@@ -183,23 +192,19 @@ def solve_mfn(f, Y: SampleSet, tol=None):
     z = fac.solve(rhs)
     r = Y.radius
     lam, alpha = z[: Y.m] / r ** 4, z[Y.m:] / r
-    model = QuadraticModel(Y.x0, f(Y.x0), alpha, _hessian_from_multipliers(Y.D, lam))
-    diag = SolveDiagnostics(
-        multipliers=lam,
-        kkt_residual=float(kkt_residual),
-        feasibility_residual=interpolation_check(model, f, Y, tol).max_violation,
-        alpha_unique=poised,
-    )
-    return model, diag
+    return QuadraticModel(Y.x0, fv[0], alpha, _hessian_from_multipliers(Y.D, lam)), lam, kkt_residual
 
 
 def interpolation_check(model: QuadraticModel, f, Y: SampleSet, tol=None):
     """Largest |model - f| over the points of Y (center included)."""
-    f = as_oracle(f)
     if np.linalg.norm(model.x0 - Y.x0) > 0:
         raise InvalidInputError("model and sample set have different centers")
-    pts = np.vstack([Y.x0[None, :], Y.points()])
-    fvals = f.many(pts)
+    pts = Y.evaluation_points()
+    return interpolation_report(model, pts, as_oracle(f).many(pts), tol)
+
+
+def interpolation_report(model: QuadraticModel, pts, fvals, tol=None):
+    """:func:`interpolation_check` on the rows of ``pts``, where f is ``fvals``."""
     worst = float(np.max(np.abs(model.value_many(pts) - fvals)))
     scale = 1.0 + float(np.max(np.abs(fvals)))
     base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
@@ -286,15 +291,13 @@ class QSStencil:
     and the offsets are merged by :meth:`SampleSet.from_offsets`, so the set
     does not depend on the radius.  The recipe scales with its frame: on the
     half frame scaled by t every offset is t times its unit one, every
-    difference quotient divides by t and the Hessian by t^2.  :meth:`scale`
-    therefore shares the merge, the index and the pseudoinverses, and ``Y``
-    shares its radius-free factors through :meth:`SampleSet.scale`.
+    difference quotient divides by t and the Hessian by t^2, so one merge,
+    index and set of pseudoinverses serve every scaling (:meth:`model`).
     ``spec`` is the recipe on the half frame the stencil was built on.
     """
 
     spec: QSSpec
     Y: SampleSet
-    t: float
     index: _StencilIndex
 
     @classmethod
@@ -331,24 +334,18 @@ class QSStencil:
             at_t, pinv_T = np.tile(index[k:k + shared.shape[1]], p), linalg.pinv(shared)
             starts = None
         at_st = index[len(index) - len(T):]
-        return cls(spec, Y, 1.0, _StencilIndex(tuple(grads), at_s, at_t, at_st,
+        return cls(spec, Y, _StencilIndex(tuple(grads), at_s, at_t, at_st,
                                                pack.factor.pinv(), pinv_T, starts))
 
-    def scale(self, t):
-        """The stencil of the same recipe on the half frame scaled by t."""
-        return QSStencil(self.spec, self.Y.scale(t), self.t * float(t), self.index)
-
-    def model(self, f):
-        """The recipe's quadratic from f at ``x0`` and at each point of ``Y``,
-        read in one :meth:`Oracle.many`: ``Y.m + 1`` evaluations.
+    def model(self, fv, t=1.0):
+        """The recipe's quadratic on the half frame scaled by t, from the
+        values ``fv`` of f at ``Y.scale(t).evaluation_points()``.
 
         ``g = sum coeff pinv(S^T) (f[head] - f[base]) / (t scale)`` and
         ``H = pinv(S^T) R / t^2``, where row i of R is the table row
         ``f[s^i + t^j] - f[s^i] - f[t^j] + f(x0)`` times ``pinv(T_i)``.
         """
-        f = as_oracle(f)
-        Y, t, ix = self.Y, self.t, self.index
-        fv = f.many(np.vstack([Y.x0[None, :], Y.points()]))
+        Y, ix = self.Y, self.index
         g = np.zeros(Y.n)
         for coeff, scale, heads, base in ix.grads:
             g = g + coeff * (ix.pinv_S @ (fv[heads] - fv[base])) / (t * scale)
@@ -405,15 +402,13 @@ class BuiltModel:
     ``kind`` is ``"mn"``, ``"mfn"`` or ``"qs"``.  ``Y`` is the set the model
     interpolates: the solve set for mn/mfn, the stencil's merged points for
     qs.  ``diagnostics`` is the solver's :class:`SolveDiagnostics` for
-    mn/mfn and the :class:`InterpolationReport` on ``Y`` for qs.  ``f`` is
-    the :class:`Oracle` the model read f through.
+    mn/mfn and the :class:`InterpolationReport` on ``Y`` for qs.
     """
 
     model: QuadraticModel
     Y: SampleSet
     diagnostics: SolveDiagnostics | InterpolationReport
     kind: str
-    f: Oracle
 
     @property
     def poised(self):
@@ -431,22 +426,19 @@ class BuiltModel:
         }
 
 
-def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None,
-          stencil: QSStencil | None = None):
+def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None):
     """The ``family`` model (mn | mfn | qs:<preset>) of f on the half frame ``half``.
 
-    mn and mfn solve on ``Y``, by default the symmetric set ``half.expand()``.
-    qs ignores ``Y``: every qs model is ``stencil.model(f)`` on the set
-    ``stencil.Y``.  ``stencil`` defaults to the :class:`QSStencil` of the
-    preset's recipe on ``half``; a sweep passes its unit stencil scaled to
-    ``half``.  Returns a :class:`BuiltModel`.
+    mn and mfn solve on ``Y``, by default the symmetric set ``half.expand()``;
+    qs ignores ``Y`` and takes the :class:`QSStencil` of the preset's recipe
+    on ``half``.  Returns a :class:`BuiltModel`.
     """
     kind, preset = parse_family(family)
     f = as_oracle(f)
     if kind != "qs":
         Y = half.expand() if Y is None else Y
         model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
-        return BuiltModel(model, Y, diag, kind, f)
-    stencil = stencil or QSStencil.of(qs_preset(preset, half), half.x0)
-    model, Y = stencil.model(f), stencil.Y
-    return BuiltModel(model, Y, interpolation_check(model, f, Y, tol=tol), kind, f)
+        return BuiltModel(model, Y, diag, kind)
+    stencil = QSStencil.of(qs_preset(preset, half), half.x0)
+    model = stencil.model(f.many(stencil.Y.evaluation_points()))
+    return BuiltModel(model, stencil.Y, interpolation_check(model, f, stencil.Y, tol=tol), kind)

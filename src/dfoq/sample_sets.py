@@ -169,18 +169,12 @@ class SampleSet:
         return self.D / self.radius
 
     # The set caches verdicts, norms and the factors of the systems it is
-    # solved with.  F_unit (read by solve_mfn and kappa_mH_mfn), the
-    # normalized directions and the half-frame factors of a symmetric set do
-    # not depend on the radius, so a set made by scale() reads these
-    # radius-free caches (and expand() its symmetric set) from the set it was
-    # scaled from, and the F_unit factor lives as long as any set scaled from
-    # that one (5.6 MB at m + n = 592).  The solves apply factors without
-    # forming the pseudoinverse, so holding them does not raise the peak: the
-    # fullquad benchmark (m up to 560) peaks at 136 MB, as it did when
-    # solve_mn let its factor go on return.  mfn_poised reads the
-    # radius-dependent F_scaled (on a symmetric set, only its spectrum) and
-    # mn_factor the radius-dependent split system of solve_mn, so every set
-    # takes its own.
+    # solved with.  F_unit, the normalized directions and the half-frame
+    # factors of a symmetric set do not depend on the radius, so a set made
+    # by scale() reads them from its origin.  The solves apply a factor
+    # without forming its pseudoinverse, so holding one does not raise the
+    # peak: the fullquad benchmark (m up to 560) peaks at 74 MB.  mfn_poised
+    # and mn_factor depend on the radius: every set takes its own.
 
     @functools.cached_property
     def mfn_poised(self):
@@ -266,37 +260,30 @@ class SampleSet:
         return fac.rank, linalg.matrix_norm(fac.pinv(), "op1")
 
     def scale(self, t):
-        """Same geometry with every direction multiplied by ``t > 0``; it shares
-        this set's radius-free factors.  Scaling moves every gap and length by
-        a few ulps only, so of the direction checks only the lengths' range is
-        repeated."""
+        """Same geometry with every direction multiplied by ``t > 0``, sharing this
+        set's radius-free factors; only the lengths' range is checked again."""
         t = float(t)
         if not (t > 0) or not np.isfinite(t):
             raise InvalidInputError("scale factor must be positive and finite")
-        D = linalg.as_matrix(t * self.D, "D")
-        _direction_lengths(D)
-        return _unchecked(SampleSet, x0=self.x0, D=D, _origin=self._origin or self)
-
-    def expand(self):
-        """The plus-minus symmetric set ``[D, -D]`` of this half frame.
-
-        It is checked in full and cached on the set; a set made by
-        :meth:`scale` takes its origin's, scaled: ``t (-d) = -(t d)``
-        exactly, so its directions are those of ``origin.expand().scale(t)``
-        and it shares that set's radius-free factors.
-        """
-        if self._origin is None:
-            return self._expanded
-        return _unchecked(SampleSet, x0=self.x0, D=np.hstack([self.D, -self.D]),
-                          _origin=self._origin._expanded)
+        D = t * self.D
+        return _unchecked(SampleSet, x0=self.x0, D=D, radius=float(np.max(_direction_lengths(D))),
+                          _origin=self._origin or self)
 
     @functools.cached_property
     def _expanded(self):
         return SampleSet(self.x0, np.hstack([self.D, -self.D]))
 
+    def expand(self):
+        """The plus-minus symmetric set ``[D, -D]``, checked once and cached."""
+        return self._expanded
+
     def points(self):
         """Interpolation points ``x0 + d^i`` as rows (m x n); excludes x0."""
         return self.x0[None, :] + self.D.T
+
+    def evaluation_points(self):
+        """``x0`` and each point ``x0 + d^i`` as rows: where a model on Y reads f."""
+        return np.vstack([self.x0[None, :], self.points()])
 
     def to_json_dict(self):
         return {"x0": self.x0.tolist(), "directions": self.D.T.tolist()}

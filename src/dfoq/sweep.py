@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds, linalg, models, testbed
-from .errors import InvalidInputError, NotPoisedError
+from .errors import EvaluationError, InvalidInputError, NotPoisedError
 from .sample_sets import SampleSet
-from .simplex import Oracle
 
 
 @dataclass(frozen=True)
@@ -188,67 +188,102 @@ def _worst_cross_pair(cross, bound_table):
     return float(cross[i, j]), float(bound_table[i, j])
 
 
-def _row(tf, built, meas, delta, kqs_unit, hess_norm, family):
-    """The row of the model ``built`` at radius ``delta`` and its measurement
-    ``meas``, with the bounds of its own ball's Lipschitz data and what is
-    taken once per sweep: the radius-free qs curvature constant ``kqs_unit``
-    (qs) and ``||hess f(x0)||`` (qs:centred)."""
-    meas_Y, poised = built.Y, built.poised
-    radius = meas_Y.radius
+class _Plan(NamedTuple):
+    """What a sweep takes once: the ``unit`` set every row scales (the half
+    frame's symmetric set for mn/mfn, the unit ``stencil``'s points for qs),
+    ``kqs_unit`` (qs) and ``||hess f(x0)||`` (qs:centred)."""
+
+    family: str
+    unit: SampleSet
+    stencil: models.QSStencil | None
+    kqs_unit: float | None
+    hess_norm: float | None
+
+
+def _plan(config, tf):
+    kind, preset = models.parse_family(config.model)  # reported before a bad set
+    half = SampleSet(tf.x0, resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed))
+    # mn/mfn refuse here a half frame holding some d and -d (valid for qs).
+    # A qs recipe scales with its frame and kappa_mH_qs is linear in L_grad
+    # on normalized frames, so the unit stencil and constant serve every row.
+    stencil = kqs_unit = hess_norm = None
+    if kind != "qs":
+        unit = half.expand()
+    else:
+        stencil = models.QSStencil.of(models.qs_preset(preset, half), half.x0)
+        unit, kqs_unit = stencil.Y, bounds.kappa_mH_qs(1.0, stencil.spec)
+    if config.model == "qs:centred":
+        hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
+    return _Plan(config.model, unit, stencil, kqs_unit, hess_norm)
+
+
+def _value_table(tf, sets):
+    """Each row's ``evaluation_points()`` as one C-ordered ``(rows, m + 1, n)``
+    table, and f there from one ``tf.f`` call, refused at its first inf/nan."""
+    table = np.empty((len(sets), sets[0].m + 1, sets[0].n))
+    table[:, 0] = sets[0].x0
+    for Y, points in zip(sets, table):
+        np.add(Y.x0, Y.D.T, out=points[1:])
+    fv = np.asarray(tf.f(table), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(fv))
+    if bad.size:
+        raise EvaluationError(table.reshape(-1, sets[0].n)[bad[0]], float(fv.flat[bad[0]]))
+    return table, fv
+
+
+def _model(plan, Y, t, points, fv, tol):
+    """``(model, poised, qs interpolation violation)`` of the row whose set
+    Y is the unit set scaled by t, from the values ``fv`` at its ``points``."""
+    if plan.stencil is not None:
+        model = plan.stencil.model(fv, t)
+        check = models.interpolation_report(model, points, fv, tol)
+        return model, check.passed, check.max_violation
+    solve = models.solve_mn_values if plan.family == "mn" else models.solve_mfn_values
+    return solve(Y, fv, tol)[0], Y.mfn_poised, None
+
+
+def _row(tf, plan, Y, poised, meas, delta):
+    """The row of set Y at radius ``delta`` with its verdict ``poised`` and
+    measurement ``meas``, and the bounds of its own ball's Lipschitz data."""
+    radius, family = Y.radius, plan.family
     lip = tf.lipschitz_on(tf.x0, radius)
 
-    bound_f = bound_g = bound_aligned = None
-    cross_bound_table = None
+    consts = bound_aligned = cross_bound_table = None
     if family in ("mn", "mfn"):
         bound_aligned = bounds.directional_bound_aligned(lip.L_hess, radius)
         if poised:
-            kmfn = bounds.kappa_mH_mfn(lip.L_grad, meas_Y)
-            consts = bounds.kappa_generic(lip.L_grad, kmfn, meas_Y)
+            kmfn = bounds.kappa_mH_mfn(lip.L_grad, Y)
+            consts = bounds.kappa_generic(lip.L_grad, kmfn, Y)
             if family == "mn":
-                kmn = bounds.kappa_mH_mn(
-                    lip.kappa_g, consts.kappa_eg, radius, kmfn, meas_Y
-                )
-                consts = bounds.kappa_generic(lip.L_grad, kmn, meas_Y)
-            bound_f = consts.kappa_ef * radius ** 2
-            bound_g = consts.kappa_eg * radius
-            norms = np.linalg.norm(meas_Y.D, axis=0)
+                kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn, Y)
+                consts = bounds.kappa_generic(lip.L_grad, kmn, Y)
+            norms = np.linalg.norm(Y.D, axis=0)
             cross_bound_table = bounds.directional_bound_cross(
                 consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :]
             )
-    else:
-        if poised:
-            kqs = lip.L_grad * kqs_unit
-            try:
-                consts = bounds.kappa_generic(lip.L_grad, kqs, meas_Y)
-                bound_f = consts.kappa_ef * radius ** 2
-                bound_g = consts.kappa_eg * radius
-            except NotPoisedError:
-                pass  # the set does not span R^n: no fully linear bound holds
-        if family == "qs:centred":
-            # the centred preset's H is the structured-pack GSH, the one
-            # case the directional theory covers among the presets
-            bound_aligned = bounds.directional_bound_aligned(lip.L_hess, delta)
-            cross_bound_table = np.full(
-                (meas_Y.m, meas_Y.m),
-                bounds.directional_bound_gsh_cross(hess_norm, lip.L_hess, delta),
-            )
+    elif poised:
+        try:
+            consts = bounds.kappa_generic(lip.L_grad, lip.L_grad * plan.kqs_unit, Y)
+        except NotPoisedError:
+            pass  # the set does not span R^n: no fully linear bound holds
+    if family == "qs:centred":
+        # the centred preset's H is the structured-pack GSH, the one case the
+        # directional theory covers among the presets
+        bound_aligned = bounds.directional_bound_aligned(lip.L_hess, delta)
+        cross_bound_table = np.full(
+            (Y.m, Y.m), bounds.directional_bound_gsh_cross(plan.hess_norm, lip.L_hess, delta)
+        )
 
     if cross_bound_table is not None:
         err_cross, bound_cross = _worst_cross_pair(meas.cross, cross_bound_table)
     else:
         err_cross, bound_cross = meas.cross_max, None
-
     return SweepRow(
-        delta=radius,
-        err_f=meas.err_f,
-        bound_f=bound_f,
-        err_g=meas.err_g,
-        bound_g=bound_g,
-        err_dir_aligned_max=meas.aligned_max,
-        bound_dir_aligned=bound_aligned,
-        err_dir_cross_max=err_cross,
-        bound_dir_cross=bound_cross,
-        poised=poised,
+        delta=radius, err_f=meas.err_f, err_g=meas.err_g,
+        bound_f=None if consts is None else consts.kappa_ef * radius ** 2,
+        bound_g=None if consts is None else consts.kappa_eg * radius,
+        err_dir_aligned_max=meas.aligned_max, bound_dir_aligned=bound_aligned,
+        err_dir_cross_max=err_cross, bound_dir_cross=bound_cross, poised=poised,
     )
 
 
@@ -279,41 +314,27 @@ def count_violations(rows, f0):
 
 
 def run_sweep(config: SweepConfig):
-    """Execute a sweep; returns (rows, summary dict)."""
+    """Execute a sweep; returns (rows, summary dict).  Every radius is checked
+    before f is evaluated; one value table gives each row's model and errors."""
     dim = len(config.x0) if config.x0 is not None else None
     tf = testbed.get(config.function, dim=dim, x0=config.x0)
-    kind, preset = models.parse_family(config.model)  # reported before a bad set
-    unit = SampleSet(tf.x0, resolve_frame(config.set_spec, tf.dim, fallback_seed=config.seed))
-    # mn/mfn need the symmetric set, refused here, before any row, for a half
-    # frame holding some d and -d; such a frame is valid for qs.  A qs
-    # recipe scales with its frame, so one unit stencil, scaled, serves every
-    # row.  kappa_mH_qs is linear in L_grad and reads each frame normalized,
-    # so the unit recipe's value serves every row too.
-    stencil = kqs_unit = hess_norm = None
-    if kind != "qs":
-        unit.expand()
-    else:
-        stencil = models.QSStencil.of(models.qs_preset(preset, unit), unit.x0)
-        kqs_unit = bounds.kappa_mH_qs(1.0, stencil.spec)
-    if config.model == "qs:centred":
-        hess_norm = linalg.matrix_norm(tf.hess(tf.x0), "spectral")
-    # Build every row on its own vectorized oracle, which the measurement reads
-    # again (f is evaluated once at x0 and each set point), measure the rows in
-    # batches, then bound them
-    built = []
+    plan = _plan(config, tf)
+    sets = []
     for d in config.deltas:
-        built.append(models.build(config.model, Oracle(tf.f, vectorized=True), unit.scale(d),
-                                  tol=config.tol, stencil=stencil and stencil.scale(d)))
-        if built[-1].Y.radius > tf.region_radius:
-            raise InvalidInputError(f"radius {built[-1].Y.radius:g} leaves the region of "
+        sets.append(plan.unit.scale(d))
+        if sets[-1].radius > tf.region_radius:
+            raise InvalidInputError(f"radius {sets[-1].radius:g} leaves the region of "
                                     f"{tf.name} (limit {tf.region_radius:g})")
-    measured = bounds.measure_rows(tf, [(b.model, b.Y, b.f) for b in built], config.samples)
-    rows = [_row(tf, b, meas, delta, kqs_unit, hess_norm, config.model)
-            for b, meas, delta in zip(built, measured, config.deltas)]
-    interp = [b.diagnostics.max_violation for b in built if b.kind == "qs"]
+    table, fv = _value_table(tf, sets)
+    built = [_model(plan, *row, config.tol) for row in zip(sets, config.deltas, table, fv)]
+    measured = bounds.measure_rows(tf, [(model, Y, v) for (model, _, _), Y, v in zip(built, sets, fv)],
+                                   config.samples)
+    rows = [_row(tf, plan, Y, poised, meas, delta)
+            for (_, poised, _), Y, meas, delta in zip(built, sets, measured, config.deltas)]
+    interp = [violation for _, _, violation in built if violation is not None]
 
     deltas = [r.delta for r in rows]
-    f0 = built[0].f(tf.x0)  # read by every row's model: no new evaluation
+    f0 = float(fv[0, 0])  # f(x0), read by every row's model
     fscale = 1.0 + abs(f0)
     violations = count_violations(rows, f0)
     rows_checked = sum(1 for r in rows if any(
@@ -333,10 +354,9 @@ def run_sweep(config: SweepConfig):
         "violations": violations,
         "rows_poised": sum(1 for r in rows if r.poised),
         "rows_checked": rows_checked,
-        # evaluations of f: x0 and the set's points per row through its
-        # oracle, and the ball's other points, which measure_rows sends to
-        # tf.f directly
-        "oracle_calls": sum(b.f.calls for b in built) + len(rows) * config.samples,
+        # evaluations of f: x0 and the set's points per row in the value
+        # table, and each row's ball
+        "oracle_calls": fv.size + len(rows) * config.samples,
     }
     if interp:
         summary["max_interpolation_violation"] = max(interp)

@@ -193,6 +193,32 @@ def test_non_finite_delta_grid_exits_1_before_any_row(capsys, grid):
     assert capsys.readouterr().err == "error: deltas must be finite\n"
 
 
+@pytest.mark.parametrize("model, stretch", [("mn", 1), ("mfn", 1), ("qs:centred", 1),
+                                            ("qs:adapted-0", 2)])
+@pytest.mark.parametrize("start", ["1000", "5"])
+def test_out_of_region_grid_exits_1_before_f_is_evaluated(capsys, monkeypatch, model, stretch,
+                                                         start):
+    # every radius is checked before f is read: at radius 1000 exp
+    # overflows, which would warn (an error under the tests' warning filter)
+    # and fail the sweep with exit 2 instead of the region error
+    calls, get = [], testbed.get
+
+    def counted_get(*args, **kwargs):
+        tf = get(*args, **kwargs)
+        f = tf.f
+        tf.f = lambda X: calls.append(1) or f(X)
+        return tf
+
+    monkeypatch.setattr(testbed, "get", counted_get)
+    argv = ["sweep", "--function", "exponential", "--set", "structured:2", "--model", model,
+            "--deltas", f"{start}:0.5:3"]
+    assert main(argv) == 1
+    radius = stretch * float(start)
+    assert capsys.readouterr().err == (
+        f"error: radius {radius:g} leaves the region of exponential (limit 2.5)\n")
+    assert calls == []
+
+
 def test_parser_is_built_once_and_parses_alike_after_an_error(tmp_path, capsys):
     from dfoq import cli
 

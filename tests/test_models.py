@@ -426,14 +426,15 @@ def test_stencil_hessian_rows_sum_each_frame_segment():
     spec = QSSpec((GradTerm(1.0),), DirectionPack(S, Ts))
     stencil = QSStencil.of(spec, x0)
     want = build_qs(trig, x0, spec)
-    _assert_close_to_the_recipe(stencil.model(trig), want, want.c, stencil.Y.radius)
+    fv = Oracle(trig).many(stencil.Y.evaluation_points())
+    _assert_close_to_the_recipe(stencil.model(fv), want, want.c, stencil.Y.radius)
     for D in (np.eye(n), S):
         stencil = QSStencil.of(qs_preset("centred", SampleSet(x0, D)), x0)
         ix, Y = stencil.index, stencil.Y
         fv = Oracle(trig).many(np.vstack([x0[None, :], Y.points()]))
         table = fv[ix.at_st] - fv[ix.at_s] - fv[ix.at_t] + fv[0]
         rows = np.array([table[i:i + 1] @ ix.pinv_T[i:i + 1] for i in range(n)])
-        assert np.array_equal(stencil.model(trig).H, ix.pinv_S @ rows)
+        assert np.array_equal(stencil.model(fv).H, ix.pinv_S @ rows)
 
 
 def _per_term_qs(f, x0, spec):

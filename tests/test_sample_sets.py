@@ -655,6 +655,9 @@ def test_symmetric_factors_read_the_set_values():
 
 
 def test_scaled_symmetric_sets_share_the_origin_factors(monkeypatch):
+    # a sweep scales the symmetric set of its half frame, checked once: each
+    # scaled set reads the origin's half-frame factors, and its directions
+    # are those of the half frame scaled, then expanded (a set of its own)
     rng = np.random.default_rng(36)
     x0, Dh = rng.standard_normal(4), rng.standard_normal((4, 4))
     unit = SampleSet(x0, Dh)
@@ -667,8 +670,8 @@ def test_scaled_symmetric_sets_share_the_origin_factors(monkeypatch):
         monkeypatch.setattr(np.linalg, name,
                             lambda A, *a, _f=real, _n=name, **k: calls.append(_n) or _f(A, *a, **k))
     for t in (0.5, 1e-3, 1e-8):
-        Y = unit.scale(t).expand()
-        assert Y.D.tobytes() == origin.scale(t).D.tobytes()
+        Y = origin.scale(t)
+        assert Y.D.tobytes() == unit.scale(t).expand().D.tobytes()
         assert Y.symmetric_factors is first
         assert Y.mfn_poised is (t >= 1e-3)
     assert calls == []

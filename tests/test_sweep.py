@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from dfoq import bounds, linalg, models, testbed
+from hypothesis import example, given, settings, strategies as st
+
+from dfoq import bounds, linalg, models, sweep, testbed
 from dfoq.errors import InvalidInputError
 from dfoq.sample_sets import SampleSet, poisedness
 from dfoq.simplex import Oracle, delta_f
@@ -273,25 +275,25 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
 
 @pytest.mark.parametrize("model", ["mfn", "qs:centred", "qs:forward", "qs:adapted-1"])
 def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
-    # a sweep builds every row, measures them, then bounds them; in each
-    # phase only the first row factors.  The first mfn row factors the unit
-    # symmetric set (its half frame, the Hadamard square of its Gram matrix
-    # and F_unit); every later row reads those factors and takes mfn_poised
-    # from their spectra.  Every qs sweep builds its unit stencil, and merges
-    # its points, once before the first row, and kappa_mH_qs factors the
-    # unit recipe once.  The measurement factors nothing, and the first
-    # row's bounds factor the set's normalized directions.  qs:forward and
-    # qs:adapted-1 run at n = 16 (their stencils have O(n^2) points) on a
-    # grid that starts at 1e-5, where qs:forward's model meets its
-    # interpolation check
+    # a sweep plans, reads its value table, builds every row from the table,
+    # measures the rows, then bounds them; in each phase only the first row
+    # factors.  The first mfn row factors the unit symmetric set (its half
+    # frame, the Hadamard square of its Gram matrix and F_unit); every later
+    # row's scaled set reads those factors and takes mfn_poised from their
+    # spectra.  Every qs sweep builds its unit stencil, and merges its
+    # points, once in its plan, and kappa_mH_qs factors the unit recipe
+    # once.  The measurement factors nothing, and the first row's bounds
+    # factor the set's normalized directions.  qs:forward and qs:adapted-1
+    # run at n = 16 (their stencils have O(n^2) points) on a grid that starts
+    # at 1e-5, where qs:forward's model meets its interpolation check
     n, grid = (64, "1:0.1:4") if model in ("mfn", "qs:centred") else (16, "1e-5:0.1:4")
     count, at_build, at_measure, at_bounds, merges = [], [], [], [], []
     for name in ("svd", "eigh"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _f=real, **k: count.append(1) or _f(*a, **k))
-    build, measure_rows, kappa_generic = models.build, bounds.measure_rows, bounds.kappa_generic
-    monkeypatch.setattr(models, "build",
+    build, measure_rows, kappa_generic = sweep._model, bounds.measure_rows, bounds.kappa_generic
+    monkeypatch.setattr(sweep, "_model",
                         lambda *a, **k: at_build.append(len(count)) or build(*a, **k))
 
     def measured(*a, **k):
@@ -319,61 +321,73 @@ def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
     assert len(merges) == (model != "mfn")
 
 
+def _unit(tf, set_spec, family):
+    """``(half, unit, stencil)`` of a sweep's plan: its unit half frame, the
+    set every row scales, and the unit stencil of a qs family (else None)."""
+    half = SampleSet(tf.x0, resolve_frame(set_spec, tf.dim))
+    kind, preset = models.parse_family(family)
+    if kind != "qs":
+        return half, half.expand(), None
+    stencil = models.QSStencil.of(models.qs_preset(preset, half), half.x0)
+    return half, stencil.Y, stencil
+
+
+def _recorded_f(monkeypatch, calls):
+    # every test function made by testbed.get records the batches f reads
+    get = testbed.get
+
+    def recorded_get(*args, **kwargs):
+        tf = get(*args, **kwargs)
+        f = tf.f
+        tf.f = lambda X: calls.append((np.array(X, ndmin=2), np.asarray(X).flags.c_contiguous)) or f(X)
+        return tf
+
+    monkeypatch.setattr(testbed, "get", recorded_get)
+
+
 @pytest.mark.parametrize("model", ["qs:forward", "qs:adapted-1"])
 def test_qs_row_evaluates_f_once_per_point_of_its_set(monkeypatch, model):
-    # a row reads f at x0 and at each point of its merged set, once each,
-    # when it is built, and its measurement reads them again from the same
-    # oracle: on random:16:3 qs:adapted-1 that is 153 calls, where the
-    # recipe's points, rounded apart around x0, took 314 at delta = 0.1
-    built = []
-    build = models.build
-
-    def counted(family, f, *a, **k):
-        oracle = Oracle(f)
-        built.append(build(family, oracle, *a, **k))
-        return built[-1]
-
-    monkeypatch.setattr(models, "build", counted)
+    # the value table holds x0 and each point of a row's merged set once,
+    # and the row's model, verdict and measurement all read it: on
+    # random:16:3 qs:adapted-1 that is 153 points a row, where the recipe's
+    # points, rounded apart around x0, took 314 at delta = 0.1
+    calls = []
+    _recorded_f(monkeypatch, calls)
     config = SweepConfig("trigonometric", "random:16:3", model, parse_deltas("0.1:0.01:5"),
-                         x0=(0.4,) * 16)
-    rows, _ = run_sweep(config)
+                         x0=(0.4,) * 16, samples=32)
+    rows, summary = run_sweep(config)
     monkeypatch.undo()
-    assert len(built) == len(rows)
-    assert all(b.f.calls == b.Y.m + 1 for b in built)
-    assert len({b.Y.m for b in built}) == 1
+    _, unit, _ = _unit(testbed.get("trigonometric", x0=config.x0), "random:16:3", model)
+    (table, _), balls = calls[0], calls[1:]
+    assert table.shape == (len(rows), unit.m + 1, 16)
+    assert all(len(np.unique(points, axis=0)) == unit.m + 1 for points in table)
+    assert model != "qs:adapted-1" or unit.m + 1 == 153
+    assert sum(len(X) for X, _ in balls) == len(rows)
+    assert summary["oracle_calls"] == len(rows) * (unit.m + 1) + len(rows) * config.samples
 
 
 @pytest.mark.parametrize("model", ["mn", "mfn", "qs:centred", "qs:adapted-1"])
 def test_sweep_row_evaluates_x0_and_each_set_point_once(monkeypatch, model):
-    # one oracle per row serves the model and the measurement: building the
-    # rows, f sees x0 and each point of a row's set once, in one call per
-    # row; measuring them, the balls' points in one call per batch (here one
-    # batch of every row); oracle_calls counts every point f saw
-    calls, sets = [], []
-    get, build = testbed.get, models.build
-
-    def counted_get(*args, **kwargs):
-        tf = get(*args, **kwargs)
-        f = tf.f
-        tf.f = lambda X: calls.append(np.array(X, ndmin=2)) or f(X)
-        return tf
-
-    def recorded_build(*args, **kwargs):
-        built = build(*args, **kwargs)
-        sets.append(built.Y)
-        return built
-
-    monkeypatch.setattr(testbed, "get", counted_get)
-    monkeypatch.setattr(models, "build", recorded_build)
+    # one tf.f call reads the C-ordered value table: x0 and each point of
+    # every row's set, the unit set scaled to the row's delta, which the
+    # row's model, verdict and measurement share.  Then one call per
+    # measurement batch (here one batch of every row) reads the balls, and
+    # oracle_calls = rows (m + 1) + rows samples counts every point f saw
+    calls = []
+    _recorded_f(monkeypatch, calls)
     config = SweepConfig("trigonometric", "random:3:2", model, parse_deltas("0.1:0.1:4"),
                          samples=32)
     rows, summary = run_sweep(config)
     monkeypatch.undo()
-    assert len(sets) == len(rows) and len(calls) == len(rows) + 1
-    for Y, at_set in zip(sets, calls):
-        assert np.array_equal(at_set, np.vstack([Y.x0[None, :], Y.points()]))
-    assert calls[-1].shape == (len(rows), config.samples, 3)
-    assert summary["oracle_calls"] == sum(len(X) for X in calls[:-1]) + calls[-1][..., 0].size
+    _, unit, _ = _unit(testbed.get("trigonometric"), "random:3:2", model)
+    assert len(calls) == 2
+    (table, contiguous), (balls, _) = calls
+    assert contiguous
+    assert table.shape == (len(rows), unit.m + 1, 3)
+    for delta, points in zip(config.deltas, table):
+        assert np.array_equal(points, unit.scale(delta).evaluation_points())
+    assert balls.shape == (len(rows), config.samples, 3)
+    assert summary["oracle_calls"] == len(rows) * (unit.m + 1) + len(rows) * config.samples
     assert rows_to_csv(rows).splitlines()[0] == CSV_HEADER
 
 
@@ -464,15 +478,21 @@ def test_qs_sweep_on_non_spanning_set_has_no_fully_linear_bounds(model):
     assert min(r.err_g for r in rows) > 0.5
 
 
-def _sweep_rows(function, set_spec, family, grid, x0=None):
-    """Every row's built model of a sweep, as run_sweep builds them."""
-    tf = testbed.get(function, dim=None if x0 is None else len(x0), x0=x0)
-    unit = SampleSet(tf.x0, resolve_frame(set_spec, tf.dim))
-    kind, preset = models.parse_family(family)
-    stencil = models.QSStencil.of(models.qs_preset(preset, unit), unit.x0) if kind == "qs" else None
-    built = [models.build(family, Oracle(tf.f, vectorized=True), unit.scale(d),
-                          stencil=stencil and stencil.scale(d)) for d in parse_deltas(grid)]
-    return tf, built
+def _one_row_builds(tf, set_spec, family, deltas):
+    """``(model, Y, f)`` of every row of a sweep, built alone: the row's set
+    Y is the unit set scaled to its delta, and its model reads f through an
+    oracle f of its own, by models.build (mn/mfn) or the unit stencil's
+    QSStencil.model (qs)."""
+    half, unit, stencil = _unit(tf, set_spec, family)
+    built = []
+    for d in deltas:
+        Y, f = unit.scale(d), Oracle(tf.f, vectorized=True)
+        if stencil is None:
+            model = models.build(family, f, half.scale(d), Y=Y).model
+        else:
+            model = stencil.model(f.many(Y.evaluation_points()), d)
+        built.append((model, Y, f))
+    return built
 
 
 def _assert_same_measurement(a, b):
@@ -494,17 +514,23 @@ BATCH_CASES = (
 
 @pytest.mark.parametrize("function, set_spec, family, grid, x0", BATCH_CASES)
 def test_a_batch_of_rows_equals_its_one_row_calls_bitwise(function, set_spec, family, grid, x0):
-    tf, built = _sweep_rows(function, set_spec, family, grid, x0)
-    batch = bounds.measure_rows(tf, [(b.model, b.Y, b.f) for b in built])
+    # measure_rows on every row of a sweep, with f at the rows' sets read
+    # from one value table, against measure_errors on each row alone, which
+    # reads f through the oracle the row's model was built with
+    tf = testbed.get(function, dim=None if x0 is None else len(x0), x0=x0)
+    built = _one_row_builds(tf, set_spec, family, parse_deltas(grid))
+    fv = tf.f(np.ascontiguousarray([Y.evaluation_points() for _, Y, _ in built]))
+    batch = bounds.measure_rows(tf, [(model, Y, v) for (model, Y, _), v in zip(built, fv)])
     assert len(batch) == len(built)
-    for b, meas in zip(built, batch):
-        _assert_same_measurement(meas, bounds.measure_errors(tf, b.model, b.Y, f=b.f))
+    for (model, Y, f), meas in zip(built, batch):
+        _assert_same_measurement(meas, bounds.measure_errors(tf, model, Y, f=f))
 
 
 @pytest.mark.parametrize("n, rows_per_batch", [(3, [13]), (64, [1] * 9)])
 def test_sweep_measures_its_rows_in_batches_of_bounded_size(monkeypatch, n, rows_per_batch):
-    # tf.f takes the balls of one batch per call: all 13 rows of an n = 3
-    # grid sweep in one, each row of an n = 64 sweep alone
+    # tf.f takes the value table of every row in one call, then the balls of
+    # one batch per call: all 13 rows of an n = 3 grid sweep in one, each row
+    # of an n = 64 sweep alone
     batches = []
     get = testbed.get
 
@@ -519,7 +545,7 @@ def test_sweep_measures_its_rows_in_batches_of_bounded_size(monkeypatch, n, rows
     run_sweep(SweepConfig("trigonometric", f"structured:{n}", "mfn", parse_deltas(grid),
                           x0=(0.4,) * n))
     monkeypatch.undo()
-    assert batches == rows_per_batch
+    assert batches == [sum(rows_per_batch)] + rows_per_batch
 
 
 # the last cases move the set's rows in the measurement's stack, which
@@ -535,16 +561,55 @@ QS_VERDICT_CASES = (
 
 
 @pytest.mark.parametrize("function, set_spec, family, grid, x0, samples", QS_VERDICT_CASES)
-def test_qs_sweep_verdict_is_the_interpolation_check(monkeypatch, function, set_spec, family,
-                                                     grid, x0, samples):
+def test_qs_sweep_verdict_is_the_interpolation_check(function, set_spec, family, grid, x0,
+                                                     samples):
     # a qs row's verdict and the summary's violation are interpolation_check's
-    # on the row's model, bit for bit, whatever the ball's sample count
-    built = []
-    build = models.build
-    monkeypatch.setattr(models, "build", lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+    # on the row's model built alone, bit for bit, whatever the ball's sample
+    # count
     rows, summary = run_sweep(SweepConfig(function, set_spec, family, parse_deltas(grid), x0=x0,
                                           samples=samples))
-    monkeypatch.undo()
-    checks = [models.interpolation_check(b.model, b.f, b.Y) for b in built]
+    tf = testbed.get(function, dim=None if x0 is None else len(x0), x0=x0)
+    checks = [models.interpolation_check(model, f, Y)
+              for model, Y, f in _one_row_builds(tf, set_spec, family, parse_deltas(grid))]
     assert [r.poised for r in rows] == [c.passed for c in checks]
     assert summary["max_interpolation_violation"] == max(c.max_violation for c in checks)
+
+
+ALL_FAMILIES = ("mn", "mfn", "qs:centred", "qs:forward", "qs:adapted-0", "qs:adapted-1")
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(ALL_FAMILIES), function=st.sampled_from(("trigonometric", "quartic")),
+       n=st.sampled_from((2, 3, 16, 64)), structured=st.booleans(), seed=st.integers(0, 9),
+       start=st.integers(0, 6), samples=st.sampled_from((16, 64)))
+@example("mn", "quartic", 64, False, 3, 6, 64)
+@example("mfn", "quartic", 64, False, 7, 6, 64)
+@example("qs:centred", "quartic", 64, False, 7, 0, 64)
+@example("mn", "trigonometric", 16, True, 0, 6, 16)
+@example("qs:forward", "trigonometric", 16, False, 3, 5, 16)
+@example("qs:adapted-1", "quartic", 16, False, 3, 6, 16)
+def test_sweep_rows_equal_their_one_row_reference_bitwise(family, function, n, structured, seed,
+                                                         start, samples):
+    # every row of a sweep, read from its one value table, against the row
+    # built alone (_one_row_builds), with its own verdict (the set's for
+    # mn/mfn, interpolation_check for qs), measure_errors through its own
+    # oracle and the same bounds, at radii from 1 down to 1e-8.  The other qs
+    # stencils reach out to 3 times the grid radius, so their grids start at
+    # 0.5, and have O(n^2) points, so n = 64 runs them at 16
+    wide = family in ("mn", "mfn", "qs:centred")
+    n = n if wide else min(n, 16)
+    set_spec = f"structured:{n}" if structured else f"random:{n}:{seed}"
+    deltas = tuple((1.0 if wide else 0.5) * 10.0 ** -(start + k) for k in range(3))
+    config = SweepConfig(function, set_spec, family, deltas, x0=(0.4,) * n, samples=samples)
+    rows, summary = run_sweep(config)
+    tf = testbed.get(function, x0=config.x0)
+    plan = sweep._plan(config, tf)
+    want = []
+    for delta, (model, Y, f) in zip(config.deltas,
+                                    _one_row_builds(tf, set_spec, family, config.deltas)):
+        check = models.interpolation_check(model, f, Y)
+        poised = check.passed if plan.stencil is not None else Y.mfn_poised
+        meas = bounds.measure_errors(tf, model, Y, samples, f=f)
+        want.append(sweep._row(tf, plan, Y, poised, meas, delta))
+    assert rows_to_csv(rows) == rows_to_csv(want)
+    assert summary["rows_poised"] == sum(r.poised for r in want)

@@ -111,3 +111,18 @@ def test_scalar_float_contract():
         assert tf.grad(tf.x0).shape == (tf.dim,)
         assert tf.hess(tf.x0).shape == (tf.dim, tf.dim)
         assert np.allclose(tf.hess(tf.x0), tf.hess(tf.x0).T)
+
+
+@pytest.mark.parametrize("name", [tf.name for tf in testbed.registry()])
+def test_f_on_a_value_table_equals_its_per_row_calls_bitwise(name):
+    # a sweep reads f once on a C-ordered (rows, m + 1, n) table of every
+    # row's x0 and set points; each row's values are those of f on that row
+    # alone, as the row's own oracle reads them
+    rng = np.random.default_rng(21)
+    for n in ((2,) if name == "rosenbrock" else (2, 3, 4, 8, 16, 33, 64)):
+        tf = testbed.get(name, dim=n)
+        for rows, m in ((13, 2 * n), (9, 2 * n + 1), (1, 5)):
+            table = np.ascontiguousarray(tf.x0 + 0.1 * rng.standard_normal((rows, m + 1, n)))
+            values = tf.f(table)
+            for i in range(rows):
+                assert np.array_equal(values[i], tf.f(table[i])), (n, rows, i)
