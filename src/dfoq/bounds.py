@@ -5,6 +5,11 @@ Constant conventions: ``kappa_ef`` bounds ``|f - m|`` by ``kappa_ef * Delta^2``
 and ``kappa_eg`` bounds ``||grad f - grad m||`` by ``kappa_eg * Delta`` over
 the ball ``B(x0, Delta)`` whose radius is the sample-set radius.  Hessian-side
 constants ``kappa_mH`` bound the model curvature along unit directions.
+
+The constants and the sweep's directional bounds take floats or, elementwise,
+arrays that broadcast against each other: one call bounds every row of a
+sweep, and each entry equals the call on its own floats bit for bit.  Powers
+of a radius are Python's, entry by entry (:func:`_power`).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DirectionDomainError, InvalidInputError, NotPoisedError
+from .models import ModelStack
 from .sample_sets import SampleSet
 from .simplex import Oracle
 
@@ -61,31 +67,56 @@ class LipschitzData:
     def __post_init__(self):
         for name in ("L_grad", "L_hess", "kappa_g", "region_radius"):
             v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0:
+            if not math.isfinite(v) or v < 0:
                 raise InvalidInputError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
 class BoundConstants:
+    """Constants of :func:`kappa_generic`: floats, or arrays over stacked
+    inputs."""
+
     kappa_mH: float
     kappa_ef: float
     kappa_eg: float
     family: str
 
 
+def _unwrapped(a):
+    """A 0-d result as a float; an array as it is."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _checked(x, name, what, ok):
+    """``x`` as a float, or elementwise as an array, refused unless finite
+    and ``ok``."""
+    if isinstance(x, (int, float)):
+        a = float(x)
+        valid = math.isfinite(a) and ok(a)
+    else:
+        a = _unwrapped(np.asarray(x, dtype=float))
+        valid = bool(np.all(np.isfinite(a) & ok(a)))
+    if not valid:
+        raise InvalidInputError(f"{name} must be {what} and finite")
+    return a
+
+
 def _positive(x, name):
-    x = float(x)
-    if not np.isfinite(x) or x <= 0:
-        raise InvalidInputError(f"{name} must be positive and finite")
-    return x
+    return _checked(x, name, "positive", lambda a: a > 0)
 
 
 def _nonnegative(x, name):
-    x = float(x)
-    if not np.isfinite(x) or x < 0:
-        raise InvalidInputError(f"{name} must be nonnegative and finite")
-    return x
+    return _checked(x, name, "nonnegative", lambda a: a >= 0)
+
+
+def _power(x, k):
+    """``x ** k`` as Python takes it on floats, entry by entry.  numpy's
+    array power is not Python's: over 2e5 log-uniform radii in [1e-9, 10],
+    ``**3`` differs in the last bit in about 5 % of them."""
+    if np.ndim(x) == 0:
+        return x ** k
+    return np.array([v ** k for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 def kappa_mH_mfn(L_grad, Y: SampleSet):
@@ -111,9 +142,9 @@ def kappa_mH_mn(kappa_g, kappa_eg_mfn, delta_bar, kappa_mH_mfn_value, Y: SampleS
     keg = _nonnegative(kappa_eg_mfn, "kappa_eg_mfn")
     db = _positive(delta_bar, "delta_bar")
     kmh = _nonnegative(kappa_mH_mfn_value, "kappa_mH_mfn_value")
-    if Y is not None and db < Y.radius * (1.0 - 1e-12):
+    if Y is not None and np.any(db < Y.radius * (1.0 - 1e-12)):
         raise InvalidInputError("delta_bar must be at least the sample-set radius")
-    return float(np.hypot(kg + keg * db, kmh))
+    return _unwrapped(np.hypot(kg + keg * db, kmh))
 
 
 def _pinv_spectral_norm(M):
@@ -154,7 +185,8 @@ def kappa_generic(L_grad, kappa_mH, Y: SampleSet):
         raise NotPoisedError(f"directions span {rank} of {Y.n} dimensions: set not poised")
     kappa_ef = 0.5 * (L + kmh) * np.sqrt(Y.n) * pinv_norm + 0.5 * (L + kmh)
     kappa_eg = 2.0 * kappa_ef + 2.0 * kmh
-    return BoundConstants(kappa_mH=kmh, kappa_ef=float(kappa_ef), kappa_eg=float(kappa_eg), family="generic")
+    return BoundConstants(kappa_mH=kmh, kappa_ef=_unwrapped(kappa_ef),
+                          kappa_eg=_unwrapped(kappa_eg), family="generic")
 
 
 def directional_bound_aligned(L_hess, delta):
@@ -170,28 +202,22 @@ def directional_bound_aligned(L_hess, delta):
     return _nonnegative(L_hess, "L_hess") * _positive(delta, "delta") / 3.0
 
 
-def _positive_elementwise(x, name):
-    a = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a) & (a > 0)):
-        raise InvalidInputError(f"{name} must be positive and finite")
-    return a
-
-
 def directional_bound_cross(kappa_ef, L_hess, delta, norm_di, norm_dj):
     """Bound between two distinct sampled directions of a symmetric set.
 
-    ``norm_di`` and ``norm_dj`` broadcast against each other, so one call
-    with ``norms[:, None]`` and ``norms[None, :]`` gives the whole m x m
-    table; each entry equals the scalar call on its pair exactly.  Scalar
-    norms give a float.
+    The arguments broadcast against each other, so one call with
+    ``norms[:, None]`` and ``norms[None, :]`` gives the whole m x m table,
+    and one with a leading axis of rows every row's table; each entry
+    equals the scalar call on its pair exactly.  Scalars give a float.
     """
     kef = _nonnegative(kappa_ef, "kappa_ef")
     L = _nonnegative(L_hess, "L_hess")
     d = _positive(delta, "delta")
-    ni = _positive_elementwise(norm_di, "norm_di")
-    nj = _positive_elementwise(norm_dj, "norm_dj")
-    bound = 4.0 * kef * d ** 2 / (ni * nj) + (2.0 * L / 3.0) * d ** 3 / (ni * nj)
-    return float(bound) if bound.ndim == 0 else bound
+    ni = _positive(norm_di, "norm_di")
+    nj = _positive(norm_dj, "norm_dj")
+    bound = (4.0 * kef * _power(d, 2) / (ni * nj)
+             + (2.0 * L / 3.0) * _power(d, 3) / (ni * nj))
+    return _unwrapped(bound)
 
 
 def _coefficient_ratio(v):
@@ -412,86 +438,101 @@ def _drawn_points(x0, radii, k):
 
 @dataclass(frozen=True)
 class ErrorMeasurement:
-    """Measured worst-case errors of one model against one function."""
+    """Measured worst-case errors of one model against one function, or of
+    a stack of models row by row: then ``err_f`` and ``err_g`` are (rows,)
+    arrays and ``aligned`` and ``cross`` carry a leading axis of rows, and
+    :meth:`row` is one row's measurement."""
 
     err_f: float
     err_g: float
     aligned: np.ndarray        # per sampled direction
     cross: np.ndarray          # (i, j) entries for i != j, nan on the diagonal
 
+    def row(self, i):
+        return ErrorMeasurement(float(self.err_f[i]), float(self.err_g[i]),
+                                self.aligned[i], self.cross[i])
+
     @property
     def aligned_max(self):
-        return float(np.max(self.aligned))
+        return _unwrapped(np.max(self.aligned, axis=-1))
 
     @property
     def cross_max(self):
-        if self.cross.shape[0] < 2:
-            return float("nan")
-        off = self.cross[~np.eye(self.cross.shape[0], dtype=bool)]
-        return float(np.max(off))
-
-
-# Floats per stacked array of a measurement batch: 13 rows at n = 3, one at
-# n = 64 (a whole n = 64 sweep in one batch raised peak memory by 14 %).
-_BATCH_FLOATS = 2 ** 16
+        """Largest off-diagonal entry of each row's ``cross``, nan for m < 2;
+        taken in chunks of :func:`linalg.batches`."""
+        m = self.cross.shape[-1]
+        cross = self.cross.reshape((-1, m, m))
+        out = np.full(len(cross), np.nan)
+        if m > 1:
+            off = ~np.eye(m, dtype=bool)
+            for rows in linalg.batches(len(cross), m * m):
+                out[rows] = np.max(cross[rows][:, off], axis=-1)
+        return _unwrapped(out.reshape(self.cross.shape[:-2]))
 
 
 def measure_errors(tf, model, Y: SampleSet, n_samples=DEFAULT_SAMPLES, f=None):
     """The one-row :func:`measure_rows`, reading f at ``x0`` and the set's
     points through the oracle ``f``, by default a vectorized one of ``tf.f``."""
     f = Oracle(tf.f, vectorized=True) if f is None else f
-    return measure_rows(tf, [(model, Y, f.many(Y.evaluation_points()))], n_samples)[0]
+    fv = f.many(Y.evaluation_points())[None]
+    return measure_rows(tf, ModelStack.of(model), [Y], fv, n_samples).row(0)
 
 
-def measure_rows(tf, rows, n_samples=DEFAULT_SAMPLES):
-    """Sup-style errors of each ``(model, Y, fv)`` over ``B(x0, Y.radius)``
-    plus the set's points, where ``fv`` holds f at ``Y.evaluation_points()``;
-    the sets share ``x0`` and their size m.
+def measure_rows(tf, models: ModelStack, sets, fv, n_samples=DEFAULT_SAMPLES):
+    """Sup-style errors of each row's model in ``models`` over
+    ``B(x0, Y.radius)`` plus the points of its set Y in ``sets``, where
+    ``fv[i]`` holds f at ``sets[i].evaluation_points()``; the sets share
+    ``x0`` and their size m.  Returns one stacked :class:`ErrorMeasurement`.
 
-    A batch stacks, C-ordered, each row's ball (the cached Halton draw scaled
-    to its radius), ``x0`` and its set's points, so every value is the
-    pointwise one and a batch equals its one-row calls bit for bit.  f at
-    ``x0`` and at the set's points is the row's ``fv``, the values its model
-    was built from; ``tf.f`` takes the balls in one call per batch and
-    ``tf.grad`` every point.  Directional errors compare each
-    model's curvature with ``tf.hess(x0)`` along and across its directions.
+    The rows are taken in batches of :func:`linalg.batches`, whose stacked
+    arrays hold at most 2^16 floats each (a whole n = 64 sweep in one batch
+    raised peak memory by 14 %).  A batch stacks, C-ordered, each row's
+    ball (the cached Halton draw scaled to its radius), ``x0`` and its set's
+    points, so every value is the pointwise one and a batch equals its
+    one-row calls bit for bit.  f at ``x0`` and at the set's points is the
+    row's ``fv``, the values its model was built from; ``tf.f`` takes the
+    balls in one call per batch and ``tf.grad`` every point.  Directional
+    errors compare each model's curvature with ``tf.hess(x0)``, taken once,
+    along and across its directions, one product per row.
     """
-    rows, k = list(rows), int(n_samples)
+    k, x0 = int(n_samples), models.x0
     if k < 1:
         raise InvalidInputError("n_samples must be at least 1")
-    x0, m = rows[0][1].x0, rows[0][1].m
-    if any(Y.m != m or not np.array_equal(Y.x0, x0) for _, Y, _ in rows):
+    m, n, rows = sets[0].m, x0.size, len(sets)
+    if any(Y.m != m or (Y.x0 is not x0 and not np.array_equal(Y.x0, x0)) for Y in sets):
         raise InvalidInputError("measured rows must share x0 and their set size")
-    per_batch = max(1, _BATCH_FLOATS // ((k + 1 + m) * x0.size))
-    if len(rows) > per_batch:
-        return [meas for start in range(0, len(rows), per_batch)
-                for meas in measure_rows(tf, rows[start:start + per_batch], k)]
-    X = np.empty((len(rows), k + 1 + m, x0.size))
-    X[:, :k] = _drawn_points(x0, [Y.radius for _, Y, _ in rows], k)
+    err_f, err_g, cross = np.empty(rows), np.empty(rows), np.empty((rows, m, m))
+    hess = tf.hess(x0)
+    for batch in linalg.batches(rows, (k + 1 + m) * n):
+        err_f[batch], err_g[batch] = _measure_batch(tf, models.rows(batch), sets[batch], fv[batch],
+                                                    k, hess, cross[batch])
+    diagonal = np.arange(m)
+    aligned = cross[:, diagonal, diagonal]
+    cross[:, diagonal, diagonal] = np.nan
+    return ErrorMeasurement(err_f, err_g, aligned, cross)
+
+
+def _measure_batch(tf, stack, sets, fv, k, hess, cross):
+    """``(err_f, err_g)`` of one batch of :func:`measure_rows`, and each
+    row's ``|u_i . (H - hess) u_j|`` table written into ``cross``.  Its
+    temporaries are released when it returns, before the next batch."""
+    x0, n, m = stack.x0, stack.x0.size, sets[0].m
+    D = np.stack([Y.D for Y in sets])
+    X = np.empty((len(D), k + 1 + m, n))
+    X[:, :k] = _drawn_points(x0, [Y.radius for Y in sets], k)
     X[:, k] = x0
-    for i, (_, Y, _) in enumerate(rows):
-        np.add(x0, Y.D.T, out=X[i, k + 1:])
+    np.add(x0, D.transpose(0, 2, 1), out=X[:, k + 1:])
     fvals = np.empty(X.shape[:2])
     fvals[:, :k] = tf.f(X[:, :k])
-    fvals[:, k:] = [fv for _, _, fv in rows]
+    fvals[:, k:] = fv
     Dm = X - x0
-    c = np.array([model.c for model, _, _ in rows])
-    g = np.stack([model.g for model, _, _ in rows])
-    H = np.stack([model.H for model, _, _ in rows])
-    mvals = (c[:, None] + np.matmul(Dm, g[:, :, None])[..., 0]
-             + 0.5 * (np.matmul(Dm, H) * Dm).sum(-1))
-    grads = g[:, None, :] + np.matmul(Dm, 0.5 * (H + H.transpose(0, 2, 1)))
-    err_f = np.abs(fvals - mvals).max(-1)
-    err_g = np.linalg.norm(tf.grad(X) - grads, axis=-1).max(-1)
-
-    hess, out = tf.hess(x0), []
-    for i, (model, Y, _) in enumerate(rows):
-        unit_D = Y.D / np.linalg.norm(Y.D, axis=0)
-        table = np.abs(unit_D.T @ (model.H - hess) @ unit_D)
-        cross = table.copy()
-        np.fill_diagonal(cross, np.nan)
-        out.append(ErrorMeasurement(float(err_f[i]), float(err_g[i]), np.diag(table).copy(), cross))
-    return out
+    err_f = np.abs(fvals - stack.at_offsets(Dm)).max(-1)
+    grads = np.matmul(Dm, 0.5 * (stack.H + stack.H.transpose(0, 2, 1)))
+    grads += stack.g[:, None, :]
+    err_g = np.linalg.norm(np.subtract(tf.grad(X), grads, out=grads), axis=-1).max(-1)
+    D /= np.linalg.norm(D, axis=1)[:, None, :]  # unit directions
+    np.abs(np.matmul(np.matmul(D.transpose(0, 2, 1), stack.H - hess), D), out=cross)
+    return err_f, err_g
 
 
 def fit_slope(deltas, errors, f_scale=1.0, order=0):

@@ -30,12 +30,35 @@ DEFAULT_RESIDUAL_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
 
+# Floats that the temporaries of one chunk of a stacked pass hold together:
+# a pass over a sweep's rows takes them in chunks of this size (one row at
+# least), so its peak memory does not grow with the number of rows.
+BATCH_FLOATS = 2 ** 16
+
+
+def batches(rows, floats_per_row):
+    """Slices of ``range(rows)`` in order, each of as many rows as hold
+    :data:`BATCH_FLOATS` floats at ``floats_per_row`` each, one at least."""
+    step = max(1, BATCH_FLOATS // floats_per_row)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def norms(V):
+    """2-norm of each vector along the last axis of ``V``, as a float for one
+    vector.  Each is ``sqrt(v . v)`` from one dot product, a ``1 x k`` by
+    ``k x 1`` product per vector, and so equals ``np.linalg.norm(v)`` bit for
+    bit."""
+    V = np.asarray(V, dtype=float)
+    out = np.sqrt(np.matmul(V[..., None, :], V[..., :, None])[..., 0, 0])
+    return float(out) if out.ndim == 0 else out
+
 
 def feasibility_tol(tol, b):
     """Residual a solver accepts for data ``b``: ``base (1 + ||b||)`` with
-    ``base`` the caller's ``tol``, or :data:`DEFAULT_RESIDUAL_TOL`."""
+    ``base`` the caller's ``tol``, or :data:`DEFAULT_RESIDUAL_TOL`; one per
+    row of a stack ``b``."""
     base = DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
-    return base * (1.0 + float(np.linalg.norm(b)))
+    return base * (1.0 + norms(b))
 
 
 def as_matrix(M, name="matrix"):
@@ -56,6 +79,23 @@ def as_vector(v, name="vector"):
     if not np.isfinite(x).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return x
+
+
+def _right_hand_sides(b, rows):
+    """``b`` as one finite right-hand side of length ``rows``, or a stack of
+    them (the rows of a 2-d ``b``)."""
+    B = np.asarray(b, dtype=float)
+    if B.ndim not in (1, 2) or B.shape[-1] != rows or not np.isfinite(B).all():
+        raise InvalidInputError(f"b must be finite vectors of length {rows}, got shape {B.shape}")
+    return B
+
+
+def matvec(M, v):
+    """``M @ v`` for each vector along the last axis of ``v``, ``M`` one
+    matrix or a stack of them: one matrix-vector product per vector, so each
+    equals its own ``M @ v`` bit for bit.  One matrix product over the stack
+    would round its sums differently."""
+    return np.matmul(M, v[..., None])[..., 0]
 
 
 def rank_tolerance(M):
@@ -167,29 +207,30 @@ class Factorization:
         return (self.Vt[:k].T * self._inv_s) @ self.U[:, :k].T
 
     def solve(self, b):
-        """``pinv() @ b``, applied factor by factor without forming ``pinv()``."""
-        rhs = as_vector(b, "b")
-        if rhs.size != self.shape[0]:
-            raise InvalidInputError(f"shape mismatch: A is {self.shape}, b has length {rhs.size}")
+        """``pinv() @ b``, applied factor by factor without forming ``pinv()``.
+
+        A 2-d ``b`` is a stack of right-hand sides, one per row, each solved
+        as :func:`matvec` products: bit for bit the call on that row alone.
+        """
+        rhs = _right_hand_sides(b, self.shape[0])
         k = self.s.size
-        return self.Vt[:k].T @ (self._inv_s * (self.U[:, :k].T @ rhs))
+        return matvec(self.Vt[:k].T, self._inv_s * matvec(self.U[:, :k].T, rhs))
 
     def range_residual(self, b):
-        """Norm of the component of ``b`` orthogonal to the numerical range.
+        """Norm of the component of ``b`` orthogonal to the numerical range,
+        one per row of a 2-d ``b``.
 
         This is the right consistency measure for ill-conditioned systems: it
         is O(eps ||b||) whenever ``A x = b`` is solvable, independent of
         cond(A), while the recomputed residual of a computed solution grows
         with cond(A).
         """
-        rhs = as_vector(b, "b")
-        if rhs.size != self.shape[0]:
-            raise InvalidInputError(f"shape mismatch: A is {self.shape}, b has length {rhs.size}")
+        rhs = _right_hand_sides(b, self.shape[0])
         if self.U.shape[1] < self.shape[0]:
             raise InvalidInputError("the thin SVD of a tall matrix gives no range residual")
         if self.rank >= self.U.shape[1]:
-            return 0.0
-        return float(np.linalg.norm(self.U[:, self.rank:].T @ rhs))
+            return 0.0 if rhs.ndim == 1 else np.zeros(len(rhs))
+        return norms(matvec(self.U[:, self.rank:].T, rhs))
 
 
 def pinv(M):

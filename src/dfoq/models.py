@@ -21,6 +21,7 @@ from .simplex import DirectionPack, as_oracle, delta_f, gsh, shifted_frame
 
 __all__ = [
     "QuadraticModel",
+    "ModelStack",
     "SolveDiagnostics",
     "InterpolationReport",
     "GradTerm",
@@ -79,10 +80,9 @@ class QuadraticModel:
         return float(self.c + d @ self.g + 0.5 * d @ self.H @ d)
 
     def value_many(self, X):
-        """Model values at the rows of ``X``, taken on a C-ordered copy: the
-        row sums of an F-ordered stack round differently."""
-        Dm = np.ascontiguousarray(X, dtype=float) - self.x0[None, :]
-        return self.c + Dm @ self.g + 0.5 * ((Dm @ self.H) * Dm).sum(1)
+        """Model values at the rows of ``X``: :meth:`ModelStack.values` of
+        the one-row stack."""
+        return ModelStack.of(self).values(np.asarray(X, dtype=float)[None])[0]
 
     def gradient(self, x):
         d = np.asarray(x, dtype=float) - self.x0
@@ -100,6 +100,52 @@ class QuadraticModel:
             "H": self.H.tolist(),
             "symmetric": self.symmetric,
         }
+
+
+class ModelStack(NamedTuple):
+    """Quadratic models around one center ``x0``, one per row: row i is
+    ``c[i] + g[i].(x - x0) + 0.5 (x - x0).H[i].(x - x0)``, with ``c``
+    (rows,), ``g`` (rows, n) and ``H`` (rows, n, n).
+
+    The solvers build a stack of every row they are given; a one-row call
+    is the one-row stack, and :meth:`model` is a row as a
+    :class:`QuadraticModel`.
+    """
+
+    x0: np.ndarray
+    c: np.ndarray
+    g: np.ndarray
+    H: np.ndarray
+
+    @classmethod
+    def of(cls, model: QuadraticModel):
+        """The one-row stack of ``model``."""
+        return cls(model.x0, np.array([model.c]), model.g[None], model.H[None])
+
+    def rows(self, index):
+        """The stack of the rows ``index`` picks (a slice or index array)."""
+        return ModelStack(self.x0, self.c[index], self.g[index], self.H[index])
+
+    def model(self, i):
+        return QuadraticModel(self.x0, self.c[i], self.g[i], self.H[i])
+
+    def values(self, X):
+        """Row i's model at the points ``X[i]`` ((rows, k, n) in all),
+        taken on a C-ordered copy in chunks of :func:`linalg.batches`: the
+        row sums of an F-ordered stack round differently."""
+        out = np.empty(X.shape[:2])
+        for rows in linalg.batches(len(X), 3 * X[0].size):
+            Dm = np.ascontiguousarray(X[rows], dtype=float) - self.x0
+            out[rows] = self.rows(rows).at_offsets(Dm)
+        return out
+
+    def at_offsets(self, Dm):
+        """Row i's model at ``x0 + Dm[i, j]``: one matrix-vector and one
+        matrix product per row, so each row equals its one-row stack bit for
+        bit."""
+        quadratic = np.matmul(Dm, self.H)
+        quadratic *= Dm
+        return self.c[:, None] + linalg.matvec(Dm, self.g) + 0.5 * quadratic.sum(-1)
 
 
 @dataclass(frozen=True)
@@ -130,17 +176,36 @@ class InterpolationReport(NamedTuple):
     passed: bool
 
 
-def _hessian_from_multipliers(D, lam):
-    H = 0.5 * (D * lam) @ D.T
-    return 0.5 * (H + H.T)  # kill roundoff skew; exact value is symmetric
+def _multiplier_models(sets, fv, lam, g=None):
+    """:class:`ModelStack` of the multipliers ``lam`` (rows, m) on each row's
+    set: ``c = f(x0)``, ``H = D diag(lam) D^T / 2`` symmetrized and, when ``g``
+    is None, ``g = D lam``; one product per row, in chunks."""
+    n = sets[0].n
+    H = np.empty((len(sets), n, n))
+    G = np.empty((len(sets), n)) if g is None else g
+    for rows in linalg.batches(len(sets), 3 * sets[0].D.size + 3 * n * n):
+        D = np.stack([Y.D for Y in sets[rows]])
+        if g is None:
+            G[rows] = linalg.matvec(D, lam[rows])
+        half = np.matmul(0.5 * (D * lam[rows, None, :]), D.transpose(0, 2, 1))
+        H[rows] = 0.5 * (half + half.transpose(0, 2, 1))  # kill roundoff skew; exact value is symmetric
+    return ModelStack(sets[0].x0, fv[:, 0].copy(), G, H)
+
+
+def _shared_shape(sets):
+    x0 = sets[0].x0
+    if any(Y.m != sets[0].m or (Y.x0 is not x0 and not np.array_equal(Y.x0, x0)) for Y in sets):
+        raise InvalidInputError("stacked rows must share x0 and their set size")
 
 
 def _solved(values_core, f, Y, tol, alpha_unique):
-    """``(model, SolveDiagnostics)`` of ``values_core`` on f read at Y."""
+    """``(model, SolveDiagnostics)`` of ``values_core`` on f read at Y: the
+    core's one-row stack."""
     f = as_oracle(f)
-    model, lam, kkt_residual = values_core(Y, f.many(Y.evaluation_points()), tol)
+    stack, lam, kkt_residual = values_core([Y], f.many(Y.evaluation_points())[None], tol)
+    model = stack.model(0)
     residual = interpolation_check(model, f, Y, tol).max_violation
-    return model, SolveDiagnostics(lam, float(kkt_residual), residual, alpha_unique)
+    return model, SolveDiagnostics(lam[0], float(kkt_residual[0]), residual, alpha_unique)
 
 
 def solve_mn(f, Y: SampleSet, tol=None):
@@ -152,18 +217,26 @@ def solve_mn(f, Y: SampleSet, tol=None):
     return _solved(solve_mn_values, f, Y, tol, True)
 
 
-def solve_mn_values(Y: SampleSet, fv, tol=None):
-    """``(model, multipliers, kkt_residual)`` of :func:`solve_mn` from the
-    values ``fv`` of f at ``Y.evaluation_points()``."""
-    rhs, kkt_residual, feasible = Y.mn_residual(fv[1:] - fv[0], tol)
-    if not feasible:
-        raise InfeasibleError(
-            f"no interpolating quadratic: multiplier system residual {kkt_residual:.3e}"
-        )
-    fac, Vr, Vp = Y.mn_factor
-    z = fac.solve(rhs)
-    lam = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
-    return QuadraticModel(Y.x0, fv[0], Y.D @ lam, _hessian_from_multipliers(Y.D, lam)), lam, kkt_residual
+def solve_mn_values(sets, fv, tol=None):
+    """``(ModelStack, multipliers, kkt_residuals)`` of :func:`solve_mn` on
+    each set of ``sets`` (sharing x0 and their size m), from the values
+    ``fv[i]`` of f at ``sets[i].evaluation_points()``.
+
+    Each row solves its own split system, which depends on its radius; the
+    models are formed as one stack.
+    """
+    _shared_shape(sets)
+    lam, kkt = np.empty((len(sets), sets[0].m)), np.empty(len(sets))
+    for i, Y in enumerate(sets):
+        rhs, kkt[i], feasible = Y.mn_residual(fv[i, 1:] - fv[i, 0], tol)
+        if not feasible:
+            raise InfeasibleError(
+                f"no interpolating quadratic: multiplier system residual {kkt[i]:.3e}"
+            )
+        fac, Vr, Vp = Y.mn_factor
+        z = fac.solve(rhs)
+        lam[i] = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
+    return _multiplier_models(sets, fv, lam), lam, kkt
 
 
 def solve_mfn(f, Y: SampleSet, tol=None):
@@ -177,38 +250,54 @@ def solve_mfn(f, Y: SampleSet, tol=None):
     return _solved(solve_mfn_values, f, Y, tol, Y.mfn_poised)
 
 
-def solve_mfn_values(Y: SampleSet, fv, tol=None):
-    """``(model, multipliers, kkt_residual)`` of :func:`solve_mfn` from the
-    values ``fv`` of f at ``Y.evaluation_points()``, solved on the normalized
-    directions (``F_unit``, whose condition does not degrade like radius^-3)."""
-    delta = fv[1:] - fv[0]
-    rhs = np.concatenate([delta, np.zeros(Y.n)])
-    fac = Y.F_unit_factor
-    kkt_residual = fac.range_residual(rhs)
-    if kkt_residual > linalg.feasibility_tol(tol, delta):
+def solve_mfn_values(sets, fv, tol=None):
+    """``(ModelStack, multipliers, kkt_residuals)`` of :func:`solve_mfn` on
+    each set of ``sets``, from the values ``fv[i]`` of f at
+    ``sets[i].evaluation_points()``, solved on the normalized directions
+    (``F_unit``, whose condition does not degrade like radius^-3).
+
+    The sets share one ``F_unit`` factor (a set and the sets scaled from
+    it), so every row solves with it at once: one matrix-vector product per
+    row and factor.  The radius powers are Python's, row by row: numpy's
+    array power rounds differently on some radii.
+    """
+    _shared_shape(sets)
+    fac, m = sets[0].F_unit_factor, sets[0].m
+    if any(Y.F_unit_factor is not fac for Y in sets):
+        raise InvalidInputError("stacked mfn rows must share one F_unit factor")
+    delta = fv[:, 1:] - fv[:, :1]
+    rhs = np.zeros((len(sets), m + sets[0].n))
+    rhs[:, :m] = delta
+    kkt = fac.range_residual(rhs)
+    bad = np.flatnonzero(kkt > linalg.feasibility_tol(tol, delta))
+    if bad.size:
         raise InfeasibleError(
-            f"no interpolating quadratic: bordered system residual {kkt_residual:.3e}"
+            f"no interpolating quadratic: bordered system residual {kkt[bad[0]]:.3e}"
         )
     z = fac.solve(rhs)
-    r = Y.radius
-    lam, alpha = z[: Y.m] / r ** 4, z[Y.m:] / r
-    return QuadraticModel(Y.x0, fv[0], alpha, _hessian_from_multipliers(Y.D, lam)), lam, kkt_residual
+    r = [Y.radius for Y in sets]
+    lam = z[:, :m] / np.array([x ** 4 for x in r])[:, None]
+    return _multiplier_models(sets, fv, lam, z[:, m:] / np.array(r)[:, None]), lam, kkt
 
 
 def interpolation_check(model: QuadraticModel, f, Y: SampleSet, tol=None):
-    """Largest |model - f| over the points of Y (center included)."""
+    """Largest |model - f| over the points of Y (center included): the
+    one-row :func:`interpolation_report`."""
     if np.linalg.norm(model.x0 - Y.x0) > 0:
         raise InvalidInputError("model and sample set have different centers")
     pts = Y.evaluation_points()
-    return interpolation_report(model, pts, as_oracle(f).many(pts), tol)
+    report = interpolation_report(ModelStack.of(model), pts[None], as_oracle(f).many(pts)[None], tol)
+    return InterpolationReport(float(report.max_violation[0]), bool(report.passed[0]))
 
 
-def interpolation_report(model: QuadraticModel, pts, fvals, tol=None):
-    """:func:`interpolation_check` on the rows of ``pts``, where f is ``fvals``."""
-    worst = float(np.max(np.abs(model.value_many(pts) - fvals)))
-    scale = 1.0 + float(np.max(np.abs(fvals)))
+def interpolation_report(models: ModelStack, pts, fvals, tol=None):
+    """:func:`interpolation_check` of each row's model on the points
+    ``pts[i]``, where f is ``fvals[i]``: an :class:`InterpolationReport` of
+    (rows,) arrays."""
+    worst = np.max(np.abs(models.values(pts) - fvals), axis=-1)
+    scale = 1.0 + np.max(np.abs(fvals), axis=-1)
     base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
-    return InterpolationReport(worst, bool(worst <= base * scale))
+    return InterpolationReport(worst, worst <= base * scale)
 
 
 @dataclass(frozen=True)
@@ -339,22 +428,38 @@ class QSStencil:
 
     def model(self, fv, t=1.0):
         """The recipe's quadratic on the half frame scaled by t, from the
-        values ``fv`` of f at ``Y.scale(t).evaluation_points()``.
+        values ``fv`` of f at ``Y.scale(t).evaluation_points()``: the
+        one-row :meth:`stack`."""
+        return self.stack(np.asarray(fv, dtype=float)[None], [t]).model(0)
+
+    def stack(self, fv, t):
+        """:class:`ModelStack` of the recipe on the half frame scaled by each
+        ``t[i]``, from the values ``fv[i]`` of f at
+        ``Y.scale(t[i]).evaluation_points()``.
 
         ``g = sum coeff pinv(S^T) (f[head] - f[base]) / (t scale)`` and
         ``H = pinv(S^T) R / t^2``, where row i of R is the table row
         ``f[s^i + t^j] - f[s^i] - f[t^j] + f(x0)`` times ``pinv(T_i)``.
+        Every product is taken row by row, in chunks, and ``t^2`` is
+        Python's power, so each row equals its one-row stack bit for bit.
         """
         Y, ix = self.Y, self.index
-        g = np.zeros(Y.n)
+        t = np.asarray(t, dtype=float)
+        p, n = ix.pinv_S.shape[1], Y.n
+        g = np.zeros((len(fv), n))
         for coeff, scale, heads, base in ix.grads:
-            g = g + coeff * (ix.pinv_S @ (fv[heads] - fv[base])) / (t * scale)
-        table = fv[ix.at_st] - fv[ix.at_s] - fv[ix.at_t] + fv[0]
-        if ix.starts is None:
-            rows = table.reshape(ix.pinv_S.shape[1], -1) @ ix.pinv_T
-        else:
-            rows = np.add.reduceat(table[:, None] * ix.pinv_T, ix.starts, axis=0)
-        return QuadraticModel(Y.x0, fv[0], g, ix.pinv_S @ rows / t ** 2)
+            diff = fv[:, heads] - fv[:, base, None]
+            g = g + coeff * linalg.matvec(ix.pinv_S, diff) / (t * scale)[:, None]
+        t2 = np.array([x ** 2 for x in t.tolist()])
+        H = np.empty((len(fv), n, n))
+        for rows in linalg.batches(len(fv), len(ix.at_st) * (n + 1) + p * n + 2 * n * n):
+            table = fv[rows, ix.at_st] - fv[rows, ix.at_s] - fv[rows, ix.at_t] + fv[rows, :1]
+            if ix.starts is None:
+                R = np.matmul(table.reshape(len(table), p, -1), ix.pinv_T)
+            else:
+                R = np.add.reduceat(table[:, :, None] * ix.pinv_T, ix.starts, axis=1)
+            H[rows] = np.matmul(ix.pinv_S, R) / t2[rows, None, None]
+        return ModelStack(Y.x0, fv[:, 0].copy(), g, H)
 
 
 def qs_preset(name, half: SampleSet):

@@ -78,7 +78,8 @@ def solve_bilinear_min_frobenius(problem: BilinearProblem, tol=None) -> Bilinear
     if not problem.symmetric:
         H = linalg.pinv(S.T) @ rhs @ linalg.pinv(T)
         residual = float(np.linalg.norm(S.T @ H @ T - rhs, "fro"))
-        if residual > linalg.feasibility_tol(tol, rhs):
+        # the tolerance of the whole matrix, as np.linalg.norm ravels it
+        if residual > linalg.feasibility_tol(tol, rhs.ravel(order="K")):
             raise InfeasibleError(f"bilinear system inconsistent: residual {residual:.3e}")
         return BilinearSolution(H, True, residual)
 

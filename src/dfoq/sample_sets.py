@@ -278,12 +278,18 @@ class SampleSet:
         return self._expanded
 
     def points(self):
-        """Interpolation points ``x0 + d^i`` as rows (m x n); excludes x0."""
-        return self.x0[None, :] + self.D.T
+        """Interpolation points ``x0 + d^i`` as C-ordered rows (m x n);
+        excludes x0."""
+        return self.evaluation_points()[1:]
 
     def evaluation_points(self):
-        """``x0`` and each point ``x0 + d^i`` as rows: where a model on Y reads f."""
-        return np.vstack([self.x0[None, :], self.points()])
+        """``x0`` and each point ``x0 + d^i`` as C-ordered rows: where a model
+        on Y reads f.  ``x0 + D^T`` alone would keep the transpose's layout,
+        and a stack of F-ordered rows sums in another order."""
+        out = np.empty((self.m + 1, self.n))
+        out[0] = self.x0
+        np.add(self.x0, self.D.T, out=out[1:])
+        return out
 
     def to_json_dict(self):
         return {"x0": self.x0.tolist(), "directions": self.D.T.tolist()}

@@ -172,20 +172,22 @@ def row_to_json_dict(r):
     return {c: getattr(r, c) for c in _COLUMNS}
 
 
-def _worst_cross_pair(cross, bound_table):
-    """(err, bound) of the pair with the largest err/bound ratio.
+def _worst_cross_pairs(cross, bound_table):
+    """Per row of the stacked cross errors ``cross`` (rows, m, m), the
+    ``(err, bound)`` of the pair with the largest err/bound ratio against
+    ``bound_table`` (broadcast to it), and whether any pair is finite.
 
     Reporting the binding pair keeps the row's err<=bound comparison exact;
     on equal-norm frames every pair shares one bound so this reduces to the
     plain maximum error.
     """
+    bound_table = np.broadcast_to(bound_table, cross.shape)
     finite = np.isfinite(cross)
-    if not finite.any():
-        return 0.0, None
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(finite, cross / bound_table, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-    return float(cross[i, j]), float(bound_table[i, j])
+    rows = np.arange(len(cross))
+    i, j = np.divmod(ratio.reshape(len(cross), -1).argmax(1), cross.shape[-1])
+    return cross[rows, i, j], bound_table[rows, i, j], finite.any((1, 2))
 
 
 class _Plan(NamedTuple):
@@ -220,10 +222,7 @@ def _plan(config, tf):
 def _value_table(tf, sets):
     """Each row's ``evaluation_points()`` as one C-ordered ``(rows, m + 1, n)``
     table, and f there from one ``tf.f`` call, refused at its first inf/nan."""
-    table = np.empty((len(sets), sets[0].m + 1, sets[0].n))
-    table[:, 0] = sets[0].x0
-    for Y, points in zip(sets, table):
-        np.add(Y.x0, Y.D.T, out=points[1:])
+    table = np.stack([Y.evaluation_points() for Y in sets])
     fv = np.asarray(tf.f(table), dtype=float)
     bad = np.flatnonzero(~np.isfinite(fv))
     if bad.size:
@@ -231,60 +230,79 @@ def _value_table(tf, sets):
     return table, fv
 
 
-def _model(plan, Y, t, points, fv, tol):
-    """``(model, poised, qs interpolation violation)`` of the row whose set
-    Y is the unit set scaled by t, from the values ``fv`` at its ``points``."""
+def _build(plan, sets, deltas, table, fv, tol):
+    """``(models, poised, qs interpolation violations)`` of every row, the
+    row's set ``sets[i]`` being the unit set scaled by ``deltas[i]``, from
+    the value table: all mfn rows on the shared ``F_unit`` factor, all qs
+    rows from one stencil pass, and each mn row's own split system."""
     if plan.stencil is not None:
-        model = plan.stencil.model(fv, t)
-        check = models.interpolation_report(model, points, fv, tol)
-        return model, check.passed, check.max_violation
+        models_ = plan.stencil.stack(fv, deltas)
+        check = models.interpolation_report(models_, table, fv, tol)
+        return models_, check.passed.tolist(), check.max_violation.tolist()
     solve = models.solve_mn_values if plan.family == "mn" else models.solve_mfn_values
-    return solve(Y, fv, tol)[0], Y.mfn_poised, None
+    return solve(sets, fv, tol)[0], [Y.mfn_poised for Y in sets], []
 
 
-def _row(tf, plan, Y, poised, meas, delta):
-    """The row of set Y at radius ``delta`` with its verdict ``poised`` and
-    measurement ``meas``, and the bounds of its own ball's Lipschitz data."""
-    radius, family = Y.radius, plan.family
-    lip = tf.lipschitz_on(tf.x0, radius)
-
-    consts = bound_aligned = cross_bound_table = None
+def _bound_rows(tf, plan, sets, deltas, poised, meas):
+    """Each row's :class:`SweepRow`: its verdict ``poised[i]`` and
+    measurement ``meas.row(i)`` next to the bounds of its own ball's
+    Lipschitz data.  The bounds are one stacked pass over the rows: the
+    radius-free constants are read once, and the m x m cross tables and
+    their worst pairs are taken in chunks."""
+    family, unit = plan.family, plan.unit
+    radius = np.array([Y.radius for Y in sets])
+    lips = [tf.lipschitz_on(tf.x0, r) for r in radius.tolist()]
+    L_grad, L_hess, kappa_g = (np.array([getattr(lip, name) for lip in lips])
+                               for name in ("L_grad", "L_hess", "kappa_g"))
+    live = np.array(poised)  # rows with value and gradient bounds
+    consts = bound_aligned = cross_bound = None
     if family in ("mn", "mfn"):
-        bound_aligned = bounds.directional_bound_aligned(lip.L_hess, radius)
-        if poised:
-            kmfn = bounds.kappa_mH_mfn(lip.L_grad, Y)
-            consts = bounds.kappa_generic(lip.L_grad, kmfn, Y)
+        bound_aligned = bounds.directional_bound_aligned(L_hess, radius)
+        if live.any():
+            kmfn = bounds.kappa_mH_mfn(L_grad, unit)
+            consts = bounds.kappa_generic(L_grad, kmfn, unit)
             if family == "mn":
-                kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn, Y)
-                consts = bounds.kappa_generic(lip.L_grad, kmn, Y)
-            norms = np.linalg.norm(Y.D, axis=0)
-            cross_bound_table = bounds.directional_bound_cross(
-                consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :]
-            )
-    elif poised:
+                kmn = bounds.kappa_mH_mn(kappa_g, consts.kappa_eg, radius, kmfn)
+                consts = bounds.kappa_generic(L_grad, kmn, unit)
+    elif live.any():
         try:
-            consts = bounds.kappa_generic(lip.L_grad, lip.L_grad * plan.kqs_unit, Y)
+            consts = bounds.kappa_generic(L_grad, L_grad * plan.kqs_unit, unit)
         except NotPoisedError:
-            pass  # the set does not span R^n: no fully linear bound holds
+            live[:] = False  # the set does not span R^n: no fully linear bound holds
     if family == "qs:centred":
         # the centred preset's H is the structured-pack GSH, the one case the
         # directional theory covers among the presets
-        bound_aligned = bounds.directional_bound_aligned(lip.L_hess, delta)
-        cross_bound_table = np.full(
-            (Y.m, Y.m), bounds.directional_bound_gsh_cross(plan.hess_norm, lip.L_hess, delta)
-        )
+        bound_aligned = bounds.directional_bound_aligned(L_hess, np.array(deltas))
+        cross_bound = bounds.directional_bound_gsh_cross(plan.hess_norm, L_hess, np.array(deltas))
 
-    if cross_bound_table is not None:
-        err_cross, bound_cross = _worst_cross_pair(meas.cross, cross_bound_table)
-    else:
-        err_cross, bound_cross = meas.cross_max, None
-    return SweepRow(
-        delta=radius, err_f=meas.err_f, err_g=meas.err_g,
-        bound_f=None if consts is None else consts.kappa_ef * radius ** 2,
-        bound_g=None if consts is None else consts.kappa_eg * radius,
-        err_dir_aligned_max=meas.aligned_max, bound_dir_aligned=bound_aligned,
-        err_dir_cross_max=err_cross, bound_dir_cross=bound_cross, poised=poised,
-    )
+    err_cross, bound_cross = meas.cross_max.tolist(), [None] * len(sets)
+    if family in ("mn", "mfn", "qs:centred"):
+        tabled = np.arange(len(sets)) if family == "qs:centred" else np.flatnonzero(live)
+        for chunk in linalg.batches(len(tabled), 5 * unit.m ** 2):
+            at = tabled[chunk]
+            if family == "qs:centred":
+                table = cross_bound[at, None, None]
+            else:
+                norms = np.linalg.norm(np.stack([sets[i].D for i in at]), axis=1)
+                table = bounds.directional_bound_cross(
+                    consts.kappa_ef[at, None, None], L_hess[at, None, None],
+                    radius[at, None, None], norms[:, :, None], norms[:, None, :])
+            picked = (v.tolist() for v in _worst_cross_pairs(meas.cross[at], table))
+            for i, err, bound, any_finite in zip(at.tolist(), *picked):
+                err_cross[i], bound_cross[i] = (err, bound) if any_finite else (0.0, None)
+
+    kef = keg = aligned = [None] * len(sets)
+    if consts is not None:
+        kef, keg = consts.kappa_ef.tolist(), consts.kappa_eg.tolist()
+    if bound_aligned is not None:
+        aligned = bound_aligned.tolist()
+    err_f, err_g, err_aligned = meas.err_f.tolist(), meas.err_g.tolist(), meas.aligned_max.tolist()
+    return [SweepRow(
+        delta=r, err_f=err_f[i], bound_f=kef[i] * r ** 2 if live[i] else None,
+        err_g=err_g[i], bound_g=keg[i] * r if live[i] else None,
+        err_dir_aligned_max=err_aligned[i], bound_dir_aligned=aligned[i],
+        err_dir_cross_max=err_cross[i], bound_dir_cross=bound_cross[i], poised=poised[i],
+    ) for i, r in enumerate(radius.tolist())]
 
 
 def _noise_floors(f0, radius):
@@ -326,12 +344,9 @@ def run_sweep(config: SweepConfig):
             raise InvalidInputError(f"radius {sets[-1].radius:g} leaves the region of "
                                     f"{tf.name} (limit {tf.region_radius:g})")
     table, fv = _value_table(tf, sets)
-    built = [_model(plan, *row, config.tol) for row in zip(sets, config.deltas, table, fv)]
-    measured = bounds.measure_rows(tf, [(model, Y, v) for (model, _, _), Y, v in zip(built, sets, fv)],
-                                   config.samples)
-    rows = [_row(tf, plan, Y, poised, meas, delta)
-            for (_, poised, _), Y, meas, delta in zip(built, sets, measured, config.deltas)]
-    interp = [violation for _, _, violation in built if violation is not None]
+    built, poised, interp = _build(plan, sets, config.deltas, table, fv, config.tol)
+    measured = bounds.measure_rows(tf, built, sets, fv, config.samples)
+    rows = _bound_rows(tf, plan, sets, config.deltas, poised, measured)
 
     deltas = [r.delta for r in rows]
     f0 = float(fv[0, 0])  # f(x0), read by every row's model

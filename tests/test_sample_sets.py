@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dfoq import linalg, testbed
 from dfoq.errors import InfeasibleError, InvalidInputError
-from dfoq.models import qs_preset, solve_mfn, solve_mn
+from dfoq.models import QSStencil, qs_preset, solve_mfn, solve_mn
 from dfoq.sample_sets import (
     SampleSet,
     _bordered,
@@ -82,6 +82,28 @@ def test_points_and_from_points_roundtrip():
     # the center row and the duplicate row must both collapse away
     assert back.m == 2
     assert np.allclose(np.sort(back.D, axis=1), np.sort(Y.D, axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_points_are_c_ordered_on_every_set(n):
+    # x0 + D^T alone keeps the transpose's F layout on a symmetric or general
+    # set, and a stack of such rows sums in another order under tf.f
+    rng = np.random.default_rng(n)
+    x0 = rng.standard_normal(n)
+    half = SampleSet(x0, rng.standard_normal((n, n)))
+    sets = {
+        "symmetric": half.expand(),
+        "scaled symmetric": half.expand().scale(1e-3),
+        "stencil": QSStencil.of(qs_preset("adapted-1", half), x0).Y,
+        "general": SampleSet(x0, rng.standard_normal((n, n + 3))),
+        "one direction": SampleSet(x0, rng.standard_normal((n, 1))),
+    }
+    for name, Y in sets.items():
+        pts, evaluation = Y.points(), Y.evaluation_points()
+        assert pts.flags.c_contiguous and evaluation.flags.c_contiguous, name
+        assert np.stack([evaluation, evaluation]).flags.c_contiguous, name
+        assert np.array_equal(evaluation, np.vstack([x0[None, :], x0[None, :] + Y.D.T])), name
+        assert np.array_equal(pts, evaluation[1:]), name
 
 
 def test_from_points_needs_offsets():

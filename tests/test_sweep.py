@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dfoq import bounds, linalg, models, sweep, testbed
-from dfoq.errors import InvalidInputError
+from dfoq.errors import InvalidInputError, NotPoisedError
 from dfoq.sample_sets import SampleSet, poisedness
 from dfoq.simplex import Oracle, delta_f
 from dfoq.sweep import (
@@ -273,52 +273,58 @@ def test_mfn_sweep_factors_F_unit_once(monkeypatch):
     assert sum(np.array_equal(A, F_unit) for A in factored) == 1
 
 
-@pytest.mark.parametrize("model", ["mfn", "qs:centred", "qs:forward", "qs:adapted-1"])
-def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
-    # a sweep plans, reads its value table, builds every row from the table,
-    # measures the rows, then bounds them; in each phase only the first row
-    # factors.  The first mfn row factors the unit symmetric set (its half
-    # frame, the Hadamard square of its Gram matrix and F_unit); every later
-    # row's scaled set reads those factors and takes mfn_poised from their
-    # spectra.  Every qs sweep builds its unit stencil, and merges its
-    # points, once in its plan, and kappa_mH_qs factors the unit recipe
-    # once.  The measurement factors nothing, and the first row's bounds
-    # factor the set's normalized directions.  qs:forward and qs:adapted-1
-    # run at n = 16 (their stencils have O(n^2) points) on a grid that starts
-    # at 1e-5, where qs:forward's model meets its interpolation check
-    n, grid = (64, "1:0.1:4") if model in ("mfn", "qs:centred") else (16, "1e-5:0.1:4")
-    count, at_build, at_measure, at_bounds, merges = [], [], [], [], []
+def _factorizations_per_phase(monkeypatch, config):
+    """``(rows, factorizations, merges)`` of a sweep: the SVDs and eigh
+    calls taken in each of its build, measure and bounds passes and in
+    all, and the stencil merges."""
+    count, marks, merges = [], {}, []
     for name in ("svd", "eigh"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _f=real, **k: count.append(1) or _f(*a, **k))
-    build, measure_rows, kappa_generic = sweep._model, bounds.measure_rows, bounds.kappa_generic
-    monkeypatch.setattr(sweep, "_model",
-                        lambda *a, **k: at_build.append(len(count)) or build(*a, **k))
-
-    def measured(*a, **k):
-        at_measure.append(len(count))
-        out = measure_rows(*a, **k)
-        at_measure.append(len(count))
-        return out
-
-    monkeypatch.setattr(bounds, "measure_rows", measured)
-    monkeypatch.setattr(bounds, "kappa_generic",
-                        lambda *a, **k: at_bounds.append(len(count)) or kappa_generic(*a, **k))
+    for owner, name in ((sweep, "_build"), (bounds, "measure_rows"), (sweep, "_bound_rows")):
+        def phase(*a, _f=getattr(owner, name), _name=name, **k):
+            start = len(count)
+            out = _f(*a, **k)
+            marks[_name] = len(count) - start
+            return out
+        monkeypatch.setattr(owner, name, phase)
     from_offsets = SampleSet.from_offsets
     monkeypatch.setattr(SampleSet, "from_offsets",
                         lambda x0, offsets: merges.append(1) or from_offsets(x0, offsets))
-    config = SweepConfig("trigonometric", f"structured:{n}", model,
-                         parse_deltas(grid), x0=(0.4,) * n)
     rows, _ = run_sweep(config)
     monkeypatch.undo()
-    assert all(row.poised and row.bound_f is not None for row in rows)
-    # one kappa_generic call per row: mfn and qs rows take one each
-    assert len(at_build) == len(at_bounds) == len(rows)
-    assert at_build[1] == at_build[-1] == at_measure[0] == at_measure[1] == at_bounds[0]
-    assert at_bounds[1] == len(count)
-    assert len(count) > at_build[0]  # the first row's factors
-    assert len(merges) == (model != "mfn")
+    return rows, dict(marks, total=len(count)), len(merges)
+
+
+@pytest.mark.parametrize("model", ["mfn", "qs:centred", "qs:forward", "qs:adapted-1"])
+def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
+    # a sweep plans, reads its value table, builds every row from the table
+    # in one pass, measures the rows, then bounds them in one pass; only the
+    # first row factors, so a sweep of one more row takes no more
+    # factorizations in any pass.  The first mfn row factors the unit
+    # symmetric set (its half frame, the Hadamard square of its Gram matrix
+    # and F_unit); every later row's scaled set reads those factors and takes
+    # mfn_poised from their spectra.  Every qs sweep builds its unit stencil,
+    # and merges its points, once in its plan, and kappa_mH_qs factors the
+    # unit recipe once.  The measurement factors nothing, and the bounds
+    # factor the set's normalized directions once.  qs:forward and
+    # qs:adapted-1 run at n = 16 (their stencils have O(n^2) points) on a
+    # grid that starts at 1e-5, where qs:forward's model meets its
+    # interpolation check
+    n, start = (64, 1.0) if model in ("mfn", "qs:centred") else (16, 1e-5)
+    counts = []
+    for grid in (f"{start}:0.1:3", f"{start}:0.1:4"):
+        config = SweepConfig("trigonometric", f"structured:{n}", model,
+                             parse_deltas(grid), x0=(0.4,) * n)
+        rows, factored, merges = _factorizations_per_phase(monkeypatch, config)
+        assert all(row.poised and row.bound_f is not None for row in rows)
+        assert merges == (model != "mfn")  # one merge per qs sweep
+        assert factored["measure_rows"] == 0
+        assert (factored["_build"] > 0) == (model == "mfn")  # the first row's factors
+        assert factored["_bound_rows"] > 0
+        counts.append(factored)
+    assert counts[0] == counts[1]
 
 
 def _unit(tf, set_spec, family):
@@ -519,11 +525,23 @@ def test_a_batch_of_rows_equals_its_one_row_calls_bitwise(function, set_spec, fa
     # reads f through the oracle the row's model was built with
     tf = testbed.get(function, dim=None if x0 is None else len(x0), x0=x0)
     built = _one_row_builds(tf, set_spec, family, parse_deltas(grid))
-    fv = tf.f(np.ascontiguousarray([Y.evaluation_points() for _, Y, _ in built]))
-    batch = bounds.measure_rows(tf, [(model, Y, v) for (model, Y, _), v in zip(built, fv)])
-    assert len(batch) == len(built)
-    for (model, Y, f), meas in zip(built, batch):
-        _assert_same_measurement(meas, bounds.measure_errors(tf, model, Y, f=f))
+    # a plain np.stack of the rows' evaluation points: they are C-ordered on
+    # every set, so the stack is too.  With F-ordered points, tf.f summed the
+    # rows of trigonometric structured:64 mfn in another order and err_f
+    # read 2.49e-14 where the one-row call reads 7.11e-15
+    fv = tf.f(np.stack([Y.evaluation_points() for _, Y, _ in built]))
+    batch = bounds.measure_rows(tf, _stack(model for model, _, _ in built),
+                                [Y for _, Y, _ in built], fv)
+    assert batch.err_f.shape == (len(built),)
+    for i, (model, Y, f) in enumerate(built):
+        _assert_same_measurement(batch.row(i), bounds.measure_errors(tf, model, Y, f=f))
+
+
+def _stack(one_row_models):
+    """The :class:`models.ModelStack` of one-row models sharing x0."""
+    ms = list(one_row_models)
+    return models.ModelStack(ms[0].x0, np.array([m.c for m in ms]),
+                             np.stack([m.g for m in ms]), np.stack([m.H for m in ms]))
 
 
 @pytest.mark.parametrize("n, rows_per_batch", [(3, [13]), (64, [1] * 9)])
@@ -610,6 +628,52 @@ def test_sweep_rows_equal_their_one_row_reference_bitwise(family, function, n, s
         check = models.interpolation_check(model, f, Y)
         poised = check.passed if plan.stencil is not None else Y.mfn_poised
         meas = bounds.measure_errors(tf, model, Y, samples, f=f)
-        want.append(sweep._row(tf, plan, Y, poised, meas, delta))
+        want.append(_one_row_bounds(tf, plan, Y, poised, meas, delta))
     assert rows_to_csv(rows) == rows_to_csv(want)
     assert summary["rows_poised"] == sum(r.poised for r in want)
+
+
+def _one_row_bounds(tf, plan, Y, poised, meas, delta):
+    """The row of set Y at radius ``delta`` with its verdict ``poised`` and
+    measurement ``meas``, bounded alone by the public formulas on the
+    Lipschitz data of its own ball."""
+    radius, family = Y.radius, plan.family
+    lip = tf.lipschitz_on(tf.x0, radius)
+    consts = bound_aligned = cross_table = None
+    if family in ("mn", "mfn"):
+        bound_aligned = bounds.directional_bound_aligned(lip.L_hess, radius)
+        if poised:
+            kmfn = bounds.kappa_mH_mfn(lip.L_grad, Y)
+            consts = bounds.kappa_generic(lip.L_grad, kmfn, Y)
+            if family == "mn":
+                kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn, Y)
+                consts = bounds.kappa_generic(lip.L_grad, kmn, Y)
+            norms = np.linalg.norm(Y.D, axis=0)
+            cross_table = bounds.directional_bound_cross(
+                consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :])
+    elif poised:
+        kqs = bounds.kappa_mH_qs(1.0, plan.stencil.spec)
+        try:
+            consts = bounds.kappa_generic(lip.L_grad, lip.L_grad * kqs, Y)
+        except NotPoisedError:
+            pass
+    if family == "qs:centred":
+        bound_aligned = bounds.directional_bound_aligned(lip.L_hess, delta)
+        cross_table = np.full((Y.m, Y.m), bounds.directional_bound_gsh_cross(
+            plan.hess_norm, lip.L_hess, delta))
+    err_cross, bound_cross = meas.cross_max, None
+    if cross_table is not None:
+        finite = np.isfinite(meas.cross)
+        err_cross = 0.0
+        if finite.any():
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = np.where(finite, meas.cross / cross_table, -np.inf)
+            i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+            err_cross, bound_cross = float(meas.cross[i, j]), float(cross_table[i, j])
+    return SweepRow(
+        delta=radius, err_f=meas.err_f, err_g=meas.err_g,
+        bound_f=None if consts is None else consts.kappa_ef * radius ** 2,
+        bound_g=None if consts is None else consts.kappa_eg * radius,
+        err_dir_aligned_max=meas.aligned_max, bound_dir_aligned=bound_aligned,
+        err_dir_cross_max=err_cross, bound_dir_cross=bound_cross, poised=poised,
+    )

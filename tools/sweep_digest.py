@@ -1,9 +1,15 @@
-"""One digest line per benchmark sweep, for byte-for-byte before/after checks.
+"""One digest line per benchmark sweep, model and self-check report, for
+byte-for-byte before/after checks.
 
 Runs every sweep of the ``grid`` workload and every sweep of the ``highdim``
 workload over its random frames 0-7 through ``dfoq.cli.main``, and prints
 ``<key> <sha256 of the CSV followed by the summary JSON>`` per sweep.  The
-op lists are read from ``perfbench/workloads.py``.
+op lists are read from ``perfbench/workloads.py``.  Then it prints
+``<key> <sha256 of stdout>`` for the ``dfoq model`` JSON of every family on
+every grid function (its default center and ``structured:<dim>``) and of
+mn and mfn on ``random:16:3`` (trigonometric and quartic at x0 = 0.4), and
+for the ``dfoq verify all`` report.  A call that exits non-zero prints
+``<key> exit-<code>`` instead.
 
     python tools/sweep_digest.py > after.txt
     python tools/sweep_digest.py /path/to/other/checkout > before.txt
@@ -38,6 +44,28 @@ def sweeps(workloads):
     return seen.items()
 
 
+MODEL_FAMILIES = ("mn", "mfn", "qs:centred", "qs:forward", "qs:adapted-0", "qs:adapted-1")
+
+
+def one_row_calls(workloads):
+    """``(key, argv)`` of every ``dfoq model`` call and of ``dfoq verify all``."""
+    calls = []
+    for name in workloads.GRID_FUNCTIONS:
+        spec = f"structured:{workloads.GRID_DIMS[name]}"
+        calls += [(f"model|{name}|{spec}|{family}",
+                   ["model", "--function", name, "--set", spec, "--model", family])
+                  for family in MODEL_FAMILIES]
+    x0 = ",".join(["0.4"] * 16)
+    calls += [(f"model|{name}|random:16:3|{family}",
+               ["model", "--function", name, "--set", "random:16:3", "--model", family, "--x0", x0])
+              for name in ("trigonometric", "quartic") for family in ("mn", "mfn")]
+    return calls + [("verify|all", ["verify", "all"])]
+
+
+def _line(key, rc, data):
+    return f"{key} {hashlib.sha256(data).hexdigest()}" if rc == 0 else f"{key} exit-{rc}"
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     root = pathlib.Path(args[0] if args else pathlib.Path(__file__).resolve().parents[1])
@@ -53,9 +81,13 @@ def main(argv=None):
                 rc = cli.main(sweep_argv + ["--out", out])
             with open(out, "rb") as fh:
                 csv = fh.read()
-            digest = hashlib.sha256(csv + summary.getvalue().encode()).hexdigest()
-            print(f"{key} {digest}" if rc == 0 else f"{key} exit-{rc}", flush=True)
+            print(_line(key, rc, csv + summary.getvalue().encode()), flush=True)
             os.remove(out)
+    for key, call_argv in one_row_calls(workloads):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(call_argv)
+        print(_line(key, rc, stdout.getvalue().encode()), flush=True)
     return 0
 
 
