@@ -54,6 +54,9 @@ DEFAULT_SAMPLES = 512
 # Measured errors at or below this multiple of eps*|f| are roundoff, not signal.
 ROUNDOFF_FLOOR = 1e3 * float(np.finfo(float).eps)
 
+# Relative residual under which a direction lies in the span of a frame.
+_SPAN_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LipschitzData:
@@ -281,14 +284,14 @@ def directional_bound_gsh_cross(hess_norm, L_hess, delta):
     return _nonnegative(hess_norm, "hess_norm") + _nonnegative(L_hess, "L_hess") * _positive(delta, "delta") / 3.0
 
 
-def directional_bound_gsh_general(hess_norm, L_hess, S, d, rtol=1e-8):
+def directional_bound_gsh_general(hess_norm, L_hess, S, d):
     """Centred simplex-Hessian bound along ``d`` in the span of the frame."""
     hn = _nonnegative(hess_norm, "hess_norm")
     L = _nonnegative(L_hess, "L_hess")
     frame = linalg.as_matrix(S, "S")
     dvec = linalg.as_vector(d, "d")
     v = linalg.pinv(frame) @ dvec
-    if np.linalg.norm(frame @ v - dvec) > rtol * np.linalg.norm(dvec):
+    if np.linalg.norm(frame @ v - dvec) > _SPAN_RTOL * np.linalg.norm(dvec):
         raise DirectionDomainError("direction lies outside the span of the frame")
     return _directional_bound(hn, 1.0, L, frame, v)
 

@@ -1,8 +1,6 @@
 """Command line front end: build models, run sweeps, run self-checks.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible model request.
-The DFOQ_TOL environment variable overrides the residual tolerance used by
-the solvers and interpolation checks (default 1e-9).
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -160,19 +157,6 @@ def _emit(text, out_path):
             sys.stdout.write("\n")
 
 
-def _tol_from_env():
-    raw = os.environ.get("DFOQ_TOL")
-    if raw is None:
-        return None
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise _UsageError(f"DFOQ_TOL must be a number, got {raw!r}") from None
-    if tol <= 0:
-        raise _UsageError("DFOQ_TOL must be positive")
-    return tol
-
-
 def _require(merged, *keys):
     missing = [k for k in keys if merged.get(k) is None]
     if missing:
@@ -185,7 +169,6 @@ def cmd_model(args):
     if merged.get("format") not in (None, "json"):
         raise _UsageError(f"a model is printed as JSON only, not {merged['format']}")
     x0 = _x0_option(merged)
-    tol = _tol_from_env()
     set_spec = merged["set"]
 
     if set_spec.startswith("file:"):
@@ -202,7 +185,7 @@ def cmd_model(args):
         half, Y = SampleSet(tf.x0, frame), None
 
     f = Oracle(tf.f, vectorized=True)
-    built = build(merged["model"], f, half, Y=Y, tol=tol)
+    built = build(merged["model"], f, half, Y=Y)
     doc = built.model.to_json_dict()
     doc["diagnostics"] = built.diagnostics_json()
     doc["oracle_calls"] = f.calls
@@ -224,7 +207,6 @@ def cmd_sweep(args):
         x0=_x0_option(merged),
         samples=bounds.DEFAULT_SAMPLES if samples is None else samples,
         seed=merged.get("seed"),
-        tol=_tol_from_env(),
     )
     rows, summary = run_sweep(config)
     fmt = merged.get("format") or "csv"
@@ -251,7 +233,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _tol_from_env()
         if args.command == "model":
             return cmd_model(args)
         if args.command == "sweep":

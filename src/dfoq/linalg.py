@@ -24,8 +24,9 @@ __all__ = [
     "rank_tolerance",
 ]
 
-# Residual acceptance threshold used by the solvers when the caller does not
-# supply one.  Overridable per call; the CLI maps DFOQ_TOL onto it.
+# Residual acceptance threshold of every solver and interpolation check, with
+# no per-call override: whether some quadratic interpolates the data is a
+# property of the data.
 DEFAULT_RESIDUAL_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
@@ -53,12 +54,10 @@ def norms(V):
     return float(out) if out.ndim == 0 else out
 
 
-def feasibility_tol(tol, b):
-    """Residual a solver accepts for data ``b``: ``base (1 + ||b||)`` with
-    ``base`` the caller's ``tol``, or :data:`DEFAULT_RESIDUAL_TOL`; one per
-    row of a stack ``b``."""
-    base = DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
-    return base * (1.0 + norms(b))
+def feasibility_tol(b):
+    """Residual a solver accepts for data ``b``,
+    ``DEFAULT_RESIDUAL_TOL (1 + ||b||)``; one per row of a stack ``b``."""
+    return DEFAULT_RESIDUAL_TOL * (1.0 + norms(b))
 
 
 def as_matrix(M, name="matrix"):
@@ -102,13 +101,6 @@ def rank_tolerance(M):
     """Relative singular-value cutoff for ``M``, ``eps * max(rows, cols)``:
     singular values at or below ``cutoff * sigma_max`` are treated as zero."""
     return _EPS * max(as_matrix(M).shape)
-
-
-def _rank(s, cutoff):
-    """Singular values above the absolute ``cutoff``; none of a zero matrix."""
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > cutoff))
 
 
 def _scaled_norm(v):
@@ -186,8 +178,9 @@ class Factorization:
 
     @functools.cached_property
     def rank(self):
-        """Number of singular values above the cutoff (counted on first read)."""
-        return _rank(self.s, self.cutoff)
+        """Number of singular values above the cutoff (counted on first read);
+        a zero matrix has cutoff 0 and so counts none."""
+        return int(np.count_nonzero(self.s > self.cutoff))
 
     @functools.cached_property
     def _inv_s(self):
@@ -282,7 +275,7 @@ def solve_min_norm(A, b):
     return x, residual
 
 
-def constrained_least_norm(A, b, weights, tol=None):
+def constrained_least_norm(A, b, weights):
     """Minimize ``sum_i w_i z_i^2`` subject to ``A z = b`` (null-space method).
 
     Parameters
@@ -312,7 +305,7 @@ def constrained_least_norm(A, b, weights, tol=None):
     fac = Factorization._of(M.shape, *np.linalg.svd(M))
     z0 = fac.solve(rhs)
     residual = float(np.linalg.norm(M @ z0 - rhs))
-    feas_tol = feasibility_tol(tol, rhs)
+    feas_tol = feasibility_tol(rhs)
     if residual > feas_tol:
         raise InfeasibleError(f"constraints inconsistent: residual {residual:.3e} > {feas_tol:.3e}")
 

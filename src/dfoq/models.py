@@ -198,26 +198,26 @@ def _shared_shape(sets):
         raise InvalidInputError("stacked rows must share x0 and their set size")
 
 
-def _solved(values_core, f, Y, tol, alpha_unique):
+def _solved(values_core, f, Y, alpha_unique):
     """``(model, SolveDiagnostics)`` of ``values_core`` on f read at Y: the
     core's one-row stack."""
     f = as_oracle(f)
-    stack, lam, kkt_residual = values_core([Y], f.many(Y.evaluation_points())[None], tol)
+    stack, lam, kkt_residual = values_core([Y], f.many(Y.evaluation_points())[None])
     model = stack.model(0)
-    residual = interpolation_check(model, f, Y, tol).max_violation
+    residual = interpolation_check(model, f, Y).max_violation
     return model, SolveDiagnostics(lam[0], float(kkt_residual[0]), residual, alpha_unique)
 
 
-def solve_mn(f, Y: SampleSet, tol=None):
+def solve_mn(f, Y: SampleSet):
     """Quadratic minimizing ``||g||^2 + ||H||_F^2`` among interpolants of f on Y.
 
     Returns ``(QuadraticModel, SolveDiagnostics)``.  Raises
     :class:`InfeasibleError` when no quadratic interpolates the data.
     """
-    return _solved(solve_mn_values, f, Y, tol, True)
+    return _solved(solve_mn_values, f, Y, True)
 
 
-def solve_mn_values(sets, fv, tol=None):
+def solve_mn_values(sets, fv):
     """``(ModelStack, multipliers, kkt_residuals)`` of :func:`solve_mn` on
     each set of ``sets`` (sharing x0 and their size m), from the values
     ``fv[i]`` of f at ``sets[i].evaluation_points()``.
@@ -228,7 +228,7 @@ def solve_mn_values(sets, fv, tol=None):
     _shared_shape(sets)
     lam, kkt = np.empty((len(sets), sets[0].m)), np.empty(len(sets))
     for i, Y in enumerate(sets):
-        rhs, kkt[i], feasible = Y.mn_residual(fv[i, 1:] - fv[i, 0], tol)
+        rhs, kkt[i], feasible = Y.mn_residual(fv[i, 1:] - fv[i, 0])
         if not feasible:
             raise InfeasibleError(
                 f"no interpolating quadratic: multiplier system residual {kkt[i]:.3e}"
@@ -239,7 +239,7 @@ def solve_mn_values(sets, fv, tol=None):
     return _multiplier_models(sets, fv, lam), lam, kkt
 
 
-def solve_mfn(f, Y: SampleSet, tol=None):
+def solve_mfn(f, Y: SampleSet):
     """Quadratic minimizing ``||H||_F^2`` among interpolants of f on Y.
 
     The gradient is unique only when the bordered system is invertible; the
@@ -247,10 +247,10 @@ def solve_mfn(f, Y: SampleSet, tol=None):
     ``alpha_unique`` records the distinction.  The verdict is read before
     the bordered factors exist, so its own SVD adds no peak memory.
     """
-    return _solved(solve_mfn_values, f, Y, tol, Y.mfn_poised)
+    return _solved(solve_mfn_values, f, Y, Y.mfn_poised)
 
 
-def solve_mfn_values(sets, fv, tol=None):
+def solve_mfn_values(sets, fv):
     """``(ModelStack, multipliers, kkt_residuals)`` of :func:`solve_mfn` on
     each set of ``sets``, from the values ``fv[i]`` of f at
     ``sets[i].evaluation_points()``, solved on the normalized directions
@@ -269,7 +269,7 @@ def solve_mfn_values(sets, fv, tol=None):
     rhs = np.zeros((len(sets), m + sets[0].n))
     rhs[:, :m] = delta
     kkt = fac.range_residual(rhs)
-    bad = np.flatnonzero(kkt > linalg.feasibility_tol(tol, delta))
+    bad = np.flatnonzero(kkt > linalg.feasibility_tol(delta))
     if bad.size:
         raise InfeasibleError(
             f"no interpolating quadratic: bordered system residual {kkt[bad[0]]:.3e}"
@@ -280,24 +280,23 @@ def solve_mfn_values(sets, fv, tol=None):
     return _multiplier_models(sets, fv, lam, z[:, m:] / np.array(r)[:, None]), lam, kkt
 
 
-def interpolation_check(model: QuadraticModel, f, Y: SampleSet, tol=None):
+def interpolation_check(model: QuadraticModel, f, Y: SampleSet):
     """Largest |model - f| over the points of Y (center included): the
     one-row :func:`interpolation_report`."""
     if np.linalg.norm(model.x0 - Y.x0) > 0:
         raise InvalidInputError("model and sample set have different centers")
     pts = Y.evaluation_points()
-    report = interpolation_report(ModelStack.of(model), pts[None], as_oracle(f).many(pts)[None], tol)
+    report = interpolation_report(ModelStack.of(model), pts[None], as_oracle(f).many(pts)[None])
     return InterpolationReport(float(report.max_violation[0]), bool(report.passed[0]))
 
 
-def interpolation_report(models: ModelStack, pts, fvals, tol=None):
+def interpolation_report(models: ModelStack, pts, fvals):
     """:func:`interpolation_check` of each row's model on the points
     ``pts[i]``, where f is ``fvals[i]``: an :class:`InterpolationReport` of
     (rows,) arrays."""
     worst = np.max(np.abs(models.values(pts) - fvals), axis=-1)
     scale = 1.0 + np.max(np.abs(fvals), axis=-1)
-    base = linalg.DEFAULT_RESIDUAL_TOL if tol is None else float(tol)
-    return InterpolationReport(worst, worst <= base * scale)
+    return InterpolationReport(worst, worst <= linalg.DEFAULT_RESIDUAL_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -531,7 +530,7 @@ class BuiltModel:
         }
 
 
-def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None):
+def build(family, f, half: SampleSet, Y: SampleSet | None = None):
     """The ``family`` model (mn | mfn | qs:<preset>) of f on the half frame ``half``.
 
     mn and mfn solve on ``Y``, by default the symmetric set ``half.expand()``;
@@ -542,8 +541,8 @@ def build(family, f, half: SampleSet, Y: SampleSet | None = None, tol=None):
     f = as_oracle(f)
     if kind != "qs":
         Y = half.expand() if Y is None else Y
-        model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y, tol=tol)
+        model, diag = (solve_mn if kind == "mn" else solve_mfn)(f, Y)
         return BuiltModel(model, Y, diag, kind)
     stencil = QSStencil.of(qs_preset(preset, half), half.x0)
     model = stencil.model(f.many(stencil.Y.evaluation_points()))
-    return BuiltModel(model, stencil.Y, interpolation_check(model, f, stencil.Y, tol=tol), kind)
+    return BuiltModel(model, stencil.Y, interpolation_check(model, f, stencil.Y), kind)

@@ -30,6 +30,9 @@ __all__ = [
     "transform_instance",
 ]
 
+# Relative Frobenius gap under which two column-space projectors are equal.
+_COLSPACE_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BilinearProblem:
@@ -65,7 +68,7 @@ def _vech_layout(n):
     return diag + upper
 
 
-def solve_bilinear_min_frobenius(problem: BilinearProblem, tol=None) -> BilinearSolution:
+def solve_bilinear_min_frobenius(problem: BilinearProblem) -> BilinearSolution:
     """Least-Frobenius solution of the (possibly symmetric) bilinear system.
 
     Unconstrained case: the pseudoinverse product, unique whenever feasible.
@@ -79,7 +82,7 @@ def solve_bilinear_min_frobenius(problem: BilinearProblem, tol=None) -> Bilinear
         H = linalg.pinv(S.T) @ rhs @ linalg.pinv(T)
         residual = float(np.linalg.norm(S.T @ H @ T - rhs, "fro"))
         # the tolerance of the whole matrix, as np.linalg.norm ravels it
-        if residual > linalg.feasibility_tol(tol, rhs.ravel(order="K")):
+        if residual > linalg.feasibility_tol(rhs.ravel(order="K")):
             raise InfeasibleError(f"bilinear system inconsistent: residual {residual:.3e}")
         return BilinearSolution(H, True, residual)
 
@@ -95,7 +98,7 @@ def solve_bilinear_min_frobenius(problem: BilinearProblem, tol=None) -> Bilinear
                     A[row, col] = S[a, i] * T[b, j] + S[b, i] * T[a, j]
             row += 1
     weights = np.array([1.0 if a == b else 2.0 for (a, b) in slots])
-    z, unique = linalg.constrained_least_norm(A, rhs.ravel(), weights, tol)
+    z, unique = linalg.constrained_least_norm(A, rhs.ravel(), weights)
     H = np.zeros((n, n))
     for col, (a, b) in enumerate(slots):
         H[a, b] = z[col]
@@ -109,10 +112,10 @@ def gsh_sample_set(x0, pack: DirectionPack) -> SampleSet:
     return SampleSet.from_points(x0, pack.points(x0))
 
 
-def _colspaces_equal(S, T, rtol=1e-10):
+def _colspaces_equal(S, T):
     Ps = S @ linalg.pinv(S)
     Pt = T @ linalg.pinv(T)
-    return float(np.linalg.norm(Ps - Pt, "fro")) <= rtol * max(1.0, float(np.linalg.norm(Ps, "fro")))
+    return float(np.linalg.norm(Ps - Pt, "fro")) <= _COLSPACE_RTOL * max(1.0, float(np.linalg.norm(Ps, "fro")))
 
 
 def _require_equal_colspaces(S, T):

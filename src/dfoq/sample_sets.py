@@ -237,7 +237,7 @@ class SampleSet:
         M, Vr, Vp = _split_multiplier_matrix(self.normalized(), self.radius)
         return linalg.Factorization(M), Vr, Vp
 
-    def mn_residual(self, delta, tol=None):
+    def mn_residual(self, delta):
         """``(rhs, residual, feasible)`` of the split system for the shifted
         values ``delta``: its rescaled right-hand side, the norm of the part
         outside the system's range and whether that is within
@@ -249,7 +249,7 @@ class SampleSet:
         r = self.radius
         rhs = np.concatenate([Vr.T @ delta / r ** 2, Vp.T @ delta / r ** 4])
         residual = fac.range_residual(rhs)
-        return rhs, residual, residual <= linalg.feasibility_tol(tol, rhs)
+        return rhs, residual, residual <= linalg.feasibility_tol(rhs)
 
     @functools.cached_property
     def normalized_rank_and_pinv_norm(self):
@@ -361,15 +361,8 @@ class SampleSet:
 
     @classmethod
     def from_json_dict(cls, doc):
-        try:
-            x0 = doc["x0"]
-            directions = doc["directions"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError("sample set JSON needs 'x0' and 'directions'") from exc
-        D = np.asarray(directions, dtype=float)
-        if D.ndim != 2:
-            raise InvalidInputError("'directions' must be a list of equal-length rows")
-        return cls(np.asarray(x0, dtype=float), D.T)
+        x0, D = _json_arrays(doc)
+        return cls(x0, D.T)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -378,8 +371,30 @@ class SampleSet:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        """The set :meth:`save` wrote to ``path``.  A file that cannot be read
+        or parsed raises :class:`InvalidInputError` naming the path."""
+        try:
+            with open(path) as fh:
+                x0, D = _json_arrays(json.load(fh))
+        except (OSError, ValueError) as exc:  # decode errors and InvalidInputError are ValueErrors
+            raise InvalidInputError(f"cannot read sample set {path}: {exc}") from None
+        return cls(x0, D.T)
+
+
+def _json_arrays(doc):
+    """``(x0, directions)`` of a set's JSON document as float arrays, the
+    directions one per row."""
+    try:
+        x0, directions = doc["x0"], doc["directions"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInputError("sample set JSON needs 'x0' and 'directions'") from exc
+    try:
+        x0, D = np.asarray(x0, dtype=float), np.asarray(directions, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"'x0' and 'directions' must be numbers in equal-length rows: {exc}") from None
+    if D.ndim != 2:
+        raise InvalidInputError("'directions' must be a list of equal-length rows")
+    return x0, D
 
 
 def _bordered(Y, Dmat, weight):
@@ -423,7 +438,7 @@ class PoisednessReport:
     residual: float = field(default=0.0)
 
 
-def poisedness(Y: SampleSet, fvals, tol=None) -> PoisednessReport:
+def poisedness(Y: SampleSet, fvals) -> PoisednessReport:
     """Feasibility / poisedness diagnostics for the set with values ``fvals``.
 
     ``fvals`` are the shifted values ``f(x0 + d^i) - f(x0)``.  Every verdict
@@ -432,7 +447,7 @@ def poisedness(Y: SampleSet, fvals, tol=None) -> PoisednessReport:
     delta = linalg.as_vector(fvals, "fvals")
     if delta.size != Y.m:
         raise InvalidInputError("fvals length must equal the number of directions")
-    _, residual, feasible = Y.mn_residual(delta, tol)
+    _, residual, feasible = Y.mn_residual(delta)
     return PoisednessReport(
         mn_feasible=bool(feasible),
         mfn_poised=Y.mfn_poised,

@@ -38,7 +38,6 @@ class SweepConfig:
     x0: tuple | None = None
     samples: int = bounds.DEFAULT_SAMPLES
     seed: int | None = None
-    tol: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
@@ -64,7 +63,6 @@ class SweepConfig:
             "x0": None if self.x0 is None else list(self.x0),
             "samples": self.samples,
             "seed": self.seed,
-            "tol": self.tol,
         }
 
 
@@ -230,17 +228,17 @@ def _value_table(tf, sets):
     return table, fv
 
 
-def _build(plan, sets, deltas, table, fv, tol):
+def _build(plan, sets, deltas, table, fv):
     """``(models, poised, qs interpolation violations)`` of every row, the
     row's set ``sets[i]`` being the unit set scaled by ``deltas[i]``, from
     the value table: all mfn rows on the shared ``F_unit`` factor, all qs
     rows from one stencil pass, and each mn row's own split system."""
     if plan.stencil is not None:
         models_ = plan.stencil.stack(fv, deltas)
-        check = models.interpolation_report(models_, table, fv, tol)
+        check = models.interpolation_report(models_, table, fv)
         return models_, check.passed.tolist(), check.max_violation.tolist()
     solve = models.solve_mn_values if plan.family == "mn" else models.solve_mfn_values
-    return solve(sets, fv, tol)[0], [Y.mfn_poised for Y in sets], []
+    return solve(sets, fv)[0], [Y.mfn_poised for Y in sets], []
 
 
 def _bound_rows(tf, plan, sets, deltas, poised, meas):
@@ -344,7 +342,7 @@ def run_sweep(config: SweepConfig):
             raise InvalidInputError(f"radius {sets[-1].radius:g} leaves the region of "
                                     f"{tf.name} (limit {tf.region_radius:g})")
     table, fv = _value_table(tf, sets)
-    built, poised, interp = _build(plan, sets, config.deltas, table, fv, config.tol)
+    built, poised, interp = _build(plan, sets, config.deltas, table, fv)
     measured = bounds.measure_rows(tf, built, sets, fv, config.samples)
     rows = _bound_rows(tf, plan, sets, config.deltas, poised, measured)
 

@@ -365,21 +365,45 @@ def test_model_refuses_the_csv_format(tmp_path, capsys, via_config):
     assert code == 0 and "g" in doc
 
 
-def test_tol_env(capsys, monkeypatch):
-    monkeypatch.setenv("DFOQ_TOL", "abc")
-    assert main(["verify", "examples"]) == 1
-    assert "DFOQ_TOL" in capsys.readouterr().err
+@pytest.mark.parametrize("value", ["1", "1e-20", "abc"])
+def test_dfoq_tol_in_the_environment_changes_nothing(capsys, monkeypatch, value):
+    # the residual rule has no override, so no threshold in the environment
+    # can make qs:forward rows that miss their points poised (3 of 8 are)
+    sweep = ["sweep", "--function", "trigonometric", "--set", "structured:3",
+             "--model", "qs:forward", "--deltas", "1:0.1:8"]
+    infeasible = ["model", "--function", "trigonometric", "--set", "random:4:7", "--model", "mfn"]
+    monkeypatch.delenv("DFOQ_TOL", raising=False)
+    assert main(sweep) == 0
+    unset = capsys.readouterr()
+    monkeypatch.setenv("DFOQ_TOL", value)
+    assert main(sweep) == 0
+    assert capsys.readouterr() == unset
+    assert json.loads(unset.err)["rows_poised"] == 3
+    assert main(infeasible) == 2
+    assert capsys.readouterr().err.startswith("infeasible: ")
 
-    # a loose tolerance turns the infeasible request into a best-effort fit
-    monkeypatch.setenv("DFOQ_TOL", "1")
-    code = main(["model", "--function", "trigonometric", "--set", "random:4:7",
-                 "--model", "mfn"])
-    capsys.readouterr()
-    assert code == 0
 
-    monkeypatch.setenv("DFOQ_TOL", "-2")
-    assert main(["verify", "examples"]) == 1
-    capsys.readouterr()
+_MALFORMED_SETS = {
+    "bad-json": '{"x0": [0, 0], "directions": [[1, 0], [0, 1]]',
+    "x0-not-numbers": '{"x0": "abc", "directions": [[1, 0], [0, 1]]}',
+    "directions-not-numbers": '{"x0": [0, 0], "directions": [["a", "b"]]}',
+    "ragged-directions": '{"x0": [0, 0], "directions": [[1, 0], [0]]}',
+}
+
+
+@pytest.mark.parametrize("command", ["model", "sweep"])
+@pytest.mark.parametrize("case", ["missing", *_MALFORMED_SETS])
+def test_malformed_file_set_exits_1_with_one_error_line(tmp_path, capsys, command, case):
+    path = tmp_path / f"{case}.json"
+    if case != "missing":
+        path.write_text(_MALFORMED_SETS[case])
+    argv = [command, "--function", "sphere", "--set", f"file:{path}", "--model", "mn"]
+    if command == "sweep":
+        argv += ["--deltas", "1:0.5:4"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read sample set {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_verify_subcommand(capsys):

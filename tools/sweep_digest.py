@@ -3,13 +3,14 @@ byte-for-byte before/after checks.
 
 Runs every sweep of the ``grid`` workload and every sweep of the ``highdim``
 workload over its random frames 0-7 through ``dfoq.cli.main``, and prints
-``<key> <sha256 of the CSV followed by the summary JSON>`` per sweep.  The
-op lists are read from ``perfbench/workloads.py``.  Then it prints
-``<key> <sha256 of stdout>`` for the ``dfoq model`` JSON of every family on
-every grid function (its default center and ``structured:<dim>``) and of
-mn and mfn on ``random:16:3`` (trigonometric and quartic at x0 = 0.4), and
-for the ``dfoq verify all`` report.  A call that exits non-zero prints
-``<key> exit-<code>`` instead.
+``<key> csv=<sha256 of the CSV> summary=<sha256 of the summary JSON>`` per
+sweep, so that a stated change to the summaries alone still leaves every CSV
+checked byte for byte.  The op lists are read from ``perfbench/workloads.py``.
+Then it prints ``<key> stdout=<sha256 of stdout>`` for the ``dfoq model``
+JSON of every family on every grid function (its default center and
+``structured:<dim>``) and of mn and mfn on ``random:16:3`` (trigonometric
+and quartic at x0 = 0.4), and for the ``dfoq verify all`` report.  A call
+that exits non-zero prints ``<key> exit-<code>`` instead.
 
     python tools/sweep_digest.py > after.txt
     python tools/sweep_digest.py /path/to/other/checkout > before.txt
@@ -62,8 +63,11 @@ def one_row_calls(workloads):
     return calls + [("verify|all", ["verify", "all"])]
 
 
-def _line(key, rc, data):
-    return f"{key} {hashlib.sha256(data).hexdigest()}" if rc == 0 else f"{key} exit-{rc}"
+def _line(key, rc, **fields):
+    """``<key> <name>=<sha256>`` for each named bytes field."""
+    if rc != 0:
+        return f"{key} exit-{rc}"
+    return " ".join([key] + [f"{name}={hashlib.sha256(data).hexdigest()}" for name, data in fields.items()])
 
 
 def main(argv=None):
@@ -81,13 +85,13 @@ def main(argv=None):
                 rc = cli.main(sweep_argv + ["--out", out])
             with open(out, "rb") as fh:
                 csv = fh.read()
-            print(_line(key, rc, csv + summary.getvalue().encode()), flush=True)
+            print(_line(key, rc, csv=csv, summary=summary.getvalue().encode()), flush=True)
             os.remove(out)
     for key, call_argv in one_row_calls(workloads):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             rc = cli.main(call_argv)
-        print(_line(key, rc, stdout.getvalue().encode()), flush=True)
+        print(_line(key, rc, stdout=stdout.getvalue().encode()), flush=True)
     return 0
 
 
