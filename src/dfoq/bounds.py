@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DirectionDomainError, InvalidInputError, NotPoisedError
-from .models import ModelStack
+from .models import ModelStack, _shared_shape
 from .sample_sets import SampleSet
 from .simplex import Oracle
 
@@ -45,6 +45,7 @@ __all__ = [
     "measure_errors",
     "measure_rows",
     "fit_slope",
+    "roundoff_floor",
 ]
 
 # Frozen scramble seed: the ball sample is part of the reproducible surface.
@@ -461,16 +462,11 @@ class ErrorMeasurement:
 
     @property
     def cross_max(self):
-        """Largest off-diagonal entry of each row's ``cross``, nan for m < 2;
-        taken in chunks of :func:`linalg.batches`."""
+        """Largest off-diagonal entry of each row's ``cross``, nan for m < 2:
+        a masked reduction, which copies no entry."""
         m = self.cross.shape[-1]
-        cross = self.cross.reshape((-1, m, m))
-        out = np.full(len(cross), np.nan)
-        if m > 1:
-            off = ~np.eye(m, dtype=bool)
-            for rows in linalg.batches(len(cross), m * m):
-                out[rows] = np.max(cross[rows][:, off], axis=-1)
-        return _unwrapped(out.reshape(self.cross.shape[:-2]))
+        out = np.max(self.cross, axis=(-2, -1), where=~np.eye(m, dtype=bool), initial=-np.inf)
+        return _unwrapped(out if m > 1 else np.full_like(out, np.nan))
 
 
 def measure_errors(tf, model, Y: SampleSet, n_samples=DEFAULT_SAMPLES, f=None):
@@ -501,9 +497,8 @@ def measure_rows(tf, models: ModelStack, sets, fv, n_samples=DEFAULT_SAMPLES):
     k, x0 = int(n_samples), models.x0
     if k < 1:
         raise InvalidInputError("n_samples must be at least 1")
+    _shared_shape(sets, x0)
     m, n, rows = sets[0].m, x0.size, len(sets)
-    if any(Y.m != m or (Y.x0 is not x0 and not np.array_equal(Y.x0, x0)) for Y in sets):
-        raise InvalidInputError("measured rows must share x0 and their set size")
     err_f, err_g, cross = np.empty(rows), np.empty(rows), np.empty((rows, m, m))
     hess = tf.hess(x0)
     for batch in linalg.batches(rows, (k + 1 + m) * n):
@@ -538,21 +533,27 @@ def _measure_batch(tf, stack, sets, fv, k, hess, cross):
     return err_f, err_g
 
 
+def roundoff_floor(f_scale, delta, order):
+    """``ROUNDOFF_FLOOR * f_scale / delta**order``, elementwise over an array
+    ``delta`` with Python's powers (:func:`_power`): the level at or below
+    which an error of a quantity taking ``order`` derivatives of ``f`` (0 for
+    values, 1 for gradients, 2 for curvature) is roundoff.  Each difference
+    quotient divides the eps-level noise of ``f`` by ``delta`` once more."""
+    return ROUNDOFF_FLOOR * f_scale / _power(delta, order)
+
+
 def fit_slope(deltas, errors, f_scale=1.0, order=0):
     """Least-squares slope of log(error) against log(delta).
 
-    Points at or below the roundoff floor ``1e3 * eps * f_scale / delta**order``
-    are dropped, where ``order`` is the number of derivatives the measured
-    quantity takes of ``f`` (0 for values, 1 for gradients, 2 for curvature):
-    each difference quotient divides the eps-level noise of ``f`` by ``delta``
-    once more.  Returns nan when fewer than two informative points remain.
+    Points at or below :func:`roundoff_floor` of ``max(f_scale, 1)`` are
+    dropped.  Returns nan when fewer than two informative points remain.
     """
     d = np.asarray(deltas, dtype=float)
     e = np.asarray(errors, dtype=float)
     if d.shape != e.shape or d.ndim != 1:
         raise InvalidInputError("deltas and errors must be 1-d arrays of equal length")
     with np.errstate(divide="ignore"):
-        floor = ROUNDOFF_FLOOR * max(float(f_scale), 1.0) / d ** order
+        floor = roundoff_floor(max(float(f_scale), 1.0), d, order)
     keep = (d > 0) & (e > floor)
     if np.count_nonzero(keep) < 2:
         return float("nan")

@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -147,6 +148,21 @@ def _jsonify(value):
     return value
 
 
+def _writable(out_path):
+    """``out_path``, refused with one error line unless it can be written:
+    checked before any work, leaving no file behind."""
+    if out_path:
+        existed = os.path.exists(out_path)
+        try:
+            with open(out_path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+        if not existed:
+            os.remove(out_path)
+    return out_path
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -168,6 +184,7 @@ def cmd_model(args):
     _require(merged, "function", "set", "model")
     if merged.get("format") not in (None, "json"):
         raise _UsageError(f"a model is printed as JSON only, not {merged['format']}")
+    out = _writable(merged.get("out"))
     x0 = _x0_option(merged)
     set_spec = merged["set"]
 
@@ -189,7 +206,7 @@ def cmd_model(args):
     doc = built.model.to_json_dict()
     doc["diagnostics"] = built.diagnostics_json()
     doc["oracle_calls"] = f.calls
-    _emit(json.dumps(_jsonify(doc), indent=2) + "\n", merged.get("out"))
+    _emit(json.dumps(_jsonify(doc), indent=2) + "\n", out)
     return 0
 
 
@@ -197,6 +214,7 @@ def cmd_sweep(args):
     merged = _merged(args, ("function", "x0", "set", "model", "deltas", "samples",
                             "out", "format", "seed"))
     _require(merged, "function", "set", "model", "deltas")
+    out = _writable(merged.get("out"))
     # only a missing value takes the default: an explicit 0 must reach validation
     samples = merged.get("samples")
     config = SweepConfig(
@@ -212,11 +230,9 @@ def cmd_sweep(args):
     fmt = merged.get("format") or "csv"
     if fmt == "json":
         doc = {"rows": [row_to_json_dict(r) for r in rows], "summary": summary}
-        _emit(json.dumps(_jsonify(doc), indent=2) + "\n", merged.get("out"))
+        _emit(json.dumps(_jsonify(doc), indent=2) + "\n", out)
     else:
-        csv_text = rows_to_csv(rows)
-        out = merged.get("out")
-        _emit(csv_text, out)
+        _emit(rows_to_csv(rows), out)
         # keep stdout pure CSV when it is the data channel
         target = sys.stdout if out else sys.stderr
         target.write(json.dumps(_jsonify(summary), indent=2) + "\n")

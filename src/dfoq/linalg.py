@@ -31,9 +31,12 @@ DEFAULT_RESIDUAL_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
 
-# Floats that the temporaries of one chunk of a stacked pass hold together:
-# a pass over a sweep's rows takes them in chunks of this size (one row at
-# least), so its peak memory does not grow with the number of rows.
+# Floats that the temporaries of one chunk of rows hold together.  Two
+# passes over a sweep's rows take them in chunks of this size (one row at
+# least): the measurement (bounds.measure_rows: each row's ball, its model
+# values and gradients there) and the bounds pass's m x m cross tables
+# (sweep._bound_rows).  Their temporaries would otherwise set a sweep's
+# peak; the value table and every other stacked pass grow with the rows.
 BATCH_FLOATS = 2 ** 16
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "BuiltModel",
     "parse_family",
     "build",
+    "check_radius",
     "solve_mn",
     "solve_mn_values",
     "solve_mfn",
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 _SYM_RTOL = 1e-10
+
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -131,13 +134,9 @@ class ModelStack(NamedTuple):
 
     def values(self, X):
         """Row i's model at the points ``X[i]`` ((rows, k, n) in all),
-        taken on a C-ordered copy in chunks of :func:`linalg.batches`: the
-        row sums of an F-ordered stack round differently."""
-        out = np.empty(X.shape[:2])
-        for rows in linalg.batches(len(X), 3 * X[0].size):
-            Dm = np.ascontiguousarray(X[rows], dtype=float) - self.x0
-            out[rows] = self.rows(rows).at_offsets(Dm)
-        return out
+        taken on a C-ordered copy: the row sums of an F-ordered stack round
+        differently."""
+        return self.at_offsets(np.ascontiguousarray(X, dtype=float) - self.x0)
 
     def at_offsets(self, Dm):
         """Row i's model at ``x0 + Dm[i, j]``: one matrix-vector and one
@@ -179,23 +178,27 @@ class InterpolationReport(NamedTuple):
 def _multiplier_models(sets, fv, lam, g=None):
     """:class:`ModelStack` of the multipliers ``lam`` (rows, m) on each row's
     set: ``c = f(x0)``, ``H = D diag(lam) D^T / 2`` symmetrized and, when ``g``
-    is None, ``g = D lam``; one product per row, in chunks."""
-    n = sets[0].n
-    H = np.empty((len(sets), n, n))
-    G = np.empty((len(sets), n)) if g is None else g
-    for rows in linalg.batches(len(sets), 3 * sets[0].D.size + 3 * n * n):
-        D = np.stack([Y.D for Y in sets[rows]])
-        if g is None:
-            G[rows] = linalg.matvec(D, lam[rows])
-        half = np.matmul(0.5 * (D * lam[rows, None, :]), D.transpose(0, 2, 1))
-        H[rows] = 0.5 * (half + half.transpose(0, 2, 1))  # kill roundoff skew; exact value is symmetric
-    return ModelStack(sets[0].x0, fv[:, 0].copy(), G, H)
+    is None, ``g = D lam``; one product per row."""
+    D = np.stack([Y.D for Y in sets])
+    if g is None:
+        g = linalg.matvec(D, lam)
+    half = np.matmul(0.5 * (D * lam[:, None, :]), D.transpose(0, 2, 1))
+    H = 0.5 * (half + half.transpose(0, 2, 1))  # kill roundoff skew; exact value is symmetric
+    return ModelStack(sets[0].x0, fv[:, 0].copy(), g, H)
 
 
-def _shared_shape(sets):
-    x0 = sets[0].x0
+def _shared_shape(sets, x0):
+    """Refuse stacked rows whose sets differ in size or whose center is not ``x0``."""
     if any(Y.m != sets[0].m or (Y.x0 is not x0 and not np.array_equal(Y.x0, x0)) for Y in sets):
         raise InvalidInputError("stacked rows must share x0 and their set size")
+
+
+def check_radius(radius):
+    """Refuse an mn or mfn radius whose fourth power is not a normal float,
+    below about 1.22e-77: the solves would give non-finite models."""
+    if radius ** 4 < _TINY:
+        raise InvalidInputError(f"radius {radius:g} is too small for mn and mfn (limit "
+                                f"{_TINY ** 0.25:.3g}): its fourth power is not a normal float")
 
 
 def _solved(values_core, f, Y, alpha_unique):
@@ -225,7 +228,9 @@ def solve_mn_values(sets, fv):
     Each row solves its own split system, which depends on its radius; the
     models are formed as one stack.
     """
-    _shared_shape(sets)
+    _shared_shape(sets, sets[0].x0)
+    for Y in sets:
+        check_radius(Y.radius)
     lam, kkt = np.empty((len(sets), sets[0].m)), np.empty(len(sets))
     for i, Y in enumerate(sets):
         rhs, kkt[i], feasible = Y.mn_residual(fv[i, 1:] - fv[i, 0])
@@ -261,7 +266,9 @@ def solve_mfn_values(sets, fv):
     row and factor.  The radius powers are Python's, row by row: numpy's
     array power rounds differently on some radii.
     """
-    _shared_shape(sets)
+    _shared_shape(sets, sets[0].x0)
+    for Y in sets:
+        check_radius(Y.radius)
     fac, m = sets[0].F_unit_factor, sets[0].m
     if any(Y.F_unit_factor is not fac for Y in sets):
         raise InvalidInputError("stacked mfn rows must share one F_unit factor")
@@ -439,25 +446,23 @@ class QSStencil:
         ``g = sum coeff pinv(S^T) (f[head] - f[base]) / (t scale)`` and
         ``H = pinv(S^T) R / t^2``, where row i of R is the table row
         ``f[s^i + t^j] - f[s^i] - f[t^j] + f(x0)`` times ``pinv(T_i)``.
-        Every product is taken row by row, in chunks, and ``t^2`` is
-        Python's power, so each row equals its one-row stack bit for bit.
+        Every product is taken row by row and ``t^2`` is Python's power, so
+        each row equals its one-row stack bit for bit.
         """
         Y, ix = self.Y, self.index
         t = np.asarray(t, dtype=float)
-        p, n = ix.pinv_S.shape[1], Y.n
-        g = np.zeros((len(fv), n))
+        p = ix.pinv_S.shape[1]
+        g = np.zeros((len(fv), Y.n))
         for coeff, scale, heads, base in ix.grads:
             diff = fv[:, heads] - fv[:, base, None]
             g = g + coeff * linalg.matvec(ix.pinv_S, diff) / (t * scale)[:, None]
         t2 = np.array([x ** 2 for x in t.tolist()])
-        H = np.empty((len(fv), n, n))
-        for rows in linalg.batches(len(fv), len(ix.at_st) * (n + 1) + p * n + 2 * n * n):
-            table = fv[rows, ix.at_st] - fv[rows, ix.at_s] - fv[rows, ix.at_t] + fv[rows, :1]
-            if ix.starts is None:
-                R = np.matmul(table.reshape(len(table), p, -1), ix.pinv_T)
-            else:
-                R = np.add.reduceat(table[:, :, None] * ix.pinv_T, ix.starts, axis=1)
-            H[rows] = np.matmul(ix.pinv_S, R) / t2[rows, None, None]
+        table = fv[:, ix.at_st] - fv[:, ix.at_s] - fv[:, ix.at_t] + fv[:, :1]
+        if ix.starts is None:
+            R = np.matmul(table.reshape(len(table), p, -1), ix.pinv_T)
+        else:
+            R = np.add.reduceat(table[:, :, None] * ix.pinv_T, ix.starts, axis=1)
+        H = np.matmul(ix.pinv_S, R) / t2[:, None, None]
         return ModelStack(Y.x0, fv[:, 0].copy(), g, H)
 
 

@@ -17,6 +17,7 @@ raw measurements.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -303,19 +304,15 @@ def _bound_rows(tf, plan, sets, deltas, poised, meas):
     ) for i, r in enumerate(radius.tolist())]
 
 
-def _noise_floors(f0, radius):
-    # bounds.fit_slope drops the same per-row floors (order 0, 1, 2) from the
-    # summary's slope fits
-    scale = bounds.ROUNDOFF_FLOOR * (1.0 + abs(f0))
-    return scale, scale / radius, scale / radius ** 2
-
-
 def count_violations(rows, f0):
     """Bound violations above the per-quantity roundoff floor, which scales
-    with ``f0 = f(x0)``."""
+    with ``f0 = f(x0)`` (:func:`bounds.roundoff_floor`, the floor the
+    summary's slope fits drop); a nan error against a bound is one."""
+    delta = np.array([r.delta for r in rows])
+    floors = zip(*(bounds.roundoff_floor(1.0 + abs(f0), delta, order).tolist()
+                   for order in (0, 1, 2)))
     hits = []
-    for r in rows:
-        floor_f, floor_g, floor_dir = _noise_floors(f0, r.delta)
+    for r, (floor_f, floor_g, floor_dir) in zip(rows, floors):
         checks = (
             ("err_f", r.err_f, r.bound_f, floor_f),
             ("err_g", r.err_g, r.bound_g, floor_g),
@@ -323,7 +320,7 @@ def count_violations(rows, f0):
             ("err_dir_cross_max", r.err_dir_cross_max, r.bound_dir_cross, floor_dir),
         )
         for name, err, bound, floor in checks:
-            if bound is not None and err > max(bound, floor):
+            if bound is not None and (math.isnan(err) or err > max(bound, floor)):
                 hits.append({"delta": r.delta, "quantity": name,
                              "error": err, "bound": bound})
     return hits
@@ -341,6 +338,8 @@ def run_sweep(config: SweepConfig):
         if sets[-1].radius > tf.region_radius:
             raise InvalidInputError(f"radius {sets[-1].radius:g} leaves the region of "
                                     f"{tf.name} (limit {tf.region_radius:g})")
+        if plan.stencil is None:
+            models.check_radius(sets[-1].radius)
     table, fv = _value_table(tf, sets)
     built, poised, interp = _build(plan, sets, config.deltas, table, fv)
     measured = bounds.measure_rows(tf, built, sets, fv, config.samples)

@@ -473,6 +473,26 @@ def test_measure_errors_crafted_gap():
     assert meas.err_g > 0
 
 
+@pytest.mark.parametrize("rows", [1, 9])
+@pytest.mark.parametrize("m", [1, 2, 5, 128])
+def test_cross_max_is_the_largest_off_diagonal_entry_bitwise(rows, m):
+    rng = np.random.default_rng(m)
+    scales = 10.0 ** rng.uniform(-20.0, 5.0, (rows, m, m))
+    cross = np.abs(rng.standard_normal((rows, m, m))) * scales
+    diagonal = np.arange(m)
+    cross[:, diagonal, diagonal] = np.nan
+    if m > 1:
+        cross[-1, 0, m - 1] = np.nan  # an off-diagonal nan carries to its row's maximum
+    meas = bounds.ErrorMeasurement(np.zeros(rows), np.zeros(rows), np.zeros((rows, m)), cross)
+    off = ~np.eye(m, dtype=bool)
+    want = np.max(cross[:, off], axis=-1) if m > 1 else np.full(rows, np.nan)
+    assert np.array_equal(meas.cross_max, want, equal_nan=True)
+    assert np.isnan(meas.cross_max[-1])
+    for i in range(rows):
+        assert np.array_equal(meas.row(i).cross_max, want[i], equal_nan=True)
+        assert isinstance(meas.row(i).cross_max, float)
+
+
 def test_fit_slope():
     deltas = np.array([1.0, 0.5, 0.25, 0.125])
     assert bounds.fit_slope(deltas, 3.0 * deltas ** 2) == pytest.approx(2.0, abs=1e-12)

@@ -219,6 +219,62 @@ def test_out_of_region_grid_exits_1_before_f_is_evaluated(capsys, monkeypatch, m
     assert calls == []
 
 
+@pytest.mark.parametrize("model", ["mn", "mfn"])
+def test_grid_below_the_mn_mfn_radius_limit_exits_1_before_f_is_evaluated(capsys, monkeypatch,
+                                                                         model):
+    # radius^4 of 1e-100 is not a normal float: the rows used to come out
+    # nan and the summary to read all_bounds_hold true
+    calls, get = [], testbed.get
+
+    def counted_get(*args, **kwargs):
+        tf = get(*args, **kwargs)
+        f = tf.f
+        tf.f = lambda X: calls.append(1) or f(X)
+        return tf
+
+    monkeypatch.setattr(testbed, "get", counted_get)
+    argv = ["sweep", "--function", "sphere", "--set", "structured:3", "--model", model,
+            "--deltas", "1e-100:0.5:3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: radius 1e-100 is too small for mn and mfn (limit 1.22e-77): "
+        "its fourth power is not a normal float\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "--function", "sphere", "--set", "structured:2", "--model", "mn"],
+    ["sweep", "--function", "sphere", "--set", "structured:2", "--model", "mn",
+     "--deltas", "1:0.5:3"],
+    ["sweep", "--function", "sphere", "--set", "structured:2", "--model", "mn",
+     "--deltas", "1:0.5:3", "--format", "json"],
+])
+def test_unwritable_out_exits_1_before_any_work_and_leaves_no_file(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the test function was built")
+
+    monkeypatch.setattr(testbed, "get", no_work)
+    out = tmp_path / "missing" / "x.out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_check_keeps_an_existing_file_when_the_work_fails(tmp_path, capsys):
+    # the check leaves an existing file as it was when the work then fails
+    out = tmp_path / "x.json"
+    out.write_text("kept")
+    argv = ["model", "--function", "sphere", "--set", "structured:2", "--model", "qs:nope"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert out.read_text() == "kept"
+    assert main(argv[:-1] + ["mn", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["c"] == 0.0
+    capsys.readouterr()
+
+
 def test_parser_is_built_once_and_parses_alike_after_an_error(tmp_path, capsys):
     from dfoq import cli
 

@@ -761,3 +761,14 @@ def test_stencil_set_and_verdict_do_not_depend_on_the_radius(n):
                 assert len(set(sizes)) == 1, (name, spec, family, sizes)
                 if family != "qs:forward":
                     assert all(b.poised for b in built), (name, spec, family)
+
+
+@pytest.mark.parametrize("solve", [solve_mn, solve_mfn])
+def test_solvers_refuse_a_radius_whose_fourth_power_is_not_normal(solve):
+    # at 1e-100 the multipliers were divided by radius^4 = 0: mn stopped on a
+    # non-finite right-hand side, mfn on a non-finite H
+    frame = np.hstack([np.eye(3), -np.eye(3)])
+    with pytest.raises(InvalidInputError, match=r"radius 1e-100 is too small for mn and mfn"):
+        solve(sphere, SampleSet(np.zeros(3), 1e-100 * frame))
+    model, _ = solve(sphere, SampleSet(np.zeros(3), 1e-76 * frame))
+    assert np.isfinite(model.g).all() and np.isfinite(model.H).all()

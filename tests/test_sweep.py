@@ -227,6 +227,38 @@ def test_count_violations_floor():
     assert count_violations([row(10 * floor, None)], f0) == []
 
 
+def _dir_row(delta, err_aligned, bound_aligned):
+    return SweepRow(delta=delta, err_f=0.0, bound_f=None, err_g=0.0, bound_g=None,
+                    err_dir_aligned_max=err_aligned, bound_dir_aligned=bound_aligned,
+                    err_dir_cross_max=0.0, bound_dir_cross=None, poised=True)
+
+
+def test_count_violations_flags_a_nan_error_against_a_bound():
+    # nan > bound is false, so a nan error used to pass every check
+    hits = count_violations([_dir_row(1e-3, np.nan, 1.0), _dir_row(1e-4, np.nan, None)], 0.0)
+    assert [(h["delta"], h["quantity"], h["bound"]) for h in hits] == [
+        (1e-3, "err_dir_aligned_max", 1.0)]
+    assert np.isnan(hits[0]["error"])
+
+
+def test_the_slope_fit_drops_what_the_violation_count_calls_roundoff():
+    # at these radii numpy's array r**2 is above Python's: a slope floor
+    # taken with it sat an ulp below the violation floor, and the fit kept
+    # curvature errors that the count called roundoff
+    rng, radii = np.random.default_rng(7), []
+    while len(radii) < 3:
+        r = 10.0 ** -rng.uniform(0.0, 9.0, 100_000)
+        radii += r[r ** 2 > np.array([v ** 2 for v in r.tolist()])].tolist()
+    radii = sorted(radii[:3], reverse=True)
+    f0 = -0.25
+    floors = [bounds.ROUNDOFF_FLOOR * (1.0 + abs(f0)) / r ** 2 for r in radii]
+    above = [np.nextafter(e, np.inf) for e in floors]
+    assert count_violations([_dir_row(r, e, 0.0) for r, e in zip(radii, floors)], f0) == []
+    assert np.isnan(bounds.fit_slope(radii, floors, 1.0 + abs(f0), 2))
+    assert len(count_violations([_dir_row(r, e, 0.0) for r, e in zip(radii, above)], f0)) == 3
+    assert np.isfinite(bounds.fit_slope(radii, above, 1.0 + abs(f0), 2))
+
+
 def test_summary_structure():
     _, summary = run_sweep(small_config(function="exponential", seed=3))
     assert summary["config"]["set"] == "structured:2"
