@@ -22,8 +22,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DirectionDomainError, InvalidInputError, NotPoisedError
-from .models import ModelStack, _shared_shape
-from .sample_sets import SampleSet
+from .models import ModelStack
+from .sample_sets import SampleSet, ScaledRows
 from .simplex import Oracle
 
 __all__ = [
@@ -470,23 +470,24 @@ class ErrorMeasurement:
 
 
 def measure_errors(tf, model, Y: SampleSet, n_samples=DEFAULT_SAMPLES, f=None):
-    """The one-row :func:`measure_rows`, reading f at ``x0`` and the set's
-    points through the oracle ``f``, by default a vectorized one of ``tf.f``."""
+    """The one-row :func:`measure_rows` on ``Y.scaled([1.0])``, reading f at
+    ``x0`` and the set's points through the oracle ``f``, by default a
+    vectorized one of ``tf.f``."""
     f = Oracle(tf.f, vectorized=True) if f is None else f
     fv = f.many(Y.evaluation_points())[None]
-    return measure_rows(tf, ModelStack.of(model), [Y], fv, n_samples).row(0)
+    return measure_rows(tf, ModelStack.of(model), Y.scaled([1.0]), fv, n_samples).row(0)
 
 
-def measure_rows(tf, models: ModelStack, sets, fv, n_samples=DEFAULT_SAMPLES):
+def measure_rows(tf, models: ModelStack, rows: ScaledRows, fv, n_samples=DEFAULT_SAMPLES):
     """Sup-style errors of each row's model in ``models`` over
-    ``B(x0, Y.radius)`` plus the points of its set Y in ``sets``, where
-    ``fv[i]`` holds f at ``sets[i].evaluation_points()``; the sets share
-    ``x0`` and their size m.  Returns one stacked :class:`ErrorMeasurement`.
+    ``B(x0, radius)`` plus the points of its row of ``rows``, where ``fv[i]``
+    holds f at row i's evaluation points.  Returns one stacked
+    :class:`ErrorMeasurement`.
 
     The rows are taken in batches of :func:`linalg.batches`, whose stacked
     arrays hold at most 2^16 floats each (a whole n = 64 sweep in one batch
     raised peak memory by 14 %).  A batch stacks, C-ordered, each row's
-    ball (the cached Halton draw scaled to its radius), ``x0`` and its set's
+    ball (the cached Halton draw scaled to its radius), ``x0`` and its row's
     points, so every value is the pointwise one and a batch equals its
     one-row calls bit for bit.  f at ``x0`` and at the set's points is the
     row's ``fv``, the values its model was built from; ``tf.f`` takes the
@@ -497,27 +498,29 @@ def measure_rows(tf, models: ModelStack, sets, fv, n_samples=DEFAULT_SAMPLES):
     k, x0 = int(n_samples), models.x0
     if k < 1:
         raise InvalidInputError("n_samples must be at least 1")
-    _shared_shape(sets, x0)
-    m, n, rows = sets[0].m, x0.size, len(sets)
-    err_f, err_g, cross = np.empty(rows), np.empty(rows), np.empty((rows, m, m))
+    if x0 is not rows.unit.x0 and not np.array_equal(x0, rows.unit.x0):
+        raise InvalidInputError("the models and the rows have different centers")
+    count, n, m = rows.D.shape
+    err_f, err_g, cross = np.empty(count), np.empty(count), np.empty((count, m, m))
     hess = tf.hess(x0)
-    for batch in linalg.batches(rows, (k + 1 + m) * n):
-        err_f[batch], err_g[batch] = _measure_batch(tf, models.rows(batch), sets[batch], fv[batch],
-                                                    k, hess, cross[batch])
+    for batch in linalg.batches(count, (k + 1 + m) * n):
+        err_f[batch], err_g[batch] = _measure_batch(tf, models.rows(batch), rows.D[batch],
+                                                    rows.radius[batch], fv[batch], k, hess,
+                                                    cross[batch])
     diagonal = np.arange(m)
     aligned = cross[:, diagonal, diagonal]
     cross[:, diagonal, diagonal] = np.nan
     return ErrorMeasurement(err_f, err_g, aligned, cross)
 
 
-def _measure_batch(tf, stack, sets, fv, k, hess, cross):
-    """``(err_f, err_g)`` of one batch of :func:`measure_rows`, and each
-    row's ``|u_i . (H - hess) u_j|`` table written into ``cross``.  Its
+def _measure_batch(tf, stack, D, radius, fv, k, hess, cross):
+    """``(err_f, err_g)`` of one batch of :func:`measure_rows`, the rows of
+    directions ``D`` and radii ``radius``, and each row's
+    ``|u_i . (H - hess) u_j|`` table written into ``cross``.  Its
     temporaries are released when it returns, before the next batch."""
-    x0, n, m = stack.x0, stack.x0.size, sets[0].m
-    D = np.stack([Y.D for Y in sets])
+    x0, n, m = stack.x0, stack.x0.size, D.shape[-1]
     X = np.empty((len(D), k + 1 + m, n))
-    X[:, :k] = _drawn_points(x0, [Y.radius for Y in sets], k)
+    X[:, :k] = _drawn_points(x0, radius, k)
     X[:, k] = x0
     np.add(x0, D.transpose(0, 2, 1), out=X[:, k + 1:])
     fvals = np.empty(X.shape[:2])
@@ -528,8 +531,8 @@ def _measure_batch(tf, stack, sets, fv, k, hess, cross):
     grads = np.matmul(Dm, 0.5 * (stack.H + stack.H.transpose(0, 2, 1)))
     grads += stack.g[:, None, :]
     err_g = np.linalg.norm(np.subtract(tf.grad(X), grads, out=grads), axis=-1).max(-1)
-    D /= np.linalg.norm(D, axis=1)[:, None, :]  # unit directions
-    np.abs(np.matmul(np.matmul(D.transpose(0, 2, 1), stack.H - hess), D), out=cross)
+    U = D / np.linalg.norm(D, axis=1)[:, None, :]  # unit directions
+    np.abs(np.matmul(np.matmul(U.transpose(0, 2, 1), stack.H - hess), U), out=cross)
     return err_f, err_g
 
 

@@ -162,6 +162,15 @@ class Factorization:
         return fac
 
     @classmethod
+    def each(cls, M):
+        """The :class:`Factorization` of each matrix of a stack ``M``
+        (rows, p, q), bit for bit ``Factorization(M[i])``: one stacked SVD,
+        which takes each matrix as its own call would."""
+        if min(M.shape[1:]) == 1 or not np.isfinite(M).all():
+            return [cls(A) for A in M]  # the closed form, or the refusal
+        return [cls._of(M.shape[1:], *usv) for usv in zip(*np.linalg.svd(M, full_matrices=False))]
+
+    @classmethod
     def symmetric(cls, M):
         """Factorization of a symmetric, possibly indefinite, matrix by ``eigh``.
 
@@ -246,9 +255,11 @@ def numerical_rank(M):
 
 def spectrum_rank(s, shape):
     """:func:`numerical_rank` of a matrix of ``shape`` whose singular values,
-    zeros included or not and in any order, are ``s``."""
+    zeros included or not and in any order, are ``s``; one rank per vector
+    along the last axis of ``s``."""
     s = np.asarray(s, dtype=float)
-    return int(np.count_nonzero(s > _EPS * max(shape) * s.max()))
+    ranks = np.count_nonzero(s > _EPS * max(shape) * s.max(-1, keepdims=True), axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def matrix_norm(M, kind="spectral"):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InfeasibleError, InvalidInputError
-from .sample_sets import SampleSet
+from .sample_sets import SampleSet, ScaledRows, _mn_residual, _split_factors
 from .simplex import DirectionPack, as_oracle, delta_f, gsh, shifted_frame
 
 __all__ = [
@@ -175,22 +175,17 @@ class InterpolationReport(NamedTuple):
     passed: bool
 
 
-def _multiplier_models(sets, fv, lam, g=None):
-    """:class:`ModelStack` of the multipliers ``lam`` (rows, m) on each row's
-    set: ``c = f(x0)``, ``H = D diag(lam) D^T / 2`` symmetrized and, when ``g``
-    is None, ``g = D lam``; one product per row."""
-    D = np.stack([Y.D for Y in sets])
+def _multiplier_models(rows, fv, lam, g=None):
+    """:class:`ModelStack` of the multipliers ``lam`` (rows, m) on each row
+    of the :class:`ScaledRows` ``rows``: ``c = f(x0)``,
+    ``H = D diag(lam) D^T / 2`` symmetrized and, when ``g`` is None,
+    ``g = D lam``; one product per row."""
+    D = rows.D
     if g is None:
         g = linalg.matvec(D, lam)
     half = np.matmul(0.5 * (D * lam[:, None, :]), D.transpose(0, 2, 1))
     H = 0.5 * (half + half.transpose(0, 2, 1))  # kill roundoff skew; exact value is symmetric
-    return ModelStack(sets[0].x0, fv[:, 0].copy(), g, H)
-
-
-def _shared_shape(sets, x0):
-    """Refuse stacked rows whose sets differ in size or whose center is not ``x0``."""
-    if any(Y.m != sets[0].m or (Y.x0 is not x0 and not np.array_equal(Y.x0, x0)) for Y in sets):
-        raise InvalidInputError("stacked rows must share x0 and their set size")
+    return ModelStack(rows.unit.x0, fv[:, 0].copy(), g, H)
 
 
 def check_radius(radius):
@@ -203,12 +198,12 @@ def check_radius(radius):
 
 def _solved(values_core, f, Y, alpha_unique):
     """``(model, SolveDiagnostics)`` of ``values_core`` on f read at Y: the
-    core's one-row stack."""
-    f = as_oracle(f)
-    stack, lam, kkt_residual = values_core([Y], f.many(Y.evaluation_points())[None])
-    model = stack.model(0)
-    residual = interpolation_check(model, f, Y).max_violation
-    return model, SolveDiagnostics(lam[0], float(kkt_residual[0]), residual, alpha_unique)
+    core's one-row stack, checked on the values it was built from."""
+    pts = Y.evaluation_points()[None]
+    fv = as_oracle(f).many(pts[0])[None]
+    stack, lam, kkt_residual = values_core(Y.scaled([1.0]), fv)
+    residual = float(interpolation_report(stack, pts, fv).max_violation[0])
+    return stack.model(0), SolveDiagnostics(lam[0], float(kkt_residual[0]), residual, alpha_unique)
 
 
 def solve_mn(f, Y: SampleSet):
@@ -220,28 +215,33 @@ def solve_mn(f, Y: SampleSet):
     return _solved(solve_mn_values, f, Y, True)
 
 
-def solve_mn_values(sets, fv):
+def solve_mn_values(rows: ScaledRows, fv):
     """``(ModelStack, multipliers, kkt_residuals)`` of :func:`solve_mn` on
-    each set of ``sets`` (sharing x0 and their size m), from the values
-    ``fv[i]`` of f at ``sets[i].evaluation_points()``.
+    each row of ``rows``, from the values ``fv[i]`` of f at row i's
+    evaluation points.
 
     Each row solves its own split system, which depends on its radius; the
-    models are formed as one stack.
+    systems' radius-free parts are shared between rows of the same
+    normalized directions and every system is factored by one stacked SVD
+    (:func:`sample_sets._split_factors`).  A one-row call at t = 1 reads
+    its set's cached factor, which :func:`sample_sets.poisedness` shares.  The models
+    are formed as one stack.
     """
-    _shared_shape(sets, sets[0].x0)
-    for Y in sets:
-        check_radius(Y.radius)
-    lam, kkt = np.empty((len(sets), sets[0].m)), np.empty(len(sets))
-    for i, Y in enumerate(sets):
-        rhs, kkt[i], feasible = Y.mn_residual(fv[i, 1:] - fv[i, 0])
+    radius = rows.radius.tolist()
+    for r in radius:
+        check_radius(r)
+    factors = ([rows.unit.mn_factor] if rows.t.tolist() == [1.0]
+               else _split_factors(rows.normalized(), rows.radius))
+    lam, kkt = np.empty((len(radius), rows.unit.m)), np.empty(len(radius))
+    for i, (r, (fac, Vr, Vp)) in enumerate(zip(radius, factors)):
+        rhs, kkt[i], feasible = _mn_residual(fac, Vr, Vp, r, fv[i, 1:] - fv[i, 0])
         if not feasible:
             raise InfeasibleError(
                 f"no interpolating quadratic: multiplier system residual {kkt[i]:.3e}"
             )
-        fac, Vr, Vp = Y.mn_factor
         z = fac.solve(rhs)
         lam[i] = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
-    return _multiplier_models(sets, fv, lam), lam, kkt
+    return _multiplier_models(rows, fv, lam), lam, kkt
 
 
 def solve_mfn(f, Y: SampleSet):
@@ -250,30 +250,28 @@ def solve_mfn(f, Y: SampleSet):
     The gradient is unique only when the bordered system is invertible; the
     returned gradient is always the minimum-norm representative and
     ``alpha_unique`` records the distinction.  The verdict is read before
-    the bordered factors exist, so its own SVD adds no peak memory.
+    the bordered factors exist, so its own eigenvalues add no peak memory.
     """
     return _solved(solve_mfn_values, f, Y, Y.mfn_poised)
 
 
-def solve_mfn_values(sets, fv):
+def solve_mfn_values(rows: ScaledRows, fv):
     """``(ModelStack, multipliers, kkt_residuals)`` of :func:`solve_mfn` on
-    each set of ``sets``, from the values ``fv[i]`` of f at
-    ``sets[i].evaluation_points()``, solved on the normalized directions
-    (``F_unit``, whose condition does not degrade like radius^-3).
+    each row of ``rows``, from the values ``fv[i]`` of f at row i's
+    evaluation points, solved on the normalized directions (``F_unit``,
+    whose condition does not degrade like radius^-3).
 
-    The sets share one ``F_unit`` factor (a set and the sets scaled from
-    it), so every row solves with it at once: one matrix-vector product per
-    row and factor.  The radius powers are Python's, row by row: numpy's
-    array power rounds differently on some radii.
+    Every row solves with the unit set's ``F_unit`` factor at once: one
+    matrix-vector product per row and factor.  The radius powers are
+    Python's, row by row: numpy's array power rounds differently on some
+    radii.
     """
-    _shared_shape(sets, sets[0].x0)
-    for Y in sets:
-        check_radius(Y.radius)
-    fac, m = sets[0].F_unit_factor, sets[0].m
-    if any(Y.F_unit_factor is not fac for Y in sets):
-        raise InvalidInputError("stacked mfn rows must share one F_unit factor")
+    radius = rows.radius.tolist()
+    for r in radius:
+        check_radius(r)
+    fac, (m, n) = rows.unit.F_unit_factor, (rows.unit.m, rows.unit.n)
     delta = fv[:, 1:] - fv[:, :1]
-    rhs = np.zeros((len(sets), m + sets[0].n))
+    rhs = np.zeros((len(radius), m + n))
     rhs[:, :m] = delta
     kkt = fac.range_residual(rhs)
     bad = np.flatnonzero(kkt > linalg.feasibility_tol(delta))
@@ -282,9 +280,8 @@ def solve_mfn_values(sets, fv):
             f"no interpolating quadratic: bordered system residual {kkt[bad[0]]:.3e}"
         )
     z = fac.solve(rhs)
-    r = [Y.radius for Y in sets]
-    lam = z[:, :m] / np.array([x ** 4 for x in r])[:, None]
-    return _multiplier_models(sets, fv, lam, z[:, m:] / np.array(r)[:, None]), lam, kkt
+    lam = z[:, :m] / np.array([x ** 4 for x in radius])[:, None]
+    return _multiplier_models(rows, fv, lam, z[:, m:] / rows.radius[:, None]), lam, kkt
 
 
 def interpolation_check(model: QuadraticModel, f, Y: SampleSet):
@@ -387,8 +384,9 @@ class QSStencil:
     does not depend on the radius.  The recipe scales with its frame: on the
     half frame scaled by t every offset is t times its unit one, every
     difference quotient divides by t and the Hessian by t^2, so one merge,
-    index and set of pseudoinverses serve every scaling (:meth:`model`).
-    ``spec`` is the recipe on the half frame the stencil was built on.
+    index and set of pseudoinverses serve every scaling: the rows
+    ``Y.scaled(t)`` (:meth:`stack`).  ``spec`` is the recipe on the half
+    frame the stencil was built on.
     """
 
     spec: QSSpec
@@ -434,14 +432,14 @@ class QSStencil:
 
     def model(self, fv, t=1.0):
         """The recipe's quadratic on the half frame scaled by t, from the
-        values ``fv`` of f at ``Y.scale(t).evaluation_points()``: the
+        values ``fv`` of f at ``Y.scaled([t]).evaluation_points()[0]``: the
         one-row :meth:`stack`."""
-        return self.stack(np.asarray(fv, dtype=float)[None], [t]).model(0)
+        return self.stack(np.asarray(fv, dtype=float)[None], self.Y.scaled([t])).model(0)
 
-    def stack(self, fv, t):
+    def stack(self, fv, rows: ScaledRows):
         """:class:`ModelStack` of the recipe on the half frame scaled by each
-        ``t[i]``, from the values ``fv[i]`` of f at
-        ``Y.scale(t[i]).evaluation_points()``.
+        ``t[i]`` of the rows ``Y.scaled(t)``, from the values ``fv[i]`` of f
+        at ``rows.evaluation_points()[i]``.
 
         ``g = sum coeff pinv(S^T) (f[head] - f[base]) / (t scale)`` and
         ``H = pinv(S^T) R / t^2``, where row i of R is the table row
@@ -449,8 +447,7 @@ class QSStencil:
         Every product is taken row by row and ``t^2`` is Python's power, so
         each row equals its one-row stack bit for bit.
         """
-        Y, ix = self.Y, self.index
-        t = np.asarray(t, dtype=float)
+        Y, ix, t = self.Y, self.index, rows.t
         p = ix.pinv_S.shape[1]
         g = np.zeros((len(fv), Y.n))
         for coeff, scale, heads, base in ix.grads:

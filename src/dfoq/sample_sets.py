@@ -3,7 +3,8 @@
 A sample set stores the center ``x0`` and the nonzero displacement directions
 ``D`` (one column per interpolation point ``x0 + d^i``).  Read as a half
 frame, a set gives its plus-minus symmetric set ``[D, -D]`` by
-:meth:`SampleSet.expand`.
+:meth:`SampleSet.expand`.  The rows of a sweep, one set scaled by several
+factors, are one :class:`ScaledRows` geometry.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "SampleSet",
+    "ScaledRows",
     "SymmetricFactors",
     "PoisednessReport",
     "poisedness",
@@ -121,11 +123,13 @@ class SymmetricFactors(NamedTuple):
 
 
 def _symmetric_bordered_rank(sym, r, n):
-    """:func:`linalg.numerical_rank` of ``F_scaled`` on a symmetric set of
-    radius ``r`` in R^n: its singular values are ``r^4 eig(Qbar) / 2``, each
-    ``sqrt(2) r sigma(Dbar_h)`` twice and ``|n - p|`` zeros."""
-    p = sym.Dh.shape[1]
-    s = np.concatenate([r ** 4 * sym.quartic.s / 2, np.repeat(np.sqrt(2.0) * r * sym.half.s, 2)])
+    """:func:`linalg.numerical_rank` of ``F_scaled`` on a symmetric set in
+    R^n of each radius ``r[i]``: its singular values are
+    ``r^4 eig(Qbar) / 2``, each ``sqrt(2) r sigma(Dbar_h)`` twice and
+    ``|n - p|`` zeros.  The powers are Python's, radius by radius."""
+    p, r = sym.Dh.shape[1], np.asarray(r, dtype=float)[:, None]
+    r4 = np.array([x ** 4 for x in r.ravel().tolist()])[:, None]
+    s = np.hstack([r4 * sym.quartic.s / 2, np.repeat(np.sqrt(2.0) * r * sym.half.s, 2, axis=1)])
     return linalg.spectrum_rank(s, (2 * p + n, 2 * p + n))
 
 
@@ -133,14 +137,13 @@ def _symmetric_bordered_rank(sym, r, n):
 class SampleSet:
     """Center ``x0`` and direction matrix ``D`` (n x m, one point per column).
 
-    A set made by :meth:`scale` keeps the set it was scaled from in
-    ``_origin`` and reads the radius-free factors from it.  Read as a half
-    frame, the set gives its plus-minus symmetric set by :meth:`expand`.
+    Read as a half frame, the set gives its plus-minus symmetric set by
+    :meth:`expand`; scaled by several factors at once, it gives the rows of
+    a sweep as one :class:`ScaledRows` by :meth:`scaled`.
     """
 
     x0: np.ndarray
     D: np.ndarray
-    _origin: SampleSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x0 = linalg.as_vector(self.x0, "x0")
@@ -170,11 +173,11 @@ class SampleSet:
 
     # The set caches verdicts, norms and the factors of the systems it is
     # solved with.  F_unit, the normalized directions and the half-frame
-    # factors of a symmetric set do not depend on the radius, so a set made
-    # by scale() reads them from its origin.  The solves apply a factor
-    # without forming its pseudoinverse, so holding one does not raise the
-    # peak: the fullquad benchmark (m up to 560) peaks at 74 MB.  mfn_poised
-    # and mn_factor depend on the radius: every set takes its own.
+    # factors of a symmetric set do not depend on the radius, so the rows of
+    # a sweep (:class:`ScaledRows`) read them from the unit set.  The solves
+    # apply a factor without forming its pseudoinverse, so holding one does
+    # not raise the peak: the fullquad benchmark (m up to 560) peaks at
+    # 74 MB.
 
     @functools.cached_property
     def mfn_poised(self):
@@ -182,13 +185,10 @@ class SampleSet:
         tolerance; the minimum-Frobenius gradient is unique exactly then.
 
         On a symmetric set ``[Dh, -Dh]`` the rank comes from the spectra of
-        :attr:`symmetric_factors`, without forming ``F_scaled``.
+        :attr:`symmetric_factors`, without forming ``F_scaled``; on any other
+        set from the eigenvalues of ``F_scaled``.
         """
-        sym = self.symmetric_factors
-        if sym is not None:
-            return _symmetric_bordered_rank(sym, self.radius, self.n) == self.m + self.n
-        F_scaled = _bordered(self, self.D, self.radius ** 4)
-        return linalg.numerical_rank(F_scaled) == self.m + self.n
+        return bool(self.scaled([1.0]).mfn_poised()[0])
 
     @functools.cached_property
     def symmetric_factors(self):
@@ -198,8 +198,6 @@ class SampleSet:
         The check reads the set's own values, so the verdict does not depend
         on how the set was made.
         """
-        if self._origin is not None:
-            return self._origin.symmetric_factors
         p, odd = divmod(self.m, 2)
         if odd or not np.array_equal(self.D[:, p:], -self.D[:, :p]):
             return None
@@ -211,63 +209,52 @@ class SampleSet:
     def F_unit_factor(self):
         """:meth:`linalg.Factorization.symmetric` of the bordered system
         ``F_unit = [[P, Dbar^T], [Dbar, 0]]`` on the normalized directions."""
-        if self._origin is not None:
-            return self._origin.F_unit_factor
-        return linalg.Factorization.symmetric(_bordered(self, self.normalized(), 1.0))
+        Dbar = self.normalized()
+        return linalg.Factorization.symmetric(_bordered(Dbar, Dbar, 1.0))
 
     @functools.cached_property
     def F_unit_pinv_norm(self):
         """``||pinv(F_unit)||_inf``, from :attr:`F_unit_factor`."""
-        if self._origin is not None:
-            return self._origin.F_unit_pinv_norm
         return float(np.linalg.norm(self.F_unit_factor.pinv(), np.inf))
 
     @functools.cached_property
     def mn_factor(self):
         """``(Factorization(M), Vr, Vp)`` of the split multiplier system of
-        the minimum-norm model; :meth:`mn_residual` forms its right-hand side.
-
-        The multiplier matrix D'D + (1/4)(D'D)^o2 carries gradient content at
-        radius^2 and curvature content at radius^4, so solving it head-on
-        loses accuracy like radius^-2.  ``M`` splits it along an eigenbasis
-        ``[Vr, Vp]`` of the normalized Gram matrix (range and null part) and
-        rescales each block to O(1).  The basis change is orthogonal, so the
-        minimum-norm multiplier is preserved.  ``M`` depends on the radius.
-        """
-        M, Vr, Vp = _split_multiplier_matrix(self.normalized(), self.radius)
-        return linalg.Factorization(M), Vr, Vp
-
-    def mn_residual(self, delta):
-        """``(rhs, residual, feasible)`` of the split system for the shifted
-        values ``delta``: its rescaled right-hand side, the norm of the part
-        outside the system's range and whether that is within
-        :func:`linalg.feasibility_tol`.  Some quadratic interpolates the data
-        exactly when it is; the recomputed solve residual would inflate with
-        the condition number instead.
-        """
-        fac, Vr, Vp = self.mn_factor
-        r = self.radius
-        rhs = np.concatenate([Vr.T @ delta / r ** 2, Vp.T @ delta / r ** 4])
-        residual = fac.range_residual(rhs)
-        return rhs, residual, residual <= linalg.feasibility_tol(rhs)
+        the minimum-norm model (:func:`_split_factors`), which depends on the
+        radius."""
+        return _split_factors(self.normalized()[None], [self.radius])[0]
 
     @functools.cached_property
     def normalized_rank_and_pinv_norm(self):
         """``(rank, ||pinv(Dbar)||_1)`` of the normalized directions, from one SVD."""
-        if self._origin is not None:
-            return self._origin.normalized_rank_and_pinv_norm
         fac = linalg.Factorization(self.normalized())
         return fac.rank, linalg.matrix_norm(fac.pinv(), "op1")
 
     def scale(self, t):
-        """Same geometry with every direction multiplied by ``t > 0``, sharing this
-        set's radius-free factors; only the lengths' range is checked again."""
-        t = float(t)
-        if not (t > 0) or not np.isfinite(t):
+        """Same geometry with every direction multiplied by ``t > 0``, as a
+        new set, checked."""
+        return SampleSet(self.x0, self.scaled([t]).D[0])
+
+    def scaled(self, t, *checks):
+        """:class:`ScaledRows` of this set at the scales ``t``, each row
+        checked as a set of its own would be, then by every
+        ``check(radius)``, which raises to refuse it: the first row that
+        fails raises its first failure.  A one-row call is ``scaled([1.0])``.
+        """
+        t = np.array(t, dtype=float)
+        if not ((t > 0) & np.isfinite(t)).all():
             raise InvalidInputError("scale factor must be positive and finite")
-        D = t * self.D
-        return _unchecked(SampleSet, x0=self.x0, D=D, radius=float(np.max(_direction_lengths(D))),
-                          _origin=self._origin or self)
+        D = t[:, None, None] * self.D  # each row keeps this set's layout
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(D, axis=1)
+        bad = (~(D.any(axis=1) & (norms < np.inf) & (norms >= _MIN_LENGTH)).all(-1)).tolist()
+        radius = norms.max(-1)
+        for i, r in enumerate(radius.tolist()):
+            if bad[i]:
+                _direction_lengths(D[i])  # raises the row's own message
+            for check in checks:
+                check(r)
+        return ScaledRows(self, t, D, radius)
 
     @functools.cached_property
     def _expanded(self):
@@ -284,12 +271,8 @@ class SampleSet:
 
     def evaluation_points(self):
         """``x0`` and each point ``x0 + d^i`` as C-ordered rows: where a model
-        on Y reads f.  ``x0 + D^T`` alone would keep the transpose's layout,
-        and a stack of F-ordered rows sums in another order."""
-        out = np.empty((self.m + 1, self.n))
-        out[0] = self.x0
-        np.add(self.x0, self.D.T, out=out[1:])
-        return out
+        on Y reads f; the one-row :meth:`ScaledRows.evaluation_points`."""
+        return self.scaled([1.0]).evaluation_points()[0]
 
     def to_json_dict(self):
         return {"x0": self.x0.tolist(), "directions": self.D.T.tolist()}
@@ -381,6 +364,46 @@ class SampleSet:
         return cls(x0, D.T)
 
 
+class ScaledRows(NamedTuple):
+    """The rows of a sweep as one scaled geometry: row i has the directions
+    ``D[i] = t[i] unit.D`` and radius ``radius[i]``, bit for bit what the set
+    ``unit.scale(t[i])`` holds, and reads the ``unit`` set's radius-free
+    factors.  Made by :meth:`SampleSet.scaled`.  Each ``D[i]`` keeps the
+    unit's memory layout, as ``np.stack`` of the rows' sets would: the
+    stacked norms and products then round as the rows' own."""
+
+    unit: SampleSet
+    t: np.ndarray
+    D: np.ndarray
+    radius: np.ndarray
+
+    def normalized(self):
+        """Each row's directions divided by its radius."""
+        return self.D / self.radius[:, None, None]
+
+    def evaluation_points(self):
+        """``x0`` and each row's points ``x0 + d^i`` as one C-ordered
+        ``(rows, m + 1, n)`` table.  ``x0 + D^T`` alone would keep the
+        transpose's layout, and F-ordered rows sum in another order."""
+        x0, (rows, n, m) = self.unit.x0, self.D.shape
+        out = np.empty((rows, m + 1, n))
+        out[:, 0] = x0
+        np.add(x0, self.D.transpose(0, 2, 1), out=out[:, 1:])
+        return out
+
+    def mfn_poised(self):
+        """Each row's :attr:`SampleSet.mfn_poised` as a (rows,) array: on a
+        symmetric unit set from its half-frame spectra at every radius in one
+        call, on any other set from each row's ``F_scaled``."""
+        unit = self.unit
+        if unit.symmetric_factors is not None:
+            return _symmetric_bordered_rank(unit.symmetric_factors, self.radius, unit.n) == unit.m + unit.n
+        # the moduli of the eigenvalues of F_scaled are its singular values
+        Dbar = self.normalized()
+        F = np.stack([_bordered(Dbar[i], self.D[i], r ** 4) for i, r in enumerate(self.radius.tolist())])
+        return linalg.spectrum_rank(np.abs(np.linalg.eigvalsh(F)), F.shape[1:]) == F.shape[1]
+
+
 def _json_arrays(doc):
     """``(x0, directions)`` of a set's JSON document as float arrays, the
     directions one per row."""
@@ -397,12 +420,11 @@ def _json_arrays(doc):
     return x0, D
 
 
-def _bordered(Y, Dmat, weight):
+def _bordered(Dbar, Dmat, weight):
     """``[[weight P, Dmat^T], [Dmat, 0]]`` with the quadratic-term Gram block
-    ``P_ij = (dbar^i . dbar^j)^2 / 4`` of the normalized directions of Y."""
-    Dbar = Y.normalized()
+    ``P_ij = (dbar^i . dbar^j)^2 / 4`` of the normalized directions ``Dbar``."""
     P = 0.25 * (Dbar.T @ Dbar) ** 2
-    m, n = Y.m, Y.n
+    n, m = Dbar.shape
     F = np.zeros((m + n, m + n))
     F[:m, :m] = weight * P
     F[:m, m:] = Dmat.T
@@ -410,21 +432,70 @@ def _bordered(Y, Dmat, weight):
     return F
 
 
-def _split_multiplier_matrix(Dbar, r):
-    """``(M, Vr, Vp)`` of :attr:`SampleSet.mn_factor`; the m x m Gram,
-    quadratic and eigenvector matrices are released before the caller
-    factors ``M``."""
+def _split_parts(Dbar):
+    """``(Vr, Vp, w_r, w_p, P_rr, P_rp, P_pr, P_pp)``, the radius-free parts
+    of :func:`_split_factors` on the normalized directions ``Dbar``."""
     gram = Dbar.T @ Dbar
     P = 0.25 * gram ** 2
     w, V = np.linalg.eigh(gram)
     hi = w > linalg.rank_tolerance(gram) * max(float(w[-1]), 0.0)
     Vr, Vp = V[:, hi], V[:, ~hi]
     VrP, VpP = Vr.T @ P, Vp.T @ P  # each left product serves two blocks
-    M = np.block([
-        [np.diag(w[hi]) + r ** 2 * (VrP @ Vr), r ** 2 * (VrP @ Vp)],
-        [VpP @ Vr, np.diag(w[~hi]) / r ** 2 + VpP @ Vp],
-    ])
-    return M, Vr, Vp
+    return Vr, Vp, np.diag(w[hi]), np.diag(w[~hi]), VrP @ Vr, VrP @ Vp, VpP @ Vr, VpP @ Vp
+
+
+def _split_factors(Dbar, radius):
+    """``(Factorization(M), Vr, Vp)`` of the minimum-norm model's split
+    multiplier system on each row of the normalized directions ``Dbar``
+    (rows, n, m), at the row's radius r.
+
+    The multiplier matrix D'D + (1/4)(D'D)^o2 carries gradient content at
+    radius^2 and curvature content at radius^4, so solving it head-on loses
+    accuracy like radius^-2.  ``M`` splits it along an eigenbasis
+    ``[Vr, Vp]`` of the normalized Gram matrix (range and null part) and
+    rescales each block to O(1): ``[[w_r + r^2 P_rr, r^2 P_rp], [P_pr,
+    w_p / r^2 + P_pp]]``, with ``w_r``, ``w_p`` the Gram eigenvalues on each
+    part and ``P_rp = Vr^T P Vp`` and so on for ``P = (D'D)^o2 / 4``.  The
+    basis change is orthogonal, so the minimum-norm multiplier is preserved.
+    The parts are taken again only where a row's normalized directions
+    differ from the previous row's, bit for bit; each ``M`` is written in
+    place with Python's radius powers, and all are factored by one stacked
+    SVD.
+    """
+    M = np.empty(Dbar.shape[:1] + Dbar.shape[2:] * 2)
+    bases = []
+    for i, r in enumerate(np.asarray(radius, dtype=float).tolist()):
+        if not bases or not np.array_equal(Dbar[i], Dbar[i - 1]):
+            Vr, Vp, w_r, w_p, P_rr, P_rp, P_pr, P_pp = _split_parts(Dbar[i])
+        k, r2 = Vr.shape[1], r ** 2
+        np.multiply(r2, P_rr, out=M[i, :k, :k])
+        M[i, :k, :k] += w_r
+        np.multiply(r2, P_rp, out=M[i, :k, k:])
+        M[i, k:, :k] = P_pr
+        np.divide(w_p, r2, out=M[i, k:, k:])
+        M[i, k:, k:] += P_pp
+        bases.append((Vr, Vp))
+    return [(fac, Vr, Vp) for fac, (Vr, Vp) in zip(linalg.Factorization.each(M), bases)]
+
+
+def _mn_residual(fac, Vr, Vp, r, delta):
+    """``(rhs, residual, feasible)`` of the split system ``(fac, Vr, Vp)``
+    at radius ``r`` for the shifted values ``delta``: its rescaled
+    right-hand side, the norm of the part outside the system's range and
+    whether that is within :func:`linalg.feasibility_tol`.  Some quadratic
+    interpolates the data exactly when it is; the recomputed solve residual
+    would inflate with the condition number instead.  A tolerance or
+    residual that overflows (just above the mn/mfn radius limit) checks
+    nothing and raises :class:`InvalidInputError`.
+    """
+    with np.errstate(over="ignore"):
+        rhs = np.concatenate([Vr.T @ delta / r ** 2, Vp.T @ delta / r ** 4])
+        tol = linalg.feasibility_tol(rhs)
+        residual = fac.range_residual(rhs) if np.isfinite(tol) else np.inf
+    if not np.isfinite(residual):
+        raise InvalidInputError(f"radius {r:g} is too small for mn: the consistency check "
+                                "of its split system overflows")
+    return rhs, residual, residual <= tol
 
 
 @dataclass(frozen=True)
@@ -447,7 +518,7 @@ def poisedness(Y: SampleSet, fvals) -> PoisednessReport:
     delta = linalg.as_vector(fvals, "fvals")
     if delta.size != Y.m:
         raise InvalidInputError("fvals length must equal the number of directions")
-    _, residual, feasible = Y.mn_residual(delta)
+    _, residual, feasible = _mn_residual(*Y.mn_factor, Y.radius, delta)
     return PoisednessReport(
         mn_feasible=bool(feasible),
         mfn_poised=Y.mfn_poised,

@@ -218,38 +218,38 @@ def _plan(config, tf):
     return _Plan(config.model, unit, stencil, kqs_unit, hess_norm)
 
 
-def _value_table(tf, sets):
-    """Each row's ``evaluation_points()`` as one C-ordered ``(rows, m + 1, n)``
+def _value_table(tf, rows):
+    """The rows' evaluation points as one C-ordered ``(rows, m + 1, n)``
     table, and f there from one ``tf.f`` call, refused at its first inf/nan."""
-    table = np.stack([Y.evaluation_points() for Y in sets])
+    table = rows.evaluation_points()
     fv = np.asarray(tf.f(table), dtype=float)
     bad = np.flatnonzero(~np.isfinite(fv))
     if bad.size:
-        raise EvaluationError(table.reshape(-1, sets[0].n)[bad[0]], float(fv.flat[bad[0]]))
+        raise EvaluationError(table.reshape(-1, table.shape[-1])[bad[0]], float(fv.flat[bad[0]]))
     return table, fv
 
 
-def _build(plan, sets, deltas, table, fv):
-    """``(models, poised, qs interpolation violations)`` of every row, the
-    row's set ``sets[i]`` being the unit set scaled by ``deltas[i]``, from
-    the value table: all mfn rows on the shared ``F_unit`` factor, all qs
-    rows from one stencil pass, and each mn row's own split system."""
+def _build(plan, rows, table, fv):
+    """``(models, poised, qs interpolation violations)`` of every row of the
+    scaled geometry ``rows``, from the value table: all mfn rows on the unit
+    set's ``F_unit`` factor, all qs rows from one stencil pass, all mn rows
+    from one stacked factorization of their split systems, and the mn/mfn
+    verdicts from one call."""
     if plan.stencil is not None:
-        models_ = plan.stencil.stack(fv, deltas)
+        models_ = plan.stencil.stack(fv, rows)
         check = models.interpolation_report(models_, table, fv)
         return models_, check.passed.tolist(), check.max_violation.tolist()
     solve = models.solve_mn_values if plan.family == "mn" else models.solve_mfn_values
-    return solve(sets, fv)[0], [Y.mfn_poised for Y in sets], []
+    return solve(rows, fv)[0], rows.mfn_poised().tolist(), []
 
 
-def _bound_rows(tf, plan, sets, deltas, poised, meas):
+def _bound_rows(tf, plan, rows, poised, meas):
     """Each row's :class:`SweepRow`: its verdict ``poised[i]`` and
     measurement ``meas.row(i)`` next to the bounds of its own ball's
     Lipschitz data.  The bounds are one stacked pass over the rows: the
     radius-free constants are read once, and the m x m cross tables and
     their worst pairs are taken in chunks."""
-    family, unit = plan.family, plan.unit
-    radius = np.array([Y.radius for Y in sets])
+    family, unit, radius, count = plan.family, plan.unit, rows.radius, len(rows.t)
     lips = [tf.lipschitz_on(tf.x0, r) for r in radius.tolist()]
     L_grad, L_hess, kappa_g = (np.array([getattr(lip, name) for lip in lips])
                                for name in ("L_grad", "L_hess", "kappa_g"))
@@ -271,18 +271,18 @@ def _bound_rows(tf, plan, sets, deltas, poised, meas):
     if family == "qs:centred":
         # the centred preset's H is the structured-pack GSH, the one case the
         # directional theory covers among the presets
-        bound_aligned = bounds.directional_bound_aligned(L_hess, np.array(deltas))
-        cross_bound = bounds.directional_bound_gsh_cross(plan.hess_norm, L_hess, np.array(deltas))
+        bound_aligned = bounds.directional_bound_aligned(L_hess, rows.t)
+        cross_bound = bounds.directional_bound_gsh_cross(plan.hess_norm, L_hess, rows.t)
 
-    err_cross, bound_cross = meas.cross_max.tolist(), [None] * len(sets)
+    err_cross, bound_cross = meas.cross_max.tolist(), [None] * count
     if family in ("mn", "mfn", "qs:centred"):
-        tabled = np.arange(len(sets)) if family == "qs:centred" else np.flatnonzero(live)
+        tabled = np.arange(count) if family == "qs:centred" else np.flatnonzero(live)
         for chunk in linalg.batches(len(tabled), 5 * unit.m ** 2):
             at = tabled[chunk]
             if family == "qs:centred":
                 table = cross_bound[at, None, None]
             else:
-                norms = np.linalg.norm(np.stack([sets[i].D for i in at]), axis=1)
+                norms = np.linalg.norm(rows.D[at], axis=1)
                 table = bounds.directional_bound_cross(
                     consts.kappa_ef[at, None, None], L_hess[at, None, None],
                     radius[at, None, None], norms[:, :, None], norms[:, None, :])
@@ -290,7 +290,7 @@ def _bound_rows(tf, plan, sets, deltas, poised, meas):
             for i, err, bound, any_finite in zip(at.tolist(), *picked):
                 err_cross[i], bound_cross[i] = (err, bound) if any_finite else (0.0, None)
 
-    kef = keg = aligned = [None] * len(sets)
+    kef = keg = aligned = [None] * count
     if consts is not None:
         kef, keg = consts.kappa_ef.tolist(), consts.kappa_eg.tolist()
     if bound_aligned is not None:
@@ -332,18 +332,18 @@ def run_sweep(config: SweepConfig):
     dim = len(config.x0) if config.x0 is not None else None
     tf = testbed.get(config.function, dim=dim, x0=config.x0)
     plan = _plan(config, tf)
-    sets = []
-    for d in config.deltas:
-        sets.append(plan.unit.scale(d))
-        if sets[-1].radius > tf.region_radius:
-            raise InvalidInputError(f"radius {sets[-1].radius:g} leaves the region of "
+
+    def in_region(radius):
+        if radius > tf.region_radius:
+            raise InvalidInputError(f"radius {radius:g} leaves the region of "
                                     f"{tf.name} (limit {tf.region_radius:g})")
-        if plan.stencil is None:
-            models.check_radius(sets[-1].radius)
-    table, fv = _value_table(tf, sets)
-    built, poised, interp = _build(plan, sets, config.deltas, table, fv)
-    measured = bounds.measure_rows(tf, built, sets, fv, config.samples)
-    rows = _bound_rows(tf, plan, sets, config.deltas, poised, measured)
+
+    checks = (in_region,) if plan.stencil is not None else (in_region, models.check_radius)
+    scaled = plan.unit.scaled(config.deltas, *checks)
+    table, fv = _value_table(tf, scaled)
+    built, poised, interp = _build(plan, scaled, table, fv)
+    measured = bounds.measure_rows(tf, built, scaled, fv, config.samples)
+    rows = _bound_rows(tf, plan, scaled, poised, measured)
 
     deltas = [r.delta for r in rows]
     f0 = float(fv[0, 0])  # f(x0), read by every row's model

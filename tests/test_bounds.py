@@ -63,11 +63,15 @@ def test_kappa_mfn_scale_invariant(monkeypatch):
     pinvs = []
     real = linalg.Factorization.pinv
     monkeypatch.setattr(linalg.Factorization, "pinv", lambda fac: pinvs.append(1) or real(fac))
-    for t in (0.25, 1e-3, 40.0):
-        # a scaled set reads its origin's factor of F_unit and the norm of
-        # its pseudoinverse
-        assert bounds.kappa_mH_mfn(3.0, Y.scale(t)) == base
+    # the rows of Y.scaled(t) are bounded with Y's constant: one call over
+    # the rows reads Y's factor of F_unit and the norm of its pseudoinverse
+    assert bounds.kappa_mH_mfn(np.full(3, 3.0), Y.scaled([0.25, 1e-3, 40.0]).unit).tolist() == [base] * 3
     assert pinvs == []
+    monkeypatch.undo()
+    for t in (0.25, 1e-3, 40.0):
+        # a set made by scale() factors its own F_unit, from normalized
+        # directions within an ulp of Y's
+        assert bounds.kappa_mH_mfn(3.0, Y.scale(t)) == pytest.approx(base, rel=1e-9)
 
 
 def test_kappa_mfn_rejects_degenerate_set():

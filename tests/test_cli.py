@@ -242,6 +242,26 @@ def test_grid_below_the_mn_mfn_radius_limit_exits_1_before_f_is_evaluated(capsys
     assert calls == []
 
 
+@pytest.mark.parametrize("stretch, code", [(1.0000001, 1), (1.01, 1), (1.5, 0)])
+def test_mn_just_above_the_radius_limit_checks_its_split_system_or_exits_1(capsys, stretch,
+                                                                            code):
+    # just above the limit the squares in the split system's consistency
+    # tolerance overflowed to inf, so the check passed any data and the
+    # sweep exited 0 with all_bounds_hold true; a tolerance or residual
+    # that is not finite now refuses the row.  pyproject turns a
+    # RuntimeWarning into a failure, so neither side may warn
+    radius = stretch * float(np.finfo(float).tiny) ** 0.25
+    argv = ["sweep", "--function", "sphere", "--set", "structured:3", "--model", "mn",
+            "--deltas", f"{4 * radius!r}:0.5:3"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (f"error: radius {radius:g} is too small for mn: the consistency check "
+                       "of its split system overflows\n")
+    else:
+        assert json.loads(err)["rows_checked"] == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["model", "--function", "sphere", "--set", "structured:2", "--model", "mn"],
     ["sweep", "--function", "sphere", "--set", "structured:2", "--model", "mn",

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dfoq import linalg, testbed
 from dfoq.errors import InfeasibleError, InvalidInputError
-from dfoq.models import QSStencil, qs_preset, solve_mfn, solve_mn
+from dfoq.models import QSStencil, qs_preset, solve_mfn, solve_mfn_values, solve_mn
 from dfoq.sample_sets import (
     SampleSet,
     _bordered,
@@ -348,27 +348,41 @@ def test_screen_flags_duplicates_whose_gram_gap_rounds_in_the_subnormals():
     assert _verdict(SampleSet, np.zeros(1), D) == want
 
 
-def test_scaled_set_shares_the_radius_free_factors(monkeypatch):
-    rng = np.random.default_rng(33)
-    Y = SampleSet(rng.standard_normal(3), rng.standard_normal((3, 7)))
-    first = (Y.F_unit_factor, Y.normalized_rank_and_pinv_norm)
+def _counted(monkeypatch, names=("svd", "eigh", "eigvalsh")):
+    """The list every call of the named numpy.linalg factorizations is
+    appended to, by name."""
     calls = []
-    for name in ("svd", "eigh"):
+    for name in names:
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda A, *a, _f=real, _n=name, **k: calls.append(_n) or _f(A, *a, **k))
+    return calls
+
+
+def test_scaled_rows_share_the_radius_free_factors(monkeypatch):
+    # the rows of Y.scaled(t) hold the directions scale() gives and read Y's
+    # F_unit factor; their verdicts read the rows' F_scaled, from one stacked
+    # eigvalsh.  A set made by scale() is a set of its own, checked and
+    # factored afresh
+    rng = np.random.default_rng(33)
+    Y = SampleSet(rng.standard_normal(3), rng.standard_normal((3, 7)))
     Z = Y.scale(1e-3).scale(0.5)
     assert Z.D.tobytes() == (0.5 * (1e-3 * Y.D)).tobytes()
-    assert Z.F_unit_factor is first[0]
-    assert Z.normalized_rank_and_pinv_norm == first[1]
+    ts = (1e-3, 0.5)
+    rows = Y.scaled(ts)
+    for i, t in enumerate(ts):
+        assert rows.D[i].tobytes() == Y.scale(t).D.tobytes()
+        assert rows.radius[i] == Y.scale(t).radius
+    Y.F_unit_factor
+    fv = np.arange(2 * (Y.m + 1), dtype=float).reshape(2, Y.m + 1) ** 2
+    calls = _counted(monkeypatch)
+    solve_mfn_values(rows, fv)
     assert calls == []
-    # the verdict reads the radius-dependent F_scaled: each set takes its own
-    assert Z.mfn_poised is _inline_mfn_verdict(Z)
-    assert calls == ["svd", "svd"]
+    verdicts = rows.mfn_poised()
+    assert calls == ["eigvalsh"]
     monkeypatch.undo()
-    # a scaled set read first factors its origin's F_unit, once for both
-    W = SampleSet(Y.x0, Y.D.copy())
-    assert W.scale(2.0).F_unit_factor is W.F_unit_factor
+    assert verdicts.tolist() == [_inline_mfn_verdict(Y.scale(t)) for t in ts]
+    assert Y.scale(2.0).F_unit_factor is not Y.F_unit_factor
 
 
 def test_scale_gives_the_bytes_of_a_set_built_scaled():
@@ -419,7 +433,7 @@ def test_structured_expand_and_pack():
 def _set_bordered(Y):
     # the two bordered matrices as the set builds them: F_scaled for
     # mfn_poised, F_unit for F_unit_factor
-    return _bordered(Y, Y.D, Y.radius ** 4), _bordered(Y, Y.normalized(), 1.0)
+    return _bordered(Y.normalized(), Y.D, Y.radius ** 4), _bordered(Y.normalized(), Y.normalized(), 1.0)
 
 
 def test_kkt_matrices_plus_minus_frame():
@@ -634,20 +648,38 @@ def test_mfn_poised_matches_inline_verdict():
 def test_set_caches_are_read_without_an_svd(monkeypatch):
     Y = SampleSet(np.zeros(2), np.column_stack([E1, -E1, E2, -E2, E1 + E2]))
     first = (Y.mfn_poised, Y.normalized_rank_and_pinv_norm)
-    calls = []
-    real_svd = np.linalg.svd
-
-    def counted_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    calls = _counted(monkeypatch)
     assert (Y.mfn_poised, Y.normalized_rank_and_pinv_norm) == first
     assert calls == []
-    # a new set of the same geometry factors afresh
+    # a new set of the same geometry reads the eigenvalues of its own
+    # F_scaled, once, and no SVD
     Z = Y.scale(0.5)
     Z.mfn_poised
-    assert len(calls) == 1
+    Z.mfn_poised
+    assert calls == ["eigvalsh"]
+
+
+def _fullquad_set(n, delta, rotation):
+    """The benchmark's fullquad set of ``(n, delta)`` at ``rotation``:
+    m = n(n+3)/2 unit Gaussian directions, rotated, times delta."""
+    salt, m = 20_260_512, n * (n + 3) // 2
+    U = np.random.default_rng([salt, n, (1e-2, 1e-6).index(delta)]).standard_normal((n, m))
+    Z = np.random.default_rng([salt, n, 1000 + rotation]).standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    U = (Q * np.sign(np.diag(R))) @ U
+    return SampleSet(testbed.get("trigonometric", dim=n).x0, delta * (U / np.linalg.norm(U, axis=0)))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("delta", [1e-2, 1e-6])
+def test_general_mfn_poised_from_eigenvalues_is_the_svd_verdict(n, delta):
+    # on a general set the verdict counts the moduli of F_scaled's
+    # eigenvalues above the rank cutoff; they are its singular values, so
+    # it is the verdict of its SVD, on fullquad-shaped sets at every rotation
+    for rotation in range(8):
+        Y = _fullquad_set(n, delta, rotation)
+        assert Y.symmetric_factors is None
+        assert Y.mfn_poised is _inline_mfn_verdict(Y)
 
 
 def test_normalized_rank_and_pinv_norm():
@@ -676,27 +708,25 @@ def test_symmetric_factors_read_the_set_values():
         assert Y.mfn_poised is _inline_mfn_verdict(Y)
 
 
-def test_scaled_symmetric_sets_share_the_origin_factors(monkeypatch):
-    # a sweep scales the symmetric set of its half frame, checked once: each
-    # scaled set reads the origin's half-frame factors, and its directions
-    # are those of the half frame scaled, then expanded (a set of its own)
+def test_scaled_symmetric_rows_read_the_unit_factors(monkeypatch):
+    # a sweep scales the symmetric set of its half frame, checked once: its
+    # rows read the unit set's half-frame factors, all verdicts in one call,
+    # and their directions are those of the half frame scaled, then
+    # expanded (a set of its own)
     rng = np.random.default_rng(36)
     x0, Dh = rng.standard_normal(4), rng.standard_normal((4, 4))
-    unit = SampleSet(x0, Dh)
-    origin = unit.expand()
-    assert unit.expand() is origin  # the symmetric set is checked once
-    first = origin.symmetric_factors
-    calls = []
-    for name in ("svd", "eigh"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda A, *a, _f=real, _n=name, **k: calls.append(_n) or _f(A, *a, **k))
-    for t in (0.5, 1e-3, 1e-8):
-        Y = origin.scale(t)
-        assert Y.D.tobytes() == unit.scale(t).expand().D.tobytes()
-        assert Y.symmetric_factors is first
-        assert Y.mfn_poised is (t >= 1e-3)
+    half = SampleSet(x0, Dh)
+    unit = half.expand()
+    assert half.expand() is unit  # the symmetric set is checked once
+    unit.symmetric_factors
+    ts = (0.5, 1e-3, 1e-8)
+    calls = _counted(monkeypatch)
+    rows = unit.scaled(ts)
+    assert rows.mfn_poised().tolist() == [t >= 1e-3 for t in ts]
     assert calls == []
+    monkeypatch.undo()
+    for i, t in enumerate(ts):
+        assert rows.D[i].tobytes() == half.scale(t).expand().D.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -722,5 +752,5 @@ def test_symmetric_mfn_poised_is_the_rank_of_F_scaled(n, shape, structured, depe
     delta = 10.0 ** -exponent
     for Y in (unit.scale(delta).expand(), SampleSet(unit.x0, delta * frame).expand()):
         want = linalg.numerical_rank(kkt_blocks(Y).F_scaled)
-        assert _symmetric_bordered_rank(Y.symmetric_factors, Y.radius, n) == want
+        assert _symmetric_bordered_rank(Y.symmetric_factors, [Y.radius], n)[0] == want
         assert Y.mfn_poised is (want == Y.m + n)

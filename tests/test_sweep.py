@@ -329,6 +329,29 @@ def _factorizations_per_phase(monkeypatch, config):
     return rows, dict(marks, total=len(count)), len(merges)
 
 
+@pytest.mark.parametrize("function, set_spec, grams", [("trigonometric", "structured:64", 1),
+                                                       ("quartic", "random:64:3", 9)])
+def test_mn_sweep_takes_its_split_parts_per_frame_and_one_stacked_svd(monkeypatch, function,
+                                                                      set_spec, grams):
+    # the split system's radius-free parts (one eigh of the m x m Gram
+    # matrix) are taken again only where a row's normalized directions
+    # change: once on the coordinate frame, whose rows normalize to the same
+    # bits, and on each of the 9 rows of a random frame; every row's M is
+    # factored by one stacked SVD
+    shapes = {"eigh": [], "svd": []}
+    for name, seen in shapes.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, *a, _f=real, _s=seen, **k: _s.append(np.shape(A)) or _f(A, *a, **k))
+    rows, _ = run_sweep(SweepConfig(function, set_spec, "mn", parse_deltas("1:0.1:9"),
+                                    x0=(0.4,) * 64))
+    m = 128
+    assert len(rows) == 9
+    assert shapes["eigh"].count((m, m)) == grams
+    assert [shape for shape in shapes["svd"] if len(shape) == 3] == [(9, m, m)]
+    assert shapes["svd"].count((m, m)) == 0
+
+
 @pytest.mark.parametrize("model", ["mfn", "qs:centred", "qs:forward", "qs:adapted-1"])
 def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
     # a sweep plans, reads its value table, builds every row from the table
@@ -517,20 +540,37 @@ def test_qs_sweep_on_non_spanning_set_has_no_fully_linear_bounds(model):
 
 
 def _one_row_builds(tf, set_spec, family, deltas):
-    """``(model, Y, f)`` of every row of a sweep, built alone: the row's set
-    Y is the unit set scaled to its delta, and its model reads f through an
-    oracle f of its own, by models.build (mn/mfn) or the unit stencil's
+    """``(model, one, f)`` of every row of a sweep, built alone: the row's
+    one-row stack ``one`` is the unit set scaled to its delta,
+    ``unit.scaled([delta])``, and its model reads f through an oracle f of
+    its own, by the one-row solve (mn/mfn) or the unit stencil's
     QSStencil.model (qs)."""
-    half, unit, stencil = _unit(tf, set_spec, family)
+    _, unit, stencil = _unit(tf, set_spec, family)
     built = []
     for d in deltas:
-        Y, f = unit.scale(d), Oracle(tf.f, vectorized=True)
+        one, f = unit.scaled([d]), Oracle(tf.f, vectorized=True)
+        fv = f.many(one.evaluation_points()[0])
         if stencil is None:
-            model = models.build(family, f, half.scale(d), Y=Y).model
+            solve = models.solve_mn_values if family == "mn" else models.solve_mfn_values
+            model = solve(one, fv[None])[0].model(0)
         else:
-            model = stencil.model(f.many(Y.evaluation_points()), d)
-        built.append((model, Y, f))
+            model = stencil.model(fv, d)
+        built.append((model, one, f))
     return built
+
+
+def _one_row_measurement(tf, model, one, f, samples=bounds.DEFAULT_SAMPLES):
+    """measure_rows on the one-row stack ``one``, reading f through ``f``."""
+    fv = f.many(one.evaluation_points()[0])[None]
+    return bounds.measure_rows(tf, models.ModelStack.of(model), one, fv, samples).row(0)
+
+
+def _one_row_check(model, one, f):
+    """The interpolation report of ``model`` on the one-row stack ``one``,
+    reading f through ``f``, as ``(max_violation, passed)``."""
+    pts = one.evaluation_points()
+    report = models.interpolation_report(models.ModelStack.of(model), pts, f.many(pts[0])[None])
+    return float(report.max_violation[0]), bool(report.passed[0])
 
 
 def _assert_same_measurement(a, b):
@@ -556,17 +596,18 @@ def test_a_batch_of_rows_equals_its_one_row_calls_bitwise(function, set_spec, fa
     # from one value table, against measure_errors on each row alone, which
     # reads f through the oracle the row's model was built with
     tf = testbed.get(function, dim=None if x0 is None else len(x0), x0=x0)
-    built = _one_row_builds(tf, set_spec, family, parse_deltas(grid))
-    # a plain np.stack of the rows' evaluation points: they are C-ordered on
-    # every set, so the stack is too.  With F-ordered points, tf.f summed the
-    # rows of trigonometric structured:64 mfn in another order and err_f
-    # read 2.49e-14 where the one-row call reads 7.11e-15
-    fv = tf.f(np.stack([Y.evaluation_points() for _, Y, _ in built]))
+    deltas = parse_deltas(grid)
+    built = _one_row_builds(tf, set_spec, family, deltas)
+    # a plain np.concatenate of the rows' evaluation points: they are
+    # C-ordered, so the table is too.  With F-ordered points, tf.f summed
+    # the rows of trigonometric structured:64 mfn in another order and
+    # err_f read 2.49e-14 where the one-row call reads 7.11e-15
+    fv = tf.f(np.concatenate([one.evaluation_points() for _, one, _ in built]))
     batch = bounds.measure_rows(tf, _stack(model for model, _, _ in built),
-                                [Y for _, Y, _ in built], fv)
+                                _unit(tf, set_spec, family)[1].scaled(deltas), fv)
     assert batch.err_f.shape == (len(built),)
-    for i, (model, Y, f) in enumerate(built):
-        _assert_same_measurement(batch.row(i), bounds.measure_errors(tf, model, Y, f=f))
+    for i, (model, one, f) in enumerate(built):
+        _assert_same_measurement(batch.row(i), _one_row_measurement(tf, model, one, f))
 
 
 def _stack(one_row_models):
@@ -619,10 +660,10 @@ def test_qs_sweep_verdict_is_the_interpolation_check(function, set_spec, family,
     rows, summary = run_sweep(SweepConfig(function, set_spec, family, parse_deltas(grid), x0=x0,
                                           samples=samples))
     tf = testbed.get(function, dim=None if x0 is None else len(x0), x0=x0)
-    checks = [models.interpolation_check(model, f, Y)
-              for model, Y, f in _one_row_builds(tf, set_spec, family, parse_deltas(grid))]
-    assert [r.poised for r in rows] == [c.passed for c in checks]
-    assert summary["max_interpolation_violation"] == max(c.max_violation for c in checks)
+    checks = [_one_row_check(model, one, f)
+              for model, one, f in _one_row_builds(tf, set_spec, family, parse_deltas(grid))]
+    assert [r.poised for r in rows] == [passed for _, passed in checks]
+    assert summary["max_interpolation_violation"] == max(worst for worst, _ in checks)
 
 
 ALL_FAMILIES = ("mn", "mfn", "qs:centred", "qs:forward", "qs:adapted-0", "qs:adapted-1")
@@ -641,9 +682,10 @@ ALL_FAMILIES = ("mn", "mfn", "qs:centred", "qs:forward", "qs:adapted-0", "qs:ada
 def test_sweep_rows_equal_their_one_row_reference_bitwise(family, function, n, structured, seed,
                                                          start, samples):
     # every row of a sweep, read from its one value table, against the row
-    # built alone (_one_row_builds), with its own verdict (the set's for
-    # mn/mfn, interpolation_check for qs), measure_errors through its own
-    # oracle and the same bounds, at radii from 1 down to 1e-8.  The other qs
+    # built alone on its one-row stack (_one_row_builds), with its own
+    # verdict (the stack's for mn/mfn, the interpolation check for qs), its
+    # measurement through its own oracle and the same bounds, at radii from
+    # 1 down to 1e-8.  The other qs
     # stencils reach out to 3 times the grid radius, so their grids start at
     # 0.5, and have O(n^2) points, so n = 64 runs them at 16
     wide = family in ("mn", "mfn", "qs:centred")
@@ -655,21 +697,22 @@ def test_sweep_rows_equal_their_one_row_reference_bitwise(family, function, n, s
     tf = testbed.get(function, x0=config.x0)
     plan = sweep._plan(config, tf)
     want = []
-    for delta, (model, Y, f) in zip(config.deltas,
-                                    _one_row_builds(tf, set_spec, family, config.deltas)):
-        check = models.interpolation_check(model, f, Y)
-        poised = check.passed if plan.stencil is not None else Y.mfn_poised
-        meas = bounds.measure_errors(tf, model, Y, samples, f=f)
-        want.append(_one_row_bounds(tf, plan, Y, poised, meas, delta))
+    for delta, (model, one, f) in zip(config.deltas,
+                                      _one_row_builds(tf, set_spec, family, config.deltas)):
+        poised = (_one_row_check(model, one, f)[1] if plan.stencil is not None
+                  else bool(one.mfn_poised()[0]))
+        meas = _one_row_measurement(tf, model, one, f, samples)
+        want.append(_one_row_bounds(tf, plan, one, poised, meas, delta))
     assert rows_to_csv(rows) == rows_to_csv(want)
     assert summary["rows_poised"] == sum(r.poised for r in want)
 
 
-def _one_row_bounds(tf, plan, Y, poised, meas, delta):
-    """The row of set Y at radius ``delta`` with its verdict ``poised`` and
-    measurement ``meas``, bounded alone by the public formulas on the
-    Lipschitz data of its own ball."""
-    radius, family = Y.radius, plan.family
+def _one_row_bounds(tf, plan, one, poised, meas, delta):
+    """The row of the one-row stack ``one`` at radius ``delta`` with its
+    verdict ``poised`` and measurement ``meas``, bounded alone by the public
+    formulas on the Lipschitz data of its own ball and the unit set's
+    radius-free constants."""
+    radius, family, Y = float(one.radius[0]), plan.family, plan.unit
     lip = tf.lipschitz_on(tf.x0, radius)
     consts = bound_aligned = cross_table = None
     if family in ("mn", "mfn"):
@@ -678,9 +721,9 @@ def _one_row_bounds(tf, plan, Y, poised, meas, delta):
             kmfn = bounds.kappa_mH_mfn(lip.L_grad, Y)
             consts = bounds.kappa_generic(lip.L_grad, kmfn, Y)
             if family == "mn":
-                kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn, Y)
+                kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn)
                 consts = bounds.kappa_generic(lip.L_grad, kmn, Y)
-            norms = np.linalg.norm(Y.D, axis=0)
+            norms = np.linalg.norm(one.D[0], axis=0)
             cross_table = bounds.directional_bound_cross(
                 consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :])
     elif poised:

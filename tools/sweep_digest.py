@@ -8,9 +8,12 @@ sweep, so that a stated change to the summaries alone still leaves every CSV
 checked byte for byte.  The op lists are read from ``perfbench/workloads.py``.
 Then it prints ``<key> stdout=<sha256 of stdout>`` for the ``dfoq model``
 JSON of every family on every grid function (its default center and
-``structured:<dim>``) and of mn and mfn on ``random:16:3`` (trigonometric
-and quartic at x0 = 0.4), and for the ``dfoq verify all`` report.  A call
-that exits non-zero prints ``<key> exit-<code>`` instead.
+``structured:<dim>``), of mn and mfn on ``random:16:3`` (trigonometric
+and quartic at x0 = 0.4) and of mn and mfn on the ``fullquad`` workload's
+n = 8 sets (rotation 0, both radii), stored to a temporary ``file:`` set and
+solved as they are, which is the general-set path; and for the ``dfoq
+verify all`` report.  A call that exits non-zero prints ``<key> exit-<code>``
+instead.
 
     python tools/sweep_digest.py > after.txt
     python tools/sweep_digest.py /path/to/other/checkout > before.txt
@@ -48,8 +51,11 @@ def sweeps(workloads):
 MODEL_FAMILIES = ("mn", "mfn", "qs:centred", "qs:forward", "qs:adapted-0", "qs:adapted-1")
 
 
-def one_row_calls(workloads):
-    """``(key, argv)`` of every ``dfoq model`` call and of ``dfoq verify all``."""
+def one_row_calls(workloads, tmp):
+    """``(key, argv)`` of every ``dfoq model`` call and of ``dfoq verify all``;
+    the stored sets are written to the directory ``tmp``."""
+    from dfoq import sample_sets, testbed
+
     calls = []
     for name in workloads.GRID_FUNCTIONS:
         spec = f"structured:{workloads.GRID_DIMS[name]}"
@@ -60,6 +66,13 @@ def one_row_calls(workloads):
     calls += [(f"model|{name}|random:16:3|{family}",
                ["model", "--function", name, "--set", "random:16:3", "--model", family, "--x0", x0])
               for name in ("trigonometric", "quartic") for family in ("mn", "mfn")]
+    x0 = testbed.get("trigonometric", dim=8).x0
+    for delta in workloads.FULLQUAD_DELTAS:
+        path = os.path.join(tmp, f"fullquad-8-{delta:g}.json")
+        sample_sets.SampleSet(x0, delta * workloads.fullquad_directions(8, delta, 0)).save(path)
+        calls += [(f"model|trigonometric|fullquad:8:{delta:g}|{family}",
+                   ["model", "--function", "trigonometric", "--set", f"file:{path}", "--model", family])
+                  for family in ("mn", "mfn")]
     return calls + [("verify|all", ["verify", "all"])]
 
 
@@ -87,11 +100,11 @@ def main(argv=None):
                 csv = fh.read()
             print(_line(key, rc, csv=csv, summary=summary.getvalue().encode()), flush=True)
             os.remove(out)
-    for key, call_argv in one_row_calls(workloads):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            rc = cli.main(call_argv)
-        print(_line(key, rc, stdout=stdout.getvalue().encode()), flush=True)
+        for key, call_argv in one_row_calls(workloads, tmp):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = cli.main(call_argv)
+            print(_line(key, rc, stdout=stdout.getvalue().encode()), flush=True)
     return 0
 
 
