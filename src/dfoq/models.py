@@ -220,27 +220,27 @@ def solve_mn_values(rows: ScaledRows, fv):
     each row of ``rows``, from the values ``fv[i]`` of f at row i's
     evaluation points.
 
-    Each row solves its own split system, which depends on its radius; the
-    systems' radius-free parts are shared between rows of the same
-    normalized directions and every system is factored by one stacked SVD
-    (:func:`sample_sets._split_factors`).  A one-row call at t = 1 reads
-    its set's cached factor, which :func:`sample_sets.poisedness` shares.  The models
-    are formed as one stack.
+    Each row solves its own split system, which depends on its radius, in
+    the chunks of :func:`sample_sets._split_factors` (one stacked SVD each,
+    radius-free parts shared by rows of equal normalized directions); a
+    chunk's factors go once its rows are solved.  A one-row call at t = 1
+    reads its set's cached factor, which :func:`sample_sets.poisedness`
+    shares.  The models are formed as one stack.
     """
     radius = rows.radius.tolist()
     for r in radius:
         check_radius(r)
-    factors = ([rows.unit.mn_factor] if rows.t.tolist() == [1.0]
-               else _split_factors(rows.normalized(), rows.radius))
-    lam, kkt = np.empty((len(radius), rows.unit.m)), np.empty(len(radius))
-    for i, (r, (fac, Vr, Vp)) in enumerate(zip(radius, factors)):
-        rhs, kkt[i], feasible = _mn_residual(fac, Vr, Vp, r, fv[i, 1:] - fv[i, 0])
-        if not feasible:
-            raise InfeasibleError(
-                f"no interpolating quadratic: multiplier system residual {kkt[i]:.3e}"
-            )
-        z = fac.solve(rhs)
-        lam[i] = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
+    chunks = [[rows.unit.mn_factor]] if rows.t.tolist() == [1.0] else _split_factors(rows.D, radius)
+    lam, kkt, i = np.empty((len(radius), rows.unit.m)), np.empty(len(radius)), 0
+    for factors in chunks:
+        for fac, Vr, Vp in factors:
+            rhs, kkt[i], feasible = _mn_residual(fac, Vr, Vp, radius[i], fv[i, 1:] - fv[i, 0])
+            if not feasible:
+                raise InfeasibleError(f"no interpolating quadratic: multiplier system residual {kkt[i]:.3e}")
+            z = fac.solve(rhs)
+            lam[i] = Vr @ z[: Vr.shape[1]] + Vp @ z[Vr.shape[1]:]
+            i += 1
+        del factors, fac, Vr, Vp  # before the next chunk's SVD
     return _multiplier_models(rows, fv, lam), lam, kkt
 
 

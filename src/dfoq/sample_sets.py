@@ -176,8 +176,7 @@ class SampleSet:
     # factors of a symmetric set do not depend on the radius, so the rows of
     # a sweep (:class:`ScaledRows`) read them from the unit set.  The solves
     # apply a factor without forming its pseudoinverse, so holding one does
-    # not raise the peak: the fullquad benchmark (m up to 560) peaks at
-    # 74 MB.
+    # not raise the peak (fullquad, m up to 560: 67.5 MB).
 
     @functools.cached_property
     def mfn_poised(self):
@@ -222,7 +221,7 @@ class SampleSet:
         """``(Factorization(M), Vr, Vp)`` of the split multiplier system of
         the minimum-norm model (:func:`_split_factors`), which depends on the
         radius."""
-        return _split_factors(self.normalized()[None], [self.radius])[0]
+        return next(_split_factors(self.D[None], [self.radius]))[0]
 
     @functools.cached_property
     def normalized_rank_and_pinv_norm(self):
@@ -377,10 +376,6 @@ class ScaledRows(NamedTuple):
     D: np.ndarray
     radius: np.ndarray
 
-    def normalized(self):
-        """Each row's directions divided by its radius."""
-        return self.D / self.radius[:, None, None]
-
     def evaluation_points(self):
         """``x0`` and each row's points ``x0 + d^i`` as one C-ordered
         ``(rows, m + 1, n)`` table.  ``x0 + D^T`` alone would keep the
@@ -399,7 +394,7 @@ class ScaledRows(NamedTuple):
         if unit.symmetric_factors is not None:
             return _symmetric_bordered_rank(unit.symmetric_factors, self.radius, unit.n) == unit.m + unit.n
         # the moduli of the eigenvalues of F_scaled are its singular values
-        Dbar = self.normalized()
+        Dbar = self.D / self.radius[:, None, None]
         F = np.stack([_bordered(Dbar[i], self.D[i], r ** 4) for i, r in enumerate(self.radius.tolist())])
         return linalg.spectrum_rank(np.abs(np.linalg.eigvalsh(F)), F.shape[1:]) == F.shape[1]
 
@@ -434,20 +429,38 @@ def _bordered(Dbar, Dmat, weight):
 
 def _split_parts(Dbar):
     """``(Vr, Vp, w_r, w_p, P_rr, P_rp, P_pr, P_pp)``, the radius-free parts
-    of :func:`_split_factors` on the normalized directions ``Dbar``."""
-    gram = Dbar.T @ Dbar
-    P = 0.25 * gram ** 2
-    w, V = np.linalg.eigh(gram)
-    hi = w > linalg.rank_tolerance(gram) * max(float(w[-1]), 0.0)
+    of :func:`_split_factors` on ``Dbar``, the Gram eigenvalues as vectors;
+    ``P`` reuses the Gram matrix's buffer, and each temporary goes once used."""
+    P = Dbar.T @ Dbar
+    w, V = np.linalg.eigh(P)
+    hi = w > linalg.rank_tolerance(P) * max(float(w[-1]), 0.0)
     Vr, Vp = V[:, hi], V[:, ~hi]
-    VrP, VpP = Vr.T @ P, Vp.T @ P  # each left product serves two blocks
-    return Vr, Vp, np.diag(w[hi]), np.diag(w[~hi]), VrP @ Vr, VrP @ Vp, VpP @ Vr, VpP @ Vp
+    del V
+    np.multiply(0.25, np.square(P, out=P), out=P)
+    VrP = Vr.T @ P  # each left product serves two blocks
+    P_rr, P_rp, VrP = VrP @ Vr, VrP @ Vp, None
+    VpP, P = Vp.T @ P, None
+    return Vr, Vp, w[hi], w[~hi], P_rr, P_rp, VpP @ Vr, VpP @ Vp
 
 
-def _split_factors(Dbar, radius):
-    """``(Factorization(M), Vr, Vp)`` of the minimum-norm model's split
-    multiplier system on each row of the normalized directions ``Dbar``
-    (rows, n, m), at the row's radius r.
+def _split_matrix(M, r, Vr, Vp, w_r, w_p, P_rr, P_rp, P_pr, P_pp):
+    """Write the split system of :func:`_split_parts` at radius ``r`` into
+    ``M``; return ``(Vr, Vp)``.  Off their diagonals the diagonal blocks take
+    ``+ 0.0``, as from a dense diagonal matrix: a -0.0 of ``P`` reads +0.0."""
+    k, r2 = Vr.shape[1], r ** 2
+    np.add(r2 * P_rr, 0.0, out=M[:k, :k])
+    np.fill_diagonal(M[:k, :k], r2 * P_rr.diagonal() + w_r)
+    np.multiply(r2, P_rp, out=M[:k, k:])
+    M[k:, :k] = P_pr
+    np.add(P_pp, 0.0, out=M[k:, k:])
+    np.fill_diagonal(M[k:, k:], w_p / r2 + P_pp.diagonal())
+    return Vr, Vp
+
+
+def _split_factors(D, radius):
+    """Yield, chunk by chunk, the ``(Factorization(M), Vr, Vp)`` of the
+    minimum-norm model's split multiplier system on each row of the
+    directions ``D`` (rows, n, m), normalized by the row's radius r.
 
     The multiplier matrix D'D + (1/4)(D'D)^o2 carries gradient content at
     radius^2 and curvature content at radius^4, so solving it head-on loses
@@ -457,25 +470,21 @@ def _split_factors(Dbar, radius):
     w_p / r^2 + P_pp]]``, with ``w_r``, ``w_p`` the Gram eigenvalues on each
     part and ``P_rp = Vr^T P Vp`` and so on for ``P = (D'D)^o2 / 4``.  The
     basis change is orthogonal, so the minimum-norm multiplier is preserved.
-    The parts are taken again only where a row's normalized directions
-    differ from the previous row's, bit for bit; each ``M`` is written in
-    place with Python's radius powers, and all are factored by one stacked
-    SVD.
+    A chunk is :func:`linalg.batches` at 3 m^2 floats a row (``M``, ``U``,
+    ``Vt``), factored by one stacked SVD.  The parts are taken again only
+    where a row's normalized directions differ from the previous row's, bit
+    for bit, across chunks too, and are dropped before an SVD unless the
+    next row reads them; each ``M`` is written with Python's radius powers.
     """
-    M = np.empty(Dbar.shape[:1] + Dbar.shape[2:] * 2)
-    bases = []
-    for i, r in enumerate(np.asarray(radius, dtype=float).tolist()):
-        if not bases or not np.array_equal(Dbar[i], Dbar[i - 1]):
-            Vr, Vp, w_r, w_p, P_rr, P_rp, P_pr, P_pp = _split_parts(Dbar[i])
-        k, r2 = Vr.shape[1], r ** 2
-        np.multiply(r2, P_rr, out=M[i, :k, :k])
-        M[i, :k, :k] += w_r
-        np.multiply(r2, P_rp, out=M[i, :k, k:])
-        M[i, k:, :k] = P_pr
-        np.divide(w_p, r2, out=M[i, k:, k:])
-        M[i, k:, k:] += P_pp
-        bases.append((Vr, Vp))
-    return [(fac, Vr, Vp) for fac, (Vr, Vp) in zip(linalg.Factorization.each(M), bases)]
+    m, parts = D.shape[2], None
+    for chunk in linalg.batches(len(radius), 3 * m * m):
+        M, bases = np.empty((len(D[chunk]), m, m)), []
+        for j, i in enumerate(range(len(radius))[chunk]):
+            parts = parts or _split_parts(D[i] / radius[i])
+            bases.append(_split_matrix(M[j], radius[i], *parts))
+            if i + 1 == len(radius) or not np.array_equal(D[i + 1] / radius[i + 1], D[i] / radius[i]):
+                parts = None
+        yield [(fac, Vr, Vp) for fac, (Vr, Vp) in zip(linalg.Factorization.each(M), bases)]
 
 
 def _mn_residual(fac, Vr, Vp, r, delta):

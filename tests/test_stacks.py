@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfoq import bounds, models, sweep, testbed
+from dfoq import bounds, linalg, models, sweep, testbed
 from dfoq.errors import NotPoisedError
 from dfoq.sample_sets import SampleSet
 from dfoq.sweep import SweepConfig, resolve_frame, rows_to_csv
@@ -121,6 +121,29 @@ def test_stacked_models_equal_their_one_row_calls_bitwise(family, rows, n, struc
         check = models.interpolation_report(models.ModelStack.of(model),
                                             unit.scaled([t]).evaluation_points(), fv[i:i + 1])
         assert (report.max_violation[i], report.passed[i]) == (check.max_violation[0], check.passed[0])
+
+
+@pytest.mark.parametrize("spec, grams", [("structured:16", 1), ("random:16:3", 9)])
+def test_mn_chunks_equal_one_chunk_bytewise(monkeypatch, spec, grams):
+    # solve_mn_values in chunks of two rows against the whole 9-row sweep in
+    # one chunk: the same bytes, and the same Gram eigh count, so the
+    # radius-free parts of a coordinate frame carry across chunks
+    tf = testbed.get("quartic", x0=(0.4,) * 16)
+    rows = SampleSet(tf.x0, resolve_frame(spec, 16)).expand().scaled(np.geomspace(1.0, 1e-8, 9))
+    fv = tf.f(rows.evaluation_points())
+    solved, calls = [], {"eigh": [], "svd": []}
+    for name, seen in calls.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, *a, _f=real, _s=seen, **k: _s.append(np.shape(A)) or _f(A, *a, **k))
+    for budget in (linalg.BATCH_FLOATS, 2 * 3 * 32 ** 2):
+        monkeypatch.setattr(linalg, "BATCH_FLOATS", budget)
+        calls["eigh"].clear()
+        stack, lam, kkt = models.solve_mn_values(rows, fv)
+        solved.append([a.tobytes() for a in (stack.c, stack.g, stack.H, lam, kkt)])
+        assert calls["eigh"] == [(32, 32)] * grams
+    assert calls["svd"] == [(9, 32, 32)] + [(2, 32, 32)] * 4 + [(1, 32, 32)]
+    assert solved[0] == solved[1]
 
 
 @settings(max_examples=16)
