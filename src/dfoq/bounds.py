@@ -84,7 +84,6 @@ class BoundConstants:
     kappa_mH: float
     kappa_ef: float
     kappa_eg: float
-    family: str
 
 
 def _unwrapped(a):
@@ -190,7 +189,7 @@ def kappa_generic(L_grad, kappa_mH, Y: SampleSet):
     kappa_ef = 0.5 * (L + kmh) * np.sqrt(Y.n) * pinv_norm + 0.5 * (L + kmh)
     kappa_eg = 2.0 * kappa_ef + 2.0 * kmh
     return BoundConstants(kappa_mH=kmh, kappa_ef=_unwrapped(kappa_ef),
-                          kappa_eg=_unwrapped(kappa_eg), family="generic")
+                          kappa_eg=_unwrapped(kappa_eg))
 
 
 def directional_bound_aligned(L_hess, delta):
@@ -209,10 +208,10 @@ def directional_bound_aligned(L_hess, delta):
 def directional_bound_cross(kappa_ef, L_hess, delta, norm_di, norm_dj):
     """Bound between two distinct sampled directions of a symmetric set.
 
-    The arguments broadcast against each other, so one call with
-    ``norms[:, None]`` and ``norms[None, :]`` gives the whole m x m table,
-    and one with a leading axis of rows every row's table; each entry
-    equals the scalar call on its pair exactly.  Scalars give a float.
+    The arguments broadcast against each other, and each entry equals the
+    scalar call on its own arguments exactly: a sweep bounds every row in
+    one call, at the norms of the row's pair with the largest error.
+    Scalars give a float.
     """
     kef = _nonnegative(kappa_ef, "kappa_ef")
     L = _nonnegative(L_hess, "L_hess")

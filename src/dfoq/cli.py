@@ -73,10 +73,7 @@ def _x0_option(merged):
         except ValueError:
             raise _UsageError(f"bad --x0 value {x0!r}") from None
     if x0 is not None:
-        try:
-            return tuple(float(v) for v in x0)
-        except (TypeError, ValueError):
-            raise _UsageError(f"bad x0 value {x0!r}, want a list of numbers") from None
+        return _numbers(x0, f"bad x0 value {x0!r}, want a list of numbers")
     return None
 
 
@@ -85,11 +82,20 @@ def _deltas_option(merged):
     deltas = merged["deltas"]
     if isinstance(deltas, str):
         return parse_deltas(deltas)
-    try:
-        return tuple(float(d) for d in deltas)
-    except (TypeError, ValueError):
-        raise _UsageError(f"bad deltas value {deltas!r}, want start:factor:count "
-                          "or a list of numbers") from None
+    return _numbers(deltas, f"bad deltas value {deltas!r}, want start:factor:count "
+                            "or a list of numbers")
+
+
+def _numbers(values, error):
+    """A config-file list of JSON numbers as floats; anything else (a
+    boolean, a string, an integer past the float range) raises ``error``."""
+    if isinstance(values, list) and not any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        try:
+            return tuple(float(v) for v in values)
+        except OverflowError:
+            pass
+    raise _UsageError(error)
 
 
 # Config values whose flags argparse types: (JSON type, what is wanted).  x0

@@ -31,13 +31,13 @@ DEFAULT_RESIDUAL_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
 
-# Floats that the temporaries of one chunk of rows hold together.  Three
+# Floats that the temporaries of one chunk of rows hold together.  Two
 # passes over a sweep's rows take them in chunks of this size (one row at
 # least): the measurement (bounds.measure_rows: each row's ball, its model
-# values and gradients there), the bounds pass's m x m cross tables
-# (sweep._bound_rows) and mn's split systems (sample_sets._split_factors:
-# each row's M, U and Vt).  Their temporaries would otherwise set a sweep's
-# peak; the value table and every other stacked pass grow with the rows.
+# values and gradients there) and mn's split systems
+# (sample_sets._split_factors: each row's M, U and Vt).  Their temporaries
+# would otherwise set a sweep's peak; the value table and every other
+# stacked pass grow with the rows.
 BATCH_FLOATS = 2 ** 16
 
 

@@ -171,24 +171,6 @@ def row_to_json_dict(r):
     return {c: getattr(r, c) for c in _COLUMNS}
 
 
-def _worst_cross_pairs(cross, bound_table):
-    """Per row of the stacked cross errors ``cross`` (rows, m, m), the
-    ``(err, bound)`` of the pair with the largest err/bound ratio against
-    ``bound_table`` (broadcast to it), and whether any pair is finite.
-
-    Reporting the binding pair keeps the row's err<=bound comparison exact;
-    on equal-norm frames every pair shares one bound so this reduces to the
-    plain maximum error.
-    """
-    bound_table = np.broadcast_to(bound_table, cross.shape)
-    finite = np.isfinite(cross)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(finite, cross / bound_table, -np.inf)
-    rows = np.arange(len(cross))
-    i, j = np.divmod(ratio.reshape(len(cross), -1).argmax(1), cross.shape[-1])
-    return cross[rows, i, j], bound_table[rows, i, j], finite.any((1, 2))
-
-
 class _Plan(NamedTuple):
     """What a sweep takes once: the ``unit`` set every row scales (the half
     frame's symmetric set for mn/mfn, the unit ``stencil``'s points for qs),
@@ -247,14 +229,15 @@ def _bound_rows(tf, plan, rows, poised, meas):
     """Each row's :class:`SweepRow`: its verdict ``poised[i]`` and
     measurement ``meas.row(i)`` next to the bounds of its own ball's
     Lipschitz data.  The bounds are one stacked pass over the rows: the
-    radius-free constants are read once, and the m x m cross tables and
-    their worst pairs are taken in chunks."""
+    radius-free constants are read once, and each row's cross cell is its
+    largest off-diagonal error with the bound of that error's pair."""
     family, unit, radius, count = plan.family, plan.unit, rows.radius, len(rows.t)
     lips = [tf.lipschitz_on(tf.x0, r) for r in radius.tolist()]
     L_grad, L_hess, kappa_g = (np.array([getattr(lip, name) for lip in lips])
                                for name in ("L_grad", "L_hess", "kappa_g"))
     live = np.array(poised)  # rows with value and gradient bounds
-    consts = bound_aligned = cross_bound = None
+    consts = bound_aligned = None
+    bound_cross = [None] * count
     if family in ("mn", "mfn"):
         bound_aligned = bounds.directional_bound_aligned(L_hess, radius)
         if live.any():
@@ -263,6 +246,19 @@ def _bound_rows(tf, plan, rows, poised, meas):
             if family == "mn":
                 kmn = bounds.kappa_mH_mn(kappa_g, consts.kappa_eg, radius, kmfn)
                 consts = bounds.kappa_generic(L_grad, kmn, unit)
+            # resolve_frame normalizes every frame, so a row's directions share
+            # one length up to rounding and the pair with the largest error is
+            # the pair whose bound binds: a live row is bounded at its norms
+            at = np.flatnonzero(live)
+            off_diagonal = ~np.eye(unit.m, dtype=bool)
+            pair_norms = np.empty((2, len(at)))
+            for slot, k in enumerate(at.tolist()):
+                pair = divmod(int(np.where(off_diagonal, meas.cross[k], -np.inf).argmax()), unit.m)
+                pair_norms[:, slot] = np.linalg.norm(rows.D[k], axis=0)[list(pair)]
+            pair_bound = bounds.directional_bound_cross(consts.kappa_ef[at], L_hess[at],
+                                                        radius[at], *pair_norms)
+            for k, bound in zip(at.tolist(), pair_bound.tolist()):
+                bound_cross[k] = bound
     elif live.any():
         try:
             consts = bounds.kappa_generic(L_grad, L_grad * plan.kqs_unit, unit)
@@ -272,30 +268,15 @@ def _bound_rows(tf, plan, rows, poised, meas):
         # the centred preset's H is the structured-pack GSH, the one case the
         # directional theory covers among the presets
         bound_aligned = bounds.directional_bound_aligned(L_hess, rows.t)
-        cross_bound = bounds.directional_bound_gsh_cross(plan.hess_norm, L_hess, rows.t)
-
-    err_cross, bound_cross = meas.cross_max.tolist(), [None] * count
-    if family in ("mn", "mfn", "qs:centred"):
-        tabled = np.arange(count) if family == "qs:centred" else np.flatnonzero(live)
-        for chunk in linalg.batches(len(tabled), 5 * unit.m ** 2):
-            at = tabled[chunk]
-            if family == "qs:centred":
-                table = cross_bound[at, None, None]
-            else:
-                norms = np.linalg.norm(rows.D[at], axis=1)
-                table = bounds.directional_bound_cross(
-                    consts.kappa_ef[at, None, None], L_hess[at, None, None],
-                    radius[at, None, None], norms[:, :, None], norms[:, None, :])
-            picked = (v.tolist() for v in _worst_cross_pairs(meas.cross[at], table))
-            for i, err, bound, any_finite in zip(at.tolist(), *picked):
-                err_cross[i], bound_cross[i] = (err, bound) if any_finite else (0.0, None)
+        bound_cross = bounds.directional_bound_gsh_cross(plan.hess_norm, L_hess, rows.t).tolist()
 
     kef = keg = aligned = [None] * count
     if consts is not None:
         kef, keg = consts.kappa_ef.tolist(), consts.kappa_eg.tolist()
     if bound_aligned is not None:
         aligned = bound_aligned.tolist()
-    err_f, err_g, err_aligned = meas.err_f.tolist(), meas.err_g.tolist(), meas.aligned_max.tolist()
+    err_f, err_g, err_aligned, err_cross = (v.tolist() for v in (
+        meas.err_f, meas.err_g, meas.aligned_max, meas.cross_max))
     return [SweepRow(
         delta=r, err_f=err_f[i], bound_f=kef[i] * r ** 2 if live[i] else None,
         err_g=err_g[i], bound_g=keg[i] * r if live[i] else None,

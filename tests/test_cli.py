@@ -414,6 +414,23 @@ def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, key, value):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key,value", [("x0", [True, 0.5]), ("x0", ["0.3", "0.5"]),
+                                       ("deltas", [True, 0.5, 0.25]),
+                                       ("deltas", ["0.5", "0.25", "0.125"]),
+                                       ("x0", [10 ** 400, 0.5])])
+def test_config_lists_take_json_numbers_only(tmp_path, capsys, key, value):
+    # true would read as 1.0 and "0.3" as 0.3: each entry must be a JSON
+    # number that a float holds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "sphere", "set": "structured:2", "model": "mn",
+                               "x0": [0.1, 0.2], "deltas": "1:0.5:3", key: value}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad {key} value {value!r}, want ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_config_format_outside_csv_and_json_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"function": "sphere", "set": "structured:2", "model": "mn",

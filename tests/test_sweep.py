@@ -736,18 +736,15 @@ def _one_row_bounds(tf, plan, one, poised, meas, delta):
     """The row of the one-row stack ``one`` at radius ``delta`` with its
     verdict ``poised`` and measurement ``meas``, bounded alone by the public
     formulas on the Lipschitz data of its own ball and the unit set's
-    radius-free constants."""
+    radius-free constants.  Its cross cell is its largest off-diagonal error
+    with the bound of that error's pair in the row's full bound table."""
     radius, family, Y = float(one.radius[0]), plan.family, plan.unit
     lip = tf.lipschitz_on(tf.x0, radius)
     consts = bound_aligned = cross_table = None
     if family in ("mn", "mfn"):
         bound_aligned = bounds.directional_bound_aligned(lip.L_hess, radius)
         if poised:
-            kmfn = bounds.kappa_mH_mfn(lip.L_grad, Y)
-            consts = bounds.kappa_generic(lip.L_grad, kmfn, Y)
-            if family == "mn":
-                kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn)
-                consts = bounds.kappa_generic(lip.L_grad, kmn, Y)
+            consts = _interpolation_constants(tf, plan, radius)
             norms = np.linalg.norm(one.D[0], axis=0)
             cross_table = bounds.directional_bound_cross(
                 consts.kappa_ef, lip.L_hess, radius, norms[:, None], norms[None, :])
@@ -761,19 +758,96 @@ def _one_row_bounds(tf, plan, one, poised, meas, delta):
         bound_aligned = bounds.directional_bound_aligned(lip.L_hess, delta)
         cross_table = np.full((Y.m, Y.m), bounds.directional_bound_gsh_cross(
             plan.hess_norm, lip.L_hess, delta))
-    err_cross, bound_cross = meas.cross_max, None
+    bound_cross = None
     if cross_table is not None:
-        finite = np.isfinite(meas.cross)
-        err_cross = 0.0
-        if finite.any():
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(finite, meas.cross / cross_table, -np.inf)
-            i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-            err_cross, bound_cross = float(meas.cross[i, j]), float(cross_table[i, j])
+        errors = np.where(np.eye(Y.m, dtype=bool), -np.inf, meas.cross)
+        bound_cross = float(cross_table.flat[int(np.argmax(errors))])
     return SweepRow(
         delta=radius, err_f=meas.err_f, err_g=meas.err_g,
         bound_f=None if consts is None else consts.kappa_ef * radius ** 2,
         bound_g=None if consts is None else consts.kappa_eg * radius,
         err_dir_aligned_max=meas.aligned_max, bound_dir_aligned=bound_aligned,
-        err_dir_cross_max=err_cross, bound_dir_cross=bound_cross, poised=poised,
+        err_dir_cross_max=meas.cross_max, bound_dir_cross=bound_cross, poised=poised,
     )
+
+
+def _interpolation_constants(tf, plan, radius):
+    """:func:`bounds.kappa_generic` of an mn or mfn row at ``radius``, on the
+    Lipschitz data of its own ball and the unit set's radius-free constants."""
+    lip, Y = tf.lipschitz_on(tf.x0, radius), plan.unit
+    kmfn = bounds.kappa_mH_mfn(lip.L_grad, Y)
+    consts = bounds.kappa_generic(lip.L_grad, kmfn, Y)
+    if plan.family == "mn":
+        kmn = bounds.kappa_mH_mn(lip.kappa_g, consts.kappa_eg, radius, kmfn)
+        consts = bounds.kappa_generic(lip.L_grad, kmn, Y)
+    return consts
+
+
+def _recorded_measurements(monkeypatch, change=lambda meas: None):
+    """The list that every later ``bounds.measure_rows`` result is appended
+    to, after ``change`` has been applied to it in place."""
+    measured, measure_rows = [], bounds.measure_rows
+
+    def recorded(*args, **kwargs):
+        measured.append(measure_rows(*args, **kwargs))
+        change(measured[-1])
+        return measured[-1]
+
+    monkeypatch.setattr(bounds, "measure_rows", recorded)
+    return measured
+
+
+def _spread_file_set(tmp_path, n):
+    """A stored set of n random directions whose lengths span 1e-3 to 1e3."""
+    U = np.random.default_rng(n).standard_normal((n, n))
+    path = tmp_path / f"spread-{n}.json"
+    SampleSet(np.full(n, 0.4), U / np.linalg.norm(U, axis=0) * np.logspace(-3, 3, n)).save(path)
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+@pytest.mark.parametrize("family", ["mn", "mfn"])
+def test_a_bounded_cross_cell_is_its_rows_largest_error_to_bound_ratio(tmp_path, monkeypatch,
+                                                                       family, n):
+    # a row's cross cell is its largest error against the bound at that
+    # pair's norms: the binding pair while the sweep's directions share one
+    # length, which resolve_frame gives every frame, a stored set whose
+    # lengths span six decades included.  The test-side maximum is taken
+    # over the row's full m x m bound table
+    measured = _recorded_measurements(monkeypatch)
+    for set_spec in (f"structured:{n}", f"random:{n}:{n}", _spread_file_set(tmp_path, n)):
+        config = SweepConfig("quartic", set_spec, family, (1.0, 1e-2, 1e-4), x0=(0.4,) * n,
+                             samples=16)
+        rows, _ = run_sweep(config)
+        cross = measured.pop().cross
+        tf = testbed.get("quartic", x0=config.x0)
+        plan = sweep._plan(config, tf)
+        D = plan.unit.scaled(config.deltas).D
+        off_diagonal = ~np.eye(plan.unit.m, dtype=bool)
+        bounded = [k for k, row in enumerate(rows) if row.bound_dir_cross is not None]
+        assert bounded == [0, 1, 2]
+        for k in bounded:
+            radius = rows[k].delta
+            norms = np.linalg.norm(D[k], axis=0)
+            table = bounds.directional_bound_cross(
+                _interpolation_constants(tf, plan, radius).kappa_ef,
+                tf.lipschitz_on(tf.x0, radius).L_hess, radius, norms[:, None], norms[None, :])
+            worst = np.max(cross[k] / table, where=off_diagonal, initial=-np.inf)
+            reported = rows[k].err_dir_cross_max / rows[k].bound_dir_cross
+            assert reported == pytest.approx(worst, rel=1e-12, abs=0)
+
+
+def test_a_nan_cross_error_of_a_bounded_row_is_reported_and_counted(monkeypatch):
+    # one nan pair of a bounded row: a finite binding pair used to stand in
+    # for the row and hide it
+    def one_nan(meas):
+        meas.cross[1, 0, 1] = np.nan
+
+    _recorded_measurements(monkeypatch, one_nan)
+    rows, summary = run_sweep(SweepConfig("quartic", "structured:3", "mn", (0.1, 0.01, 0.001),
+                                          x0=(0.4,) * 3, samples=16))
+    assert all(r.bound_dir_cross is not None for r in rows)
+    assert [np.isnan(r.err_dir_cross_max) for r in rows] == [False, True, False]
+    hits = [(h["delta"], h["quantity"]) for h in summary["violations"]]
+    assert hits == [(rows[1].delta, "err_dir_cross_max")]
+    assert summary["all_bounds_hold"] is False
