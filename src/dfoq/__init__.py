@@ -13,13 +13,7 @@ from .errors import (
     InfeasibleError,
     InvalidInputError,
 )
-from .linalg import (
-    DEFAULT_RESIDUAL_TOL,
-    constrained_least_norm,
-    matrix_norm,
-    pinv,
-    solve_min_norm,
-)
+from .linalg import DEFAULT_RESIDUAL_TOL, matrix_norm, pinv
 from .sample_sets import PoisednessReport, SampleSet, poisedness
 from .simplex import (
     DirectionPack,
@@ -77,8 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DfoqError", "DirectionDomainError", "EvaluationError", "InfeasibleError",
     "InvalidInputError",
-    "DEFAULT_RESIDUAL_TOL", "pinv", "matrix_norm", "solve_min_norm",
-    "constrained_least_norm",
+    "DEFAULT_RESIDUAL_TOL", "pinv", "matrix_norm",
     "SampleSet", "PoisednessReport", "poisedness",
     "Oracle", "DirectionPack", "delta_f", "gsg", "delta_delta_f", "gsh",
     "centred_gsg", "shifted_frame",

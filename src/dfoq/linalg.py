@@ -1,7 +1,10 @@
 """Dense linear-algebra kernel: pseudoinverse, norms, minimum-norm solves.
 
 Everything downstream funnels its matrix work through this module so that
-rank decisions are made with one consistent tolerance rule.
+rank decisions are made with one consistent tolerance rule.  Every
+minimum-norm solve is :meth:`Factorization.solve`: a weighted least-norm
+problem becomes one by scaling the columns, and a caller that must refuse
+inconsistent data checks its residual against :func:`feasibility_tol`.
 """
 
 from __future__ import annotations
@@ -10,15 +13,13 @@ import functools
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "DEFAULT_RESIDUAL_TOL",
     "Factorization",
     "pinv",
     "matrix_norm",
-    "solve_min_norm",
-    "constrained_least_norm",
     "numerical_rank",
     "spectrum_rank",
     "rank_tolerance",
@@ -276,61 +277,3 @@ def matrix_norm(M, kind="spectral"):
     if key == "frobenius":
         return float(np.linalg.norm(A, "fro"))
     raise InvalidInputError(f"unknown norm kind {kind!r}")
-
-
-def solve_min_norm(A, b):
-    """Minimum-norm least-squares solution of ``A x = b``.
-
-    Returns ``(x, residual)`` where ``residual = ||A x - b||_2``.
-    """
-    M = as_matrix(A, "A")
-    rhs = as_vector(b, "b")
-    x = Factorization(M).solve(rhs)
-    residual = float(np.linalg.norm(M @ x - rhs))
-    return x, residual
-
-
-def constrained_least_norm(A, b, weights):
-    """Minimize ``sum_i w_i z_i^2`` subject to ``A z = b`` (null-space method).
-
-    Parameters
-    ----------
-    weights : nonnegative per-coordinate weights; zero entries leave the
-        coordinate free (they only enter through the constraints).
-
-    Returns
-    -------
-    (z, unique) : the minimizer and whether it is the unique one.  When a
-        zero-weight subspace makes the reduced problem singular, ``z`` is the
-        minimum-norm representative and ``unique`` is False.
-
-    Raises
-    ------
-    InfeasibleError : if ``A z = b`` has no solution at the tolerance.
-    """
-    M = as_matrix(A, "A")
-    rhs = as_vector(b, "b")
-    w = as_vector(weights, "weights")
-    if w.size != M.shape[1]:
-        raise InvalidInputError("weights length must match the number of unknowns")
-    if np.any(w < 0):
-        raise InvalidInputError("weights must be nonnegative")
-
-    # One full SVD of A gives z0, its residual and the null-space basis.
-    fac = Factorization._of(M.shape, *np.linalg.svd(M))
-    z0 = fac.solve(rhs)
-    residual = float(np.linalg.norm(M @ z0 - rhs))
-    feas_tol = feasibility_tol(rhs)
-    if residual > feas_tol:
-        raise InfeasibleError(f"constraints inconsistent: residual {residual:.3e} > {feas_tol:.3e}")
-
-    N = fac.Vt[fac.rank:].T.copy()
-    if N.shape[1] == 0:
-        return z0, True
-
-    # Reduced normal equations over y with z = z0 + N y; N has orthonormal
-    # columns, so a minimum-norm y gives the minimum-norm optimal z.
-    WN = N * w[:, None]
-    red = Factorization(N.T @ WN)
-    y = red.solve(-(WN.T @ z0))
-    return z0 + N @ y, red.rank == red.shape[0]

@@ -16,7 +16,7 @@ from . import linalg
 from .errors import InfeasibleError, InvalidInputError
 from .models import QuadraticModel, build_qs, qs_preset
 from .sample_sets import SampleSet
-from .simplex import DirectionPack, Oracle, as_oracle, centred_gsg, delta_delta_f, gsg
+from .simplex import DirectionPack, Oracle, as_oracle, centred_gsg, delta_delta_f, delta_f
 
 __all__ = [
     "BilinearProblem",
@@ -58,53 +58,42 @@ class BilinearProblem:
 
 class BilinearSolution(NamedTuple):
     H: np.ndarray
-    unique: bool
     residual: float
-
-
-def _vech_layout(n):
-    diag = [(a, a) for a in range(n)]
-    upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return diag + upper
 
 
 def solve_bilinear_min_frobenius(problem: BilinearProblem) -> BilinearSolution:
     """Least-Frobenius solution of the (possibly symmetric) bilinear system.
 
-    Unconstrained case: the pseudoinverse product, unique whenever feasible.
-    Symmetric case: weighted least-norm over the distinct entries of H, with
-    off-diagonal weight 2 so the objective stays ``||H||_F^2``.
+    Unconstrained case: the pseudoinverse product.  Symmetric case: the
+    least-norm solve over the distinct entries of H (diagonal, then the upper
+    triangle row by row) with each off-diagonal entry weighted by 2, so that
+    the objective stays ``||H||_F^2``; scaling each column by ``1/sqrt(w)``
+    makes that one minimum-norm solve.  Both refuse an inconsistent system.
     """
     S, T, rhs = problem.S, problem.T, problem.rhs
     n = S.shape[0]
 
     if not problem.symmetric:
         H = linalg.pinv(S.T) @ rhs @ linalg.pinv(T)
-        residual = float(np.linalg.norm(S.T @ H @ T - rhs, "fro"))
-        # the tolerance of the whole matrix, as np.linalg.norm ravels it
-        if residual > linalg.feasibility_tol(rhs.ravel(order="K")):
-            raise InfeasibleError(f"bilinear system inconsistent: residual {residual:.3e}")
-        return BilinearSolution(H, True, residual)
-
-    slots = _vech_layout(n)
-    A = np.empty((rhs.size, len(slots)))
-    row = 0
-    for i in range(S.shape[1]):
-        for j in range(T.shape[1]):
-            for col, (a, b) in enumerate(slots):
-                if a == b:
-                    A[row, col] = S[a, i] * T[a, j]
-                else:
-                    A[row, col] = S[a, i] * T[b, j] + S[b, i] * T[a, j]
-            row += 1
-    weights = np.array([1.0 if a == b else 2.0 for (a, b) in slots])
-    z, unique = linalg.constrained_least_norm(A, rhs.ravel(), weights)
-    H = np.zeros((n, n))
-    for col, (a, b) in enumerate(slots):
-        H[a, b] = z[col]
-        H[b, a] = z[col]
+    else:
+        # P[i, j, a, b] = S[a, i] T[b, j]; row (i, j) of the system holds
+        # P[i, j, a, a] per diagonal entry and P[i, j, a, b] + P[i, j, b, a]
+        # per upper entry (a, b)
+        P = S.T[:, None, :, None] * T.T[None, :, None, :]
+        diag = np.arange(n)
+        upper = np.triu_indices(n, 1)
+        A = np.concatenate([P[:, :, diag, diag], P[:, :, upper[0], upper[1]] + P[:, :, upper[1], upper[0]]],
+                           axis=2).reshape(rhs.size, -1)
+        root_w = np.sqrt(np.where(np.arange(A.shape[1]) < n, 1.0, 2.0))
+        z = linalg.Factorization(A / root_w).solve(rhs.ravel()) / root_w
+        H = np.zeros((n, n))
+        H[diag, diag] = z[:n]
+        H[upper] = H[upper[::-1]] = z[n:]
     residual = float(np.linalg.norm(S.T @ H @ T - rhs, "fro"))
-    return BilinearSolution(H, unique, residual)
+    # the tolerance of the whole matrix, as np.linalg.norm ravels it
+    if residual > linalg.feasibility_tol(rhs.ravel(order="K")):
+        raise InfeasibleError(f"bilinear system inconsistent: residual {residual:.3e}")
+    return BilinearSolution(H, residual)
 
 
 def gsh_sample_set(x0, pack: DirectionPack) -> SampleSet:
@@ -130,9 +119,11 @@ def _gsh_model(f, x0, S, T):
     T = linalg.as_matrix(T, "T")
     _require_equal_colspaces(S, T)
     ddf = delta_delta_f(f, x0, S, T)
-    H = linalg.pinv(S.T) @ ddf @ linalg.pinv(T)
-    correction = np.diag(ddf @ linalg.pinv(T) @ S)
-    alpha = gsg(f, x0, S) - 0.5 * (linalg.pinv(S.T) @ correction)
+    fac_s = linalg.Factorization(S.T)
+    pinv_s, pinv_t = fac_s.pinv(), linalg.pinv(T)
+    H = pinv_s @ ddf @ pinv_t
+    correction = np.diag(ddf @ pinv_t @ S)
+    alpha = fac_s.solve(delta_f(f, x0, S)) - 0.5 * (pinv_s @ correction)
     return QuadraticModel(x0, f(x0), alpha, H)
 
 

@@ -184,8 +184,7 @@ def delta_f(f, x0, S):
 def gsg(f, x0, S):
     """Generalized simplex gradient: minimum-norm solution of ``S^T g = delta_f``."""
     S = linalg.as_matrix(S, "S")
-    g, _ = linalg.solve_min_norm(S.T, delta_f(f, x0, S))
-    return g
+    return linalg.Factorization(S.T).solve(delta_f(f, x0, S))
 
 
 def delta_delta_f(f, x0, S, T):

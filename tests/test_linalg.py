@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dfoq import linalg
-from dfoq.errors import InfeasibleError, InvalidInputError
+from dfoq.errors import InvalidInputError
 from dfoq.sample_sets import SampleSet
 
 from kkt_blocks import kkt_blocks, null_space_basis
@@ -126,17 +126,23 @@ def test_input_validation():
     with pytest.raises(InvalidInputError):
         linalg.pinv(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
-        linalg.solve_min_norm(np.eye(2), np.array([1.0, 2.0, 3.0]))
+        linalg.Factorization(np.eye(2)).solve(np.array([1.0, 2.0, 3.0]))
+
+
+def _min_norm_solve(A, b):
+    """``(x, ||A x - b||)`` of the minimum-norm solve."""
+    x = linalg.Factorization(A).solve(b)
+    return x, float(np.linalg.norm(A @ x - b))
 
 
 def test_solve_min_norm_even_split():
-    x, residual = linalg.solve_min_norm(np.array([[1.0, 1.0]]), np.array([2.0]))
+    x, residual = _min_norm_solve(np.array([[1.0, 1.0]]), np.array([2.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
     assert residual <= 1e-14
 
 
 def test_solve_min_norm_identity():
-    x, residual = linalg.solve_min_norm(np.eye(2), np.array([3.0, 4.0]))
+    x, residual = _min_norm_solve(np.eye(2), np.array([3.0, 4.0]))
     assert np.allclose(x, [3.0, 4.0])
     assert residual == 0.0
 
@@ -144,7 +150,7 @@ def test_solve_min_norm_identity():
 def test_solve_min_norm_inconsistent_residual():
     # rank-1 system: least-squares projection leaves sqrt(2)/2 behind
     A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    x, residual = linalg.solve_min_norm(A, np.array([1.0, 2.0]))
+    x, residual = _min_norm_solve(A, np.array([1.0, 2.0]))
     assert residual == pytest.approx(np.sqrt(2.0) / 2.0)
     assert x[1] == 0.0
 
@@ -154,7 +160,7 @@ def test_solve_min_norm_is_smallest():
     for _ in range(10):
         A = rng.standard_normal((3, 6))
         x_true = rng.standard_normal(6)
-        x, residual = linalg.solve_min_norm(A, A @ x_true)
+        x, residual = _min_norm_solve(A, A @ x_true)
         assert residual <= 1e-10
         N = null_space_basis(A)
         for _ in range(100):
@@ -189,74 +195,12 @@ def test_range_residual_ignores_conditioning():
     assert linalg.Factorization(A).range_residual(b) <= 1e-9 * np.linalg.norm(b)
 
 
-def test_constrained_least_norm_fixtures():
-    z, unique = linalg.constrained_least_norm(np.eye(2), np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-    assert unique and np.allclose(z, [1.0, 2.0])
-
-    # weights (1,4): minimize z1^2 + 4 z2^2 on z1 + z2 = 2
-    z, unique = linalg.constrained_least_norm(
-        np.array([[1.0, 1.0]]), np.array([2.0]), np.array([1.0, 4.0])
-    )
-    assert unique
+def test_scaled_solve_is_the_weighted_least_norm():
+    # minimize z1^2 + 4 z2^2 on z1 + z2 = 2: the minimum-norm y of
+    # (A / sqrt(w)) y = b gives z = y / sqrt(w)
+    A, b, root_w = np.array([[1.0, 1.0]]), np.array([2.0]), np.sqrt([1.0, 4.0])
+    z = linalg.Factorization(A / root_w).solve(b) / root_w
     assert np.allclose(z, [8.0 / 5.0, 2.0 / 5.0], atol=1e-12)
-
-    z, unique = linalg.constrained_least_norm(
-        np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0, 1.0])
-    )
-    assert unique and np.allclose(z, [0.0, 0.0], atol=1e-14)
-
-
-def test_constrained_least_norm_matches_min_norm_solve():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        A = rng.standard_normal((3, 7))
-        b = A @ rng.standard_normal(7)
-        z, _ = linalg.constrained_least_norm(A, b, np.ones(7))
-        x, _ = linalg.solve_min_norm(A, b)
-        assert np.linalg.norm(z - x) <= 1e-10 * (1.0 + np.linalg.norm(x))
-
-
-def test_constrained_least_norm_infeasible():
-    with pytest.raises(InfeasibleError):
-        linalg.constrained_least_norm(
-            np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]), np.ones(2)
-        )
-
-
-def test_constrained_least_norm_free_subspace():
-    # the zero-weight coordinates are unconstrained by the objective, so the
-    # reduced problem is singular; expect the min-norm representative
-    z, unique = linalg.constrained_least_norm(
-        np.array([[1.0, 0.0, 0.0]]), np.array([1.0]), np.array([1.0, 0.0, 0.0])
-    )
-    assert not unique
-    assert np.allclose(z, [1.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_constrained_least_norm_takes_two_svds(monkeypatch):
-    # one full SVD of A (minimum-norm point, residual and null basis) and
-    # one of the reduced matrix (singular test and solve)
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((2, 5))
-    b = rng.standard_normal(2)
-    w = 0.5 + rng.random(5)
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
-    z, unique = linalg.constrained_least_norm(A, b, w)
-    monkeypatch.undo()
-    assert calls == [(2, 5), (3, 3)]
-    # positive weights: z = W^-1 A^T (A W^-1 A^T)^-1 b
-    Winv_At = A.T / w[:, None]
-    assert unique
-    assert np.allclose(z, Winv_At @ np.linalg.solve(A @ Winv_At, b), rtol=1e-12, atol=1e-14)
-
-
-def test_constrained_least_norm_rejects_bad_weights():
-    with pytest.raises(InvalidInputError):
-        linalg.constrained_least_norm(np.eye(2), np.ones(2), np.array([1.0, -1.0]))
-    with pytest.raises(InvalidInputError):
-        linalg.constrained_least_norm(np.eye(2), np.ones(2), np.ones(3))
 
 
 def _svd_pinv(A):
@@ -323,9 +267,8 @@ def test_factorization_matches_standalone_formulas():
         for b in (rng.standard_normal(A.shape[0]), inside):
             want = _full_svd_range_residual(A, b)
             assert fac.range_residual(b) == want
-            x, _ = linalg.solve_min_norm(A, b)
+            x = fac.solve(b)
             assert np.array_equal(x, _svd_apply(A, b))
-            assert np.array_equal(fac.solve(b), x)
             assert _normal_residual(A, x, b) <= 1e-12
 
 
@@ -459,7 +402,6 @@ def test_vector_closed_form_matches_svd():
         assert _close(linalg.pinv(A), _svd_pinv(A), rtol)
         b = rng.standard_normal(A.shape[0])
         assert _close(fac.solve(b), _svd_apply(A, b), rtol)
-        assert _close(linalg.solve_min_norm(A, b)[0], _svd_apply(A, b), rtol)
         # right-hand sides of order 1, off and in the range; the thin SVD of
         # a column gives no range residual
         inside = (A / (np.max(np.abs(A)) or 1.0)) @ rng.standard_normal(A.shape[1])

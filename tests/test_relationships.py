@@ -19,6 +19,8 @@ from dfoq.relationships import (
 from dfoq.sample_sets import SampleSet
 from dfoq.simplex import DirectionPack, delta_delta_f, gsh, shifted_frame
 
+from kkt_blocks import null_space_basis
+
 COINCIDE_TOL = 1e-9
 
 E1 = np.array([1.0, 0.0])
@@ -38,7 +40,6 @@ def test_bilinear_unconstrained_fixture():
     prob = BilinearProblem(np.eye(2), E1[:, None], np.array([[2.0], [2.0]]))
     sol = solve_bilinear_min_frobenius(prob)
     assert np.allclose(sol.H, [[2.0, 0.0], [2.0, 0.0]], atol=1e-12)
-    assert sol.unique
     assert sol.residual <= 1e-12
 
 
@@ -49,7 +50,6 @@ def test_bilinear_symmetric_fixture():
     sol = solve_bilinear_min_frobenius(prob)
     assert np.allclose(sol.H, [[2.0, 2.0], [2.0, 0.0]], atol=1e-12)
     assert np.array_equal(sol.H, sol.H.T)
-    assert sol.unique
     assert sol.residual <= 1e-9
 
 
@@ -104,6 +104,52 @@ def test_symmetric_solution_stays_in_correction_family():
         sol = solve_bilinear_min_frobenius(BilinearProblem(S, T, rhs, symmetric=True))
         assert sol.residual <= 1e-9 * (1 + np.linalg.norm(rhs))
         assert _family_membership_gap(sol.H, S, T, rhs) <= 1e-9
+
+
+def _quadratic(rng, n):
+    A = rng.standard_normal((n, n))
+    A = A + A.T
+    b = rng.standard_normal(n)
+
+    def f(x):
+        x = np.asarray(x)
+        return float(0.5 * x @ A @ x + b @ x)
+
+    return f
+
+
+def _symmetric_basis(n):
+    """Frobenius-orthonormal basis of the symmetric n x n matrices."""
+    basis = []
+    for a in range(n):
+        for b in range(a, n):
+            B = np.zeros((n, n))
+            B[a, b] = B[b, a] = 1.0 if a == b else np.sqrt(0.5)
+            basis.append(B)
+    return basis
+
+
+def test_symmetric_fit_is_the_least_frobenius_symmetric_solution():
+    # quadratic data on square and tall frames: the fit is symmetric, solves
+    # S^T H T = R, and is Frobenius-orthogonal to every symmetric K with
+    # S^T K T = 0, which makes it the solution of least Frobenius norm
+    rng = np.random.default_rng(2026)
+    for n in (1, 2, 3, 4):
+        basis = _symmetric_basis(n)
+        for p, q in dict.fromkeys([(n, n), (max(n - 1, 1), n), (max(n - 2, 1), max(n - 1, 1))]):
+            for _ in range(4):
+                S = rng.standard_normal((n, p))
+                T = rng.standard_normal((n, q))
+                f = _quadratic(rng, n)
+                x0 = 0.2 * rng.standard_normal(n)
+                rhs = delta_delta_f(f, x0, S, T)
+                H, residual = solve_bilinear_min_frobenius(BilinearProblem(S, T, rhs, symmetric=True))
+                assert np.array_equal(H, H.T)
+                assert residual <= linalg.feasibility_tol(rhs.ravel())
+                N = null_space_basis(np.column_stack([(S.T @ B @ T).ravel() for B in basis]))
+                for c in N.T:
+                    K = sum(ck * B for ck, B in zip(c, basis))
+                    assert abs(np.sum(H * K)) <= 1e-10 * np.linalg.norm(H)
 
 
 def test_mn_from_gsh_quadratic_exact():

@@ -11,9 +11,12 @@ JSON of every family on every grid function (its default center and
 ``structured:<dim>``), of mn and mfn on ``random:16:3`` (trigonometric
 and quartic at x0 = 0.4) and of mn and mfn on the ``fullquad`` workload's
 n = 8 sets (rotation 0, both radii), stored to a temporary ``file:`` set and
-solved as they are, which is the general-set path; and for the ``dfoq
-verify all`` report.  A call that exits non-zero prints ``<key> exit-<code>``
-instead.
+solved as they are, which is the general-set path.  A call that exits
+non-zero prints ``<key> exit-<code>`` instead.  Last comes the ``dfoq verify
+all`` report, one ``verify|<check> stdout=<sha256 of its report line>`` per
+check and ``verify|tally`` for the closing count, so that a stated change to
+one check leaves every other check compared byte for byte; a non-zero exit
+adds ``verify|all exit-<code>``.
 
     python tools/sweep_digest.py > after.txt
     python tools/sweep_digest.py /path/to/other/checkout > before.txt
@@ -52,8 +55,8 @@ MODEL_FAMILIES = ("mn", "mfn", "qs:centred", "qs:forward", "qs:adapted-0", "qs:a
 
 
 def one_row_calls(workloads, tmp):
-    """``(key, argv)`` of every ``dfoq model`` call and of ``dfoq verify all``;
-    the stored sets are written to the directory ``tmp``."""
+    """``(key, argv)`` of every ``dfoq model`` call; the stored sets are
+    written to the directory ``tmp``."""
     from dfoq import sample_sets, testbed
 
     calls = []
@@ -73,7 +76,7 @@ def one_row_calls(workloads, tmp):
         calls += [(f"model|trigonometric|fullquad:8:{delta:g}|{family}",
                    ["model", "--function", "trigonometric", "--set", f"file:{path}", "--model", family])
                   for family in ("mn", "mfn")]
-    return calls + [("verify|all", ["verify", "all"])]
+    return calls
 
 
 def _line(key, rc, **fields):
@@ -83,28 +86,44 @@ def _line(key, rc, **fields):
     return " ".join([key] + [f"{name}={hashlib.sha256(data).hexdigest()}" for name, data in fields.items()])
 
 
+def _run(argv):
+    """``(exit code, stdout bytes)`` of one ``dfoq`` call."""
+    from dfoq import cli
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(argv)
+    return rc, stdout.getvalue().encode()
+
+
+def verify_lines(rc, report):
+    """One digest line per check of a ``dfoq verify all`` report, keyed by the
+    check's name (the second word of its ``PASS|FAIL <name> (<detail>)``
+    line), then ``verify|tally`` for the closing count."""
+    *checks, tally = report.decode().splitlines()
+    lines = [_line(f"verify|{line.split()[1]}", 0, stdout=line.encode()) for line in checks]
+    lines.append(_line("verify|tally", 0, stdout=tally.encode()))
+    return lines + ([] if rc == 0 else [_line("verify|all", rc)])
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     root = pathlib.Path(args[0] if args else pathlib.Path(__file__).resolve().parents[1])
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from dfoq import cli
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "sweep.csv")
         for key, sweep_argv in sweeps(workloads):
-            summary = io.StringIO()
-            with contextlib.redirect_stdout(summary):
-                rc = cli.main(sweep_argv + ["--out", out])
+            rc, summary = _run(sweep_argv + ["--out", out])
             with open(out, "rb") as fh:
                 csv = fh.read()
-            print(_line(key, rc, csv=csv, summary=summary.getvalue().encode()), flush=True)
+            print(_line(key, rc, csv=csv, summary=summary), flush=True)
             os.remove(out)
         for key, call_argv in one_row_calls(workloads, tmp):
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                rc = cli.main(call_argv)
-            print(_line(key, rc, stdout=stdout.getvalue().encode()), flush=True)
+            rc, stdout = _run(call_argv)
+            print(_line(key, rc, stdout=stdout), flush=True)
+    print("\n".join(verify_lines(*_run(["verify", "all"]))), flush=True)
     return 0
 
 
