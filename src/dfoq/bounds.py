@@ -166,10 +166,20 @@ def kappa_mH_qs(L_grad, spec):
     pack = spec.pack
     Sbar = pack.S / np.max(np.linalg.norm(pack.S, axis=0))
     inner = 0.0
-    for T in pack.Ts:
-        Tbar = T / np.max(np.linalg.norm(T, axis=0))
-        inner += T.shape[1] * _pinv_spectral_norm(Tbar) ** 2
+    for T, norm in zip(pack.Ts, _frame_pinv_norms(pack.Ts)):
+        inner += T.shape[1] * norm ** 2
     return L * (_pinv_spectral_norm(Sbar) * np.sqrt(inner))
+
+
+def _frame_pinv_norms(Ts):
+    """``||pinv(Tbar_i)||`` of each frame ``T_i`` divided by its radius, as
+    floats: one factorization each, or, when every frame is one column, the
+    closed forms of :func:`linalg.column_pinvs` in one pass, each column's
+    norm taken as the column's own (a unit-stride reduction)."""
+    if any(T.shape[1] > 1 for T in Ts):
+        return [_pinv_spectral_norm(T / np.max(np.linalg.norm(T, axis=0))) for T in Ts]
+    A = np.hstack(Ts)
+    return linalg.column_pinvs(A / np.linalg.norm(np.ascontiguousarray(A.T), axis=1))[1].tolist()
 
 
 def kappa_generic(L_grad, kappa_mH, Y: SampleSet):

@@ -108,28 +108,47 @@ def rank_tolerance(M):
     return _EPS * max(as_matrix(M).shape)
 
 
+def _scaled_norms(V):
+    """``(||v||_2, v / ||v||_2)`` of each row ``v`` of ``V``, from ``v``
+    divided by its largest entry, so that squaring entries near 1e-160 or
+    1e200 neither underflows nor overflows.  A zero row gives ``(0.0, e_1)``.
+    Each row's square sum is one unit-stride dot product, so a row equals
+    its own one-row call bit for bit."""
+    V = np.ascontiguousarray(V)
+    peak = np.abs(V).max(axis=1)
+    zero = peak == 0.0
+    W = V / np.where(zero, 1.0, peak)[:, None]
+    W[zero, 0] = 1.0
+    length = np.sqrt(np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0])
+    return np.where(zero, 0.0, peak * length), W / length[:, None]
+
+
 def _scaled_norm(v):
-    """``(||v||_2, v / ||v||_2)`` of a vector, from ``v`` divided by its largest
-    entry, so that squaring entries near 1e-160 or 1e200 neither underflows nor
-    overflows.  A zero vector gives ``(0.0, e_1)``."""
-    peak = float(np.abs(v).max())
-    if peak == 0.0:
-        unit = np.zeros(v.size)
-        unit[0] = 1.0
-        return 0.0, unit
-    w = v / peak
-    length = float(np.sqrt(w @ w))
-    return peak * length, w / length
+    """The one-row :func:`_scaled_norms` of a vector, the norm as a float."""
+    norm, unit = _scaled_norms(v[None])
+    return float(norm[0]), unit[0]
 
 
 def _vector_svd(A):
-    """Thin SVD of a matrix with one row or one column, in closed form:
-    ``A = norm * unit`` as a column is ``U = unit``, ``s = [norm]``,
-    ``Vt = [[1]]``; as a row, ``U = [[1]]`` and ``Vt = unit^T``."""
+    """Thin SVD ``(U, s, V)`` of a matrix with one row or one column, in
+    closed form: ``A = norm * unit`` as a column is ``U = unit``, ``s =
+    [norm]``, ``V = [[1]]``; as a row, ``U = [[1]]`` and ``V = unit``."""
     norm, unit = _scaled_norm(A.ravel())
     if A.shape[1] == 1:
         return unit[:, None], np.array([norm]), np.ones((1, 1))
-    return np.ones((1, 1)), np.array([norm]), unit[None, :]
+    return np.ones((1, 1)), np.array([norm]), unit[:, None]
+
+
+def column_pinvs(A):
+    """``(R, norms)``: row j of ``R`` is ``pinv(A[:, [j]])`` and ``norms[j]``
+    is ``||pinv(A[:, [j]])||_2``, each bit for bit what
+    :class:`Factorization` of that one column gives (its closed form), from
+    one stacked pass.  A zero column gives a zero row and norm 0."""
+    norm, unit = _scaled_norms(as_matrix(A).T)
+    keep = norm > 0.0
+    inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=keep)
+    # + 0.0 as the one-term product sum of the matrix form: -0.0 reads +0.0
+    return np.where(keep[:, None], inv[:, None] * unit + 0.0, 0.0), inv
 
 
 class Factorization:
@@ -138,8 +157,9 @@ class Factorization:
     ``rank`` counts the singular values above ``cutoff``, the relative
     tolerance of :func:`rank_tolerance` times the largest singular value, and
     :meth:`pinv` and :meth:`solve` drop the same values.  The SVD is thin,
-    which for a square matrix is the full SVD.  A matrix with one row or one
-    column takes it in closed form, from one norm of the vector.
+    which for a square matrix is the full SVD, and held as ``U``, ``s`` and
+    the right singular vectors as the columns of ``V``.  A matrix with one
+    row or one column takes it in closed form, from one norm of the vector.
     :meth:`symmetric` builds the SVD of a symmetric matrix from its
     eigendecomposition.
     """
@@ -149,18 +169,20 @@ class Factorization:
         if min(A.shape) == 1:
             self._store(A.shape, *_vector_svd(A))
         else:
-            self._store(A.shape, *np.linalg.svd(A, full_matrices=False))
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+            self._store(A.shape, U, s, Vt.T)
 
-    def _store(self, shape, U, s, Vt):
+    def _store(self, shape, U, s, V, sign=None):
         self.shape = shape
-        self.U, self.s, self.Vt = U, s, Vt
+        self.U, self.s, self.V, self.sign = U, s, V, sign
         self.cutoff = _EPS * max(shape) * s[0]
 
     @classmethod
-    def _of(cls, shape, U, s, Vt):
-        """Factorization from an SVD already taken, thin or full."""
+    def _of(cls, shape, U, s, V, sign=None):
+        """Factorization from an SVD already taken, thin or full; with
+        ``sign``, the right singular vectors are ``V * sign``."""
         fac = cls.__new__(cls)
-        fac._store(shape, U, s, Vt)
+        fac._store(shape, U, s, V, sign)
         return fac
 
     @classmethod
@@ -170,25 +192,33 @@ class Factorization:
         which takes each matrix as its own call would."""
         if min(M.shape[1:]) == 1 or not np.isfinite(M).all():
             return [cls(A) for A in M]  # the closed form, or the refusal
-        return [cls._of(M.shape[1:], *usv) for usv in zip(*np.linalg.svd(M, full_matrices=False))]
+        return [cls._of(M.shape[1:], U, s, Vt.T)
+                for U, s, Vt in zip(*np.linalg.svd(M, full_matrices=False))]
 
     @classmethod
     def symmetric(cls, M):
         """Factorization of a symmetric, possibly indefinite, matrix by ``eigh``.
 
         With ``M = V diag(w) V^T`` and the pairs sorted by decreasing
-        ``|w|``, ``U = V``, ``s = |w|`` and ``Vt = (sign(w) V)^T`` is an SVD
-        of ``M``; the sign carries the negative eigenvalues of a saddle-point
-        matrix.  ``eigh`` reads one triangle only, so ``M`` must be exactly
-        symmetric.
+        ``|w|`` (:meth:`of_eigenpairs`), ``U = V``, ``s = |w|`` and the right
+        singular vectors ``sign(w) V`` are an SVD of ``M``; the sign carries
+        the negative eigenvalues of a saddle-point matrix.  ``eigh`` reads
+        one triangle only, so ``M`` must be exactly symmetric.
         """
         A = as_matrix(M)
         if A.shape[0] != A.shape[1] or not np.array_equal(A, A.T):
             raise InvalidInputError("a symmetric factorization needs an exactly symmetric matrix")
-        w, V = np.linalg.eigh(A)
+        return cls.of_eigenpairs(*np.linalg.eigh(A))
+
+    @classmethod
+    def of_eigenpairs(cls, w, V):
+        """:meth:`symmetric` of the matrix ``V diag(w) V^T`` with orthonormal
+        eigenvectors ``V``, in any order: the pairs are sorted by decreasing
+        ``|w|``, ties in their given order, and the eigenvectors are held
+        once, their signs applied where the solves read them."""
         order = np.argsort(-np.abs(w), kind="stable")
         w, V = w[order], V[:, order]
-        return cls._of(A.shape, V, np.abs(w), (V * np.where(w < 0.0, -1.0, 1.0)).T)
+        return cls._of((len(w), len(w)), V, np.abs(w), V, np.where(w < 0.0, -1.0, 1.0))
 
     @functools.cached_property
     def rank(self):
@@ -198,20 +228,21 @@ class Factorization:
 
     @functools.cached_property
     def _inv_s(self):
-        """Reciprocal singular values, zero at or below the cutoff (computed on
-        first read)."""
+        """Reciprocal singular values, zero at or below the cutoff, times the
+        signs of a symmetric factorization (computed on first read): the
+        right singular vectors' sign flips, applied exactly to the scalars."""
         s = self.s
         keep = s > self.cutoff
         inv_s = np.zeros_like(s)
         inv_s[keep] = 1.0 / s[keep]
-        return inv_s
+        return inv_s if self.sign is None else inv_s * self.sign
 
     def pinv(self):
         """Moore-Penrose pseudoinverse, truncated at the cutoff."""
         if self.s[0] == 0.0:
             return np.zeros((self.shape[1], self.shape[0]))
         k = self.s.size
-        return (self.Vt[:k].T * self._inv_s) @ self.U[:, :k].T
+        return (self.V[:, :k] * self._inv_s) @ self.U[:, :k].T
 
     def solve(self, b):
         """``pinv() @ b``, applied factor by factor without forming ``pinv()``.
@@ -221,7 +252,7 @@ class Factorization:
         """
         rhs = _right_hand_sides(b, self.shape[0])
         k = self.s.size
-        return matvec(self.Vt[:k].T, self._inv_s * matvec(self.U[:, :k].T, rhs))
+        return matvec(self.V[:, :k], self._inv_s * matvec(self.U[:, :k].T, rhs))
 
     def range_residual(self, b):
         """Norm of the component of ``b`` orthogonal to the numerical range,

@@ -421,8 +421,10 @@ class QSStencil:
             k += p
         at_s, k = index[k:k + p][owner], k + p
         if shared is None:
-            at_t, pinv_T = index[k:k + len(T)], np.vstack([linalg.pinv(Ti) for Ti in pack.Ts])
-            starts = np.searchsorted(owner, np.arange(p))
+            # one-column frames (qs:centred's) take their closed forms in one pass
+            pinv_T = (linalg.column_pinvs(T.T)[0] if len(T) == p
+                      else np.vstack([linalg.pinv(Ti) for Ti in pack.Ts]))
+            at_t, starts = index[k:k + len(T)], np.searchsorted(owner, np.arange(p))
         else:
             at_t, pinv_T = np.tile(index[k:k + shared.shape[1]], p), linalg.pinv(shared)
             starts = None

@@ -108,18 +108,57 @@ def _unchecked(cls, **fields):
     return obj
 
 
-class SymmetricFactors(NamedTuple):
-    """Radius-free factors of a symmetric set ``[Dh, -Dh]`` of radius r.
+class SymmetricFactors:
+    """Radius-free factors of a symmetric set ``[Dh, -Dh]`` of radius r in
+    R^n, each taken on first read.
 
-    With ``Dbar_h = Dh / r``, ``F_scaled`` is orthogonally similar to
-    ``blockdiag(r^4 Qbar / 2, [[0, sqrt(2) r Dbar_h^T], [sqrt(2) r Dbar_h, 0]])``
-    with ``Qbar = (Dbar_h^T Dbar_h)^o2``, so its rank reads off the two
-    factors' spectra.
+    With ``Dbar_h = Dh / r``, the even and odd parts ``(lam+ +- lam-) /
+    sqrt(2)`` of the multipliers split ``F_scaled`` into the blocks
+    ``r^4 Qbar / 2`` and ``[[0, sqrt(2) r Dbar_h^T], [sqrt(2) r Dbar_h, 0]]``
+    with ``Qbar = (Dbar_h^T Dbar_h)^o2``, and ``F_unit`` likewise at r = 1,
+    so their ranks and ``F_unit``'s eigenpairs read off the two factors.
     """
 
-    Dh: np.ndarray                  # normalized half frame Dbar_h (n x p)
-    half: linalg.Factorization      # of Dbar_h^T
-    quartic: linalg.Factorization   # symmetric, of Qbar
+    def __init__(self, Dh):
+        self.Dh = Dh  # normalized half frame Dbar_h (n x p)
+
+    @functools.cached_property
+    def half(self):
+        """:class:`linalg.Factorization` of ``Dbar_h^T``."""
+        return linalg.Factorization(self.Dh.T)
+
+    @functools.cached_property
+    def quartic(self):
+        """:meth:`linalg.Factorization.symmetric` of ``Qbar``."""
+        return linalg.Factorization.symmetric((self.Dh.T @ self.Dh) ** 2)
+
+    def F_unit_factor(self):
+        """:meth:`linalg.Factorization.symmetric` of ``F_unit``, from the
+        eigenpairs of its two blocks mapped back to the multipliers:
+        ``(w / 2, [x; x; 0] / sqrt(2))`` for each eigenpair ``(w, x)`` of
+        ``Qbar``, ``(+-sqrt(2) sigma, [u / 2; -u / 2; +-v / sqrt(2)])`` for
+        each singular triple ``(sigma, u, v)`` of ``Dbar_h^T``, and a zero
+        eigenvalue for each of the ``|n - p|`` unit vectors ``c`` orthogonal
+        to every ``u`` (``[c; -c; 0] / sqrt(2)``) or every ``v`` (``[0; 0;
+        c]``), the complement that a full QR of the ``u`` or ``v`` gives."""
+        n, p = self.Dh.shape
+        half, quartic = self.half, self.quartic
+        k, root = half.s.size, np.sqrt(0.5)
+        W, w = np.zeros((2 * p + n, 2 * p + n)), np.zeros(2 * p + n)
+        even, plus, minus = slice(0, p), slice(p, p + k), slice(p + k, p + 2 * k)
+        W[:p, even] = W[p:2 * p, even] = root * quartic.U
+        w[even] = quartic.s * quartic.sign / 2
+        W[:p, plus] = W[:p, minus] = half.U / 2
+        W[p:2 * p, plus] = W[p:2 * p, minus] = -half.U / 2
+        W[2 * p:, plus], W[2 * p:, minus] = root * half.V, -root * half.V
+        w[plus], w[minus] = np.sqrt(2.0) * half.s, -np.sqrt(2.0) * half.s
+        null = slice(p + 2 * k, None)
+        if p > n:
+            C = root * np.linalg.qr(half.U, mode="complete")[0][:, k:]
+            W[:p, null], W[p:2 * p, null] = C, -C
+        elif n > p:
+            W[2 * p:, null] = np.linalg.qr(half.V, mode="complete")[0][:, k:]
+        return linalg.Factorization.of_eigenpairs(w, W)
 
 
 def _symmetric_bordered_rank(sym, r, n):
@@ -200,14 +239,16 @@ class SampleSet:
         p, odd = divmod(self.m, 2)
         if odd or not np.array_equal(self.D[:, p:], -self.D[:, :p]):
             return None
-        Dh = np.ascontiguousarray(self.normalized()[:, :p])
-        return SymmetricFactors(Dh, linalg.Factorization(Dh.T),
-                                linalg.Factorization.symmetric((Dh.T @ Dh) ** 2))
+        return SymmetricFactors(np.ascontiguousarray(self.normalized()[:, :p]))
 
     @functools.cached_property
     def F_unit_factor(self):
         """:meth:`linalg.Factorization.symmetric` of the bordered system
-        ``F_unit = [[P, Dbar^T], [Dbar, 0]]`` on the normalized directions."""
+        ``F_unit = [[P, Dbar^T], [Dbar, 0]]`` on the normalized directions;
+        on a symmetric set, from its half-frame factors without forming
+        ``F_unit`` (:meth:`SymmetricFactors.F_unit_factor`)."""
+        if self.symmetric_factors is not None:
+            return self.symmetric_factors.F_unit_factor()
         Dbar = self.normalized()
         return linalg.Factorization.symmetric(_bordered(Dbar, Dbar, 1.0))
 
@@ -225,9 +266,20 @@ class SampleSet:
 
     @functools.cached_property
     def normalized_rank_and_pinv_norm(self):
-        """``(rank, ||pinv(Dbar)||_1)`` of the normalized directions, from one SVD."""
-        fac = linalg.Factorization(self.normalized())
-        return fac.rank, linalg.matrix_norm(fac.pinv(), "op1")
+        """``(rank, ||pinv(Dbar)||_1)`` of the normalized directions, from one
+        SVD.  On a symmetric set it is the half frame's: ``Dbar = [Dbar_h,
+        -Dbar_h]`` has the singular values ``sqrt(2) sigma(Dbar_h)``, ranked
+        with ``Dbar``'s shape, and ``pinv(Dbar) = [pinv(Dbar_h);
+        -pinv(Dbar_h)] / 2`` has the 1-norm of ``pinv(Dbar_h)``."""
+        sym = self.symmetric_factors
+        if sym is None:
+            fac = linalg.Factorization(self.normalized())
+            return fac.rank, linalg.matrix_norm(fac.pinv(), "op1")
+        half = sym.half
+        rank = linalg.spectrum_rank(np.sqrt(2.0) * half.s, (self.n, self.m))
+        # Dbar_h^T = U diag(s) V^T, so pinv(Dbar_h) = U diag(1 / s) V^T
+        pinv_h = (half.U[:, :rank] / half.s[:rank]) @ half.V[:, :rank].T
+        return rank, linalg.matrix_norm(pinv_h, "op1")
 
     def scale(self, t):
         """Same geometry with every direction multiplied by ``t > 0``, as a
@@ -301,13 +353,7 @@ class SampleSet:
             raise InvalidInputError("offsets of the points from x0 are not all finite")
         if not offsets.any():
             raise InvalidInputError("no nonzero offsets among the points")
-        # An offset whose bytes repeat an earlier one is always merged into
-        # it (or into what it was merged into), so it is dropped up front.
-        seen, firsts, repeat_of = {}, [], np.empty(len(offsets), dtype=np.intp)
-        for i, row in enumerate(offsets):
-            repeat_of[i] = seen.setdefault(row.tobytes(), len(firsts))
-            if repeat_of[i] == len(firsts):
-                firsts.append(i)
+        firsts, repeat_of = _first_repeats(offsets)
         offsets = offsets[firsts]
         with np.errstate(over="ignore"):
             lengths = np.linalg.norm(offsets, axis=1)
@@ -397,6 +443,22 @@ class ScaledRows(NamedTuple):
         Dbar = self.D / self.radius[:, None, None]
         F = np.stack([_bordered(Dbar[i], self.D[i], r ** 4) for i, r in enumerate(self.radius.tolist())])
         return linalg.spectrum_rank(np.abs(np.linalg.eigvalsh(F)), F.shape[1:]) == F.shape[1]
+
+
+def _first_repeats(rows):
+    """``(firsts, repeat_of)``: the index of each distinct row of ``rows`` by
+    its bytes, in order of first occurrence, and for each row the place of
+    its first occurrence in ``firsts``.  An offset whose bytes repeat an
+    earlier one is always merged into it (or into what it was merged into),
+    so :meth:`SampleSet.from_offsets` drops it up front.  ``0.0`` and
+    ``-0.0`` differ in their bytes."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    return first[order], place[inverse.ravel()]
 
 
 def _json_arrays(doc):

@@ -124,6 +124,35 @@ def _old_kappa_mH_qs(L, spec):
     return L * (_lapack_pinv_spectral_norm(Sbar) * np.sqrt(inner))
 
 
+def test_one_column_frames_take_the_per_frame_norms_bitwise(monkeypatch):
+    # qs:centred's one-column frames read ||pinv(Tbar_i)|| from one stacked
+    # closed form, bit for bit the per-frame loop, and kappa_mH_qs with it;
+    # no frame takes a factorization of its own
+    for n, structured in ((1, True), (3, True), (16, False), (64, True), (64, False)):
+        rng = np.random.default_rng(n)
+        frame = np.eye(n) if structured else rng.standard_normal((n, n))
+        spec = qs_preset("centred", SampleSet(np.zeros(n), 1e-3 * frame))
+        Ts = spec.pack.Ts
+        want = [bounds._pinv_spectral_norm(T / np.max(np.linalg.norm(T, axis=0))) for T in Ts]
+        inner = 0.0
+        for T, norm in zip(Ts, want):
+            inner += T.shape[1] * norm ** 2
+        Sbar = spec.pack.S / np.max(np.linalg.norm(spec.pack.S, axis=0))
+        kappa = 2.0 * (bounds._pinv_spectral_norm(Sbar) * np.sqrt(inner))
+        shapes = []
+        real = linalg.Factorization.__init__
+        monkeypatch.setattr(linalg.Factorization, "__init__",
+                            lambda fac, M: shapes.append(np.shape(M)) or real(fac, M))
+        assert bounds._frame_pinv_norms(Ts) == want
+        assert bounds.kappa_mH_qs(2.0, spec) == kappa
+        monkeypatch.undo()
+        assert shapes == [(n, n)]  # Sbar's, in kappa_mH_qs
+    # a frame of two columns takes the loop
+    ragged = (np.eye(3)[:, :1], np.eye(3)[:, 1:])
+    assert bounds._frame_pinv_norms(ragged) == [
+        bounds._pinv_spectral_norm(T / np.max(np.linalg.norm(T, axis=0))) for T in ragged]
+
+
 def test_kappa_qs_on_centred_packs_matches_the_pinv_norm_form():
     # 1 / s_min of one factor against the spectral norm of the pseudoinverse,
     # on coordinate and random frames at n = 2, 16, 64 and radii 1 to 1e-8;

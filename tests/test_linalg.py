@@ -338,7 +338,7 @@ def test_symmetric_factorization_matches_svd():
     for A in _symmetric_cases():
         svd, sym = linalg.Factorization(A), linalg.Factorization.symmetric(A)
         assert sym.rank == svd.rank
-        assert np.allclose((sym.U * sym.s) @ sym.Vt, A, rtol=0.0, atol=1e-12 * max(svd.s[0], 1.0))
+        assert np.allclose((sym.U * (sym.s * sym.sign)) @ sym.V.T, A, rtol=0.0, atol=1e-12 * max(svd.s[0], 1.0))
         # pinv and solve within 1e-12 relative of the SVD path.  Two
         # backward-stable factorizations differ by about eps * kappa, so on
         # the ill-conditioned cases (kappa > 100: the F_unit of general sets
@@ -392,7 +392,7 @@ def test_vector_closed_form_matches_svd():
     for A in _vector_cases():
         fac = linalg.Factorization(A)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        assert fac.U.shape == U.shape and fac.s.shape == s.shape and fac.Vt.shape == Vt.shape
+        assert fac.U.shape == U.shape and fac.s.shape == s.shape and fac.V.T.shape == Vt.shape
         assert abs(fac.s[0] - s[0]) <= rtol * s[0]
         assert abs(linalg.matrix_norm(A, "spectral") - s[0]) <= rtol * s[0]
         assert abs(fac.cutoff - linalg.rank_tolerance(A) * s[0]) <= rtol * fac.cutoff
@@ -409,6 +409,27 @@ def test_vector_closed_form_matches_svd():
             if A.shape[0] == 1:
                 want = _full_svd_range_residual(A, rhs)
                 assert abs(fac.range_residual(rhs) - want) <= 8 * EPS * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 200])
+def test_column_pinvs_are_each_columns_factorization_bitwise(n):
+    # the stacked closed form against Factorization of each column alone:
+    # its pseudoinverse row and the reciprocal of its one singular value,
+    # bit for bit, at entry scales near the ends of the double range and
+    # with a zero column and zero entries of either sign, on a C-ordered
+    # matrix, a Fortran-ordered one and a view
+    rng = np.random.default_rng(n)
+    for scale in (1e-200, 1e-160, 1.0, 1e200):
+        A = scale * rng.standard_normal((n, 7))
+        A[:, 3] = 0.0
+        A[-1, ::2] = 0.0
+        A[0, 1::2] = -0.0
+        for M in (A, np.asfortranarray(A), -A[:, ::-1]):
+            rows, inv = linalg.column_pinvs(M)
+            for j in range(M.shape[1]):
+                fac = linalg.Factorization(M[:, j:j + 1])
+                assert rows[j].tobytes() == linalg.pinv(M[:, j:j + 1])[0].tobytes()
+                assert inv[j] == (1.0 / fac.s[0] if fac.rank else 0.0)
 
 
 def test_vector_closed_form_takes_no_svd(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfoq import testbed
+from dfoq import linalg, testbed
 from dfoq.bounds import ROUNDOFF_FLOOR
 from dfoq.errors import InfeasibleError, InvalidInputError
 from dfoq.models import (
@@ -429,8 +429,12 @@ def test_stencil_hessian_rows_sum_each_frame_segment():
     fv = Oracle(trig).many(stencil.Y.evaluation_points())
     _assert_close_to_the_recipe(stencil.model(fv), want, want.c, stencil.Y.radius)
     for D in (np.eye(n), S):
-        stencil = QSStencil.of(qs_preset("centred", SampleSet(x0, D)), x0)
+        centred = qs_preset("centred", SampleSet(x0, D))
+        stencil = QSStencil.of(centred, x0)
         ix, Y = stencil.index, stencil.Y
+        # the one-column frames' stacked closed form is each frame's pinv
+        want = np.vstack([linalg.pinv(Ti) for Ti in centred.pack.Ts])
+        assert ix.pinv_T.tobytes() == want.tobytes()
         fv = Oracle(trig).many(np.vstack([x0[None, :], Y.points()]))
         table = fv[ix.at_st] - fv[ix.at_s] - fv[ix.at_t] + fv[0]
         rows = np.array([table[i:i + 1] @ ix.pinv_T[i:i + 1] for i in range(n)])

@@ -10,6 +10,7 @@ from dfoq.models import QSStencil, qs_preset, solve_mfn, solve_mfn_values, solve
 from dfoq.sample_sets import (
     SampleSet,
     _bordered,
+    _first_repeats,
     _symmetric_bordered_rank,
     _validate_directions,
     poisedness,
@@ -18,6 +19,7 @@ from dfoq.simplex import Oracle, delta_f
 
 from kkt_blocks import kkt_blocks
 
+EPS = float(np.finfo(float).eps)
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
@@ -683,10 +685,15 @@ def test_general_mfn_poised_from_eigenvalues_is_the_svd_verdict(n, delta):
 
 
 def test_normalized_rank_and_pinv_norm():
+    # a plus-minus set reads both from its half frame, within roundoff of
+    # the SVD of its normalized directions (here 1.0 against 1 - 3.3e-16)
     Y = SampleSet(np.zeros(3), np.column_stack([np.eye(3)[:, :2], -np.eye(3)[:, :2]]))
     rank, norm = Y.normalized_rank_and_pinv_norm
     assert rank == 2
-    assert norm == linalg.matrix_norm(linalg.pinv(Y.normalized()), "op1")
+    assert norm == pytest.approx(linalg.matrix_norm(linalg.pinv(Y.normalized()), "op1"), rel=1e-13)
+    Z = SampleSet(np.zeros(3), np.column_stack([np.eye(3)[:, :2], -np.eye(3)[:, :1]]))
+    assert Z.symmetric_factors is None
+    assert Z.normalized_rank_and_pinv_norm == (2, linalg.matrix_norm(linalg.pinv(Z.normalized()), "op1"))
 
 
 def test_symmetric_factors_read_the_set_values():
@@ -718,7 +725,7 @@ def test_scaled_symmetric_rows_read_the_unit_factors(monkeypatch):
     half = SampleSet(x0, Dh)
     unit = half.expand()
     assert half.expand() is unit  # the symmetric set is checked once
-    unit.symmetric_factors
+    unit.symmetric_factors.half, unit.symmetric_factors.quartic
     ts = (0.5, 1e-3, 1e-8)
     calls = _counted(monkeypatch)
     rows = unit.scaled(ts)
@@ -727,6 +734,22 @@ def test_scaled_symmetric_rows_read_the_unit_factors(monkeypatch):
     monkeypatch.undo()
     for i, t in enumerate(ts):
         assert rows.D[i].tobytes() == half.scale(t).expand().D.tobytes()
+
+
+def _symmetric_frame(n, shape, structured, dependent, seed):
+    """``(frame, rng)``: a normalized half frame of p < n, p = n or p > n
+    columns, and the generator it was drawn from; the test is skipped when
+    its plus-minus set is not valid (at n = 1 a half frame [1, -1] is not)."""
+    rng = np.random.default_rng(seed)
+    p = {"p<n": int(rng.integers(1, max(n, 2))), "p=n": n, "p>n": n + int(rng.integers(1, 4))}[shape]
+    frame = rng.standard_normal((n, p))
+    if structured:
+        frame[:, :min(n, p)] = np.eye(n)[:, :min(n, p)]
+    if dependent and p >= 3:
+        frame[:, -1] = frame[:, 0] + frame[:, 1]  # a column in the span of two others
+    frame /= np.linalg.norm(frame, axis=0)
+    assume(_verdict(_validate_directions_columns, np.hstack([frame, -frame])) is None)
+    return frame, rng
 
 
 @settings(max_examples=150, deadline=None)
@@ -738,19 +761,89 @@ def test_symmetric_mfn_poised_is_the_rank_of_F_scaled(n, shape, structured, depe
                                                         exponent, seed):
     # the rank from the half frame's spectra against the SVD of F_scaled
     assume(n > 1 or shape != "p<n")
-    rng = np.random.default_rng(seed)
-    p = {"p<n": int(rng.integers(1, max(n, 2))), "p=n": n, "p>n": n + int(rng.integers(1, 4))}[shape]
-    frame = rng.standard_normal((n, p))
-    if structured:
-        frame[:, :min(n, p)] = np.eye(n)[:, :min(n, p)]
-    if dependent and p >= 3:
-        frame[:, -1] = frame[:, 0] + frame[:, 1]  # a column in the span of two others
-    frame /= np.linalg.norm(frame, axis=0)
-    # the symmetric set must be valid: at n = 1 a half frame [1, -1] is not
-    assume(_verdict(_validate_directions_columns, np.hstack([frame, -frame])) is None)
+    frame, rng = _symmetric_frame(n, shape, structured, dependent, seed)
     unit = SampleSet(rng.standard_normal(n), frame)
     delta = 10.0 ** -exponent
     for Y in (unit.scale(delta).expand(), SampleSet(unit.x0, delta * frame).expand()):
         want = linalg.numerical_rank(kkt_blocks(Y).F_scaled)
         assert _symmetric_bordered_rank(Y.symmetric_factors, [Y.radius], n)[0] == want
         assert Y.mfn_poised is (want == Y.m + n)
+
+
+def _first_repeats_loop(rows):
+    # the per-row dictionary pass that the byte-view pass replaced
+    seen, firsts, repeat_of = {}, [], np.empty(len(rows), dtype=np.intp)
+    for i, row in enumerate(rows):
+        repeat_of[i] = seen.setdefault(row.tobytes(), len(firsts))
+        if repeat_of[i] == len(firsts):
+            firsts.append(i)
+    return np.array(firsts, dtype=np.intp), repeat_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 64), distinct=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.booleans())
+def test_first_repeats_match_the_dictionary_loop(n, distinct, seed, zeros):
+    # exact repeats planted in random order; with zeros, rows that differ
+    # only in the sign of a zero entry, which are distinct in their bytes
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((distinct, n))
+    if zeros:
+        base[:, 0] = 0.0
+        base = np.vstack([base, base * np.where(np.arange(n) == 0, -1.0, 1.0)])
+    rows = base[rng.integers(0, len(base), size=3 * len(base))]
+    firsts, repeat_of = _first_repeats(rows)
+    want_firsts, want_repeat_of = _first_repeats_loop(rows)
+    assert np.array_equal(firsts, want_firsts) and np.array_equal(repeat_of, want_repeat_of)
+    assert np.array_equal(rows[firsts][repeat_of], rows)
+
+
+def test_first_repeats_keep_signed_zeros_apart():
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
+    firsts, repeat_of = _first_repeats(rows)
+    assert firsts.tolist() == [0, 1, 4]
+    assert repeat_of.tolist() == [0, 1, 0, 1, 2]
+    # the merge then joins the two signed rows, at distance 0
+    Y, index = SampleSet.from_offsets(np.zeros(2), rows)
+    assert Y.D.T.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert index.tolist() == [1, 1, 1, 1, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from((1, 2, 3, 16, 32, 64)), shape=st.sampled_from(("p<n", "p=n", "p>n")),
+       structured=st.booleans(), dependent=st.booleans(),
+       radius=st.sampled_from((1.0, 1e-3, 1e-8)), seed=st.integers(0, 2 ** 32 - 1))
+def test_half_frame_reads_match_the_dense_factors(n, shape, structured, dependent, radius, seed):
+    # F_unit's factor assembled from the half frame's, against the eigh of
+    # F_unit itself, and the normalized rank and ||pinv(Dbar)||_1 read from
+    # the half frame, against the SVD of Dbar
+    assume(n > 1 or shape != "p<n")
+    frame, _ = _symmetric_frame(n, shape, structured, dependent, seed)
+    Y = SampleSet(np.zeros(n), radius * frame).expand()
+    assert Y.symmetric_factors is not None
+    Dbar = Y.normalized()
+    F = _bordered(Dbar, Dbar, 1.0)
+    dense, half = linalg.Factorization.symmetric(F), Y.F_unit_factor
+    assert half.rank == dense.rank
+    assert (half.s[-1] <= half.cutoff) == (dense.s[-1] <= dense.cutoff)
+    size = F.shape[0]
+    rebuilt = (half.U * (half.s * half.sign)) @ half.V.T
+    # measured at most 3.2 size eps ||F|| over 2,754 random plus-minus sets
+    assert np.linalg.norm(rebuilt - F, 2) <= 16 * size * EPS * dense.s[0]
+    b = np.random.default_rng(seed).standard_normal(size)
+    for rhs in (b, F @ b):
+        x = half.solve(rhs)
+        nF = dense.s[0]
+        scale = nF * (nF * np.linalg.norm(x) + np.linalg.norm(rhs))
+        assert np.linalg.norm(F @ (F @ x - rhs)) <= 1e-12 * scale
+    kappa = dense.s[0] / dense.s[dense.rank - 1]
+    want = float(np.linalg.norm(dense.pinv(), np.inf))
+    assert abs(Y.F_unit_pinv_norm - want) <= 1e-12 * kappa * want
+    # two backward-stable SVDs of Dbar differ by about eps kappa: a random
+    # 64 x 64 frame of kappa 6.6e4 reads 4.5e-12 (0.31 eps kappa) apart
+    svd = linalg.Factorization(Dbar)
+    rank, norm = Y.normalized_rank_and_pinv_norm
+    assert rank == svd.rank
+    kappa = svd.s[0] / svd.s[svd.rank - 1]
+    rel = 1e-13 if kappa <= 100.0 else 1e-15 * kappa
+    assert norm == pytest.approx(linalg.matrix_norm(svd.pinv(), "op1"), rel=rel)

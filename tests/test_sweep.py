@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dfoq import bounds, linalg, models, sweep, testbed
 from dfoq.errors import InvalidInputError, NotPoisedError
-from dfoq.sample_sets import SampleSet, poisedness
+from dfoq.sample_sets import SampleSet, SymmetricFactors, poisedness
 from dfoq.simplex import Oracle, delta_f
 from dfoq.sweep import (
     CSV_HEADER,
@@ -24,7 +24,6 @@ from dfoq.sweep import (
     run_sweep,
 )
 
-from kkt_blocks import kkt_blocks
 
 
 def small_config(**overrides):
@@ -289,23 +288,28 @@ def test_sweep_poised_column_matches_poisedness(model):
 
 def test_mfn_sweep_factors_F_unit_once(monkeypatch):
     # every row's solve_mfn and kappa_mH_mfn read the factor of the unit
-    # set's F_unit, taken once per sweep
-    factored = []
+    # set's F_unit, assembled once per sweep from the half frame's two
+    # factors, which the verdicts and the normalized rank read as well: the
+    # sweep factors the half frame and its Qbar once each, and nothing else
+    factored, assembled = [], []
     for name in ("svd", "eigh", "inv"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda A, *a, _fn=fn, **k: factored.append(np.array(A)) or _fn(A, *a, **k))
+    real = SymmetricFactors.F_unit_factor
+    monkeypatch.setattr(SymmetricFactors, "F_unit_factor",
+                        lambda sym: assembled.append(1) or real(sym))
     # radii below 1, so that no row's F_scaled equals its F_unit
     config = SweepConfig("trigonometric", "structured:3", "mfn", parse_deltas("0.5:0.1:3"))
     rows, _ = run_sweep(config)
     monkeypatch.undo()
     assert all(row.poised and row.bound_f is not None for row in rows)  # kappa_mH_mfn ran
-    # the coordinate frame normalizes exactly, so every row's own F_unit
-    # would equal this one
+    assert assembled == [1]
     tf = testbed.get("trigonometric")
-    frame = resolve_frame("structured:3", tf.dim)
-    F_unit = kkt_blocks(SampleSet(tf.x0, frame).expand()).F_unit
-    assert sum(np.array_equal(A, F_unit) for A in factored) == 1
+    Dh = resolve_frame("structured:3", tf.dim)
+    assert len(factored) == 2
+    assert np.array_equal(factored[0], Dh.T)
+    assert np.array_equal(factored[1], (Dh.T @ Dh) ** 2)
 
 
 def _factorizations_per_phase(monkeypatch, config):
@@ -388,7 +392,8 @@ def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
     # mfn_poised from their spectra.  Every qs sweep builds its unit stencil,
     # and merges its points, once in its plan, and kappa_mH_qs factors the
     # unit recipe once.  The measurement factors nothing, and the bounds
-    # factor the set's normalized directions once.  qs:forward and
+    # factor the set's normalized directions once, except on mfn's set,
+    # whose half frame the verdicts have factored already.  qs:forward and
     # qs:adapted-1 run at n = 16 (their stencils have O(n^2) points) on a
     # grid that starts at 1e-5, where qs:forward's model meets its
     # interpolation check
@@ -402,9 +407,37 @@ def test_rows_at_n64_take_no_svd_or_eigh_after_the_first(monkeypatch, model):
         assert merges == (model != "mfn")  # one merge per qs sweep
         assert factored["measure_rows"] == 0
         assert (factored["_build"] > 0) == (model == "mfn")  # the first row's factors
-        assert factored["_bound_rows"] > 0
+        assert (factored["_bound_rows"] > 0) == (model != "mfn")
         counts.append(factored)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("model", ["mn", "mfn", "qs:centred"])
+@pytest.mark.parametrize("function, set_spec", [("trigonometric", "structured:64"),
+                                                ("quartic", "random:64:3")])
+def test_plus_minus_sweeps_factor_their_half_frame_only(monkeypatch, model, function, set_spec):
+    # on the plus-minus set [Dh, -Dh] with p = n = 64, F_unit's factor and
+    # the normalized rank come from the half frame's factors: no eigh of the
+    # (2p + n)-square F_unit, no SVD of the n x 2p normalized directions,
+    # and qs:centred's one-column frames take no factorization each
+    n = 64
+    shapes = {"eigh": [], "svd": []}
+    for name, seen in shapes.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, *a, _f=real, _s=seen, **k: _s.append(np.shape(A)) or _f(A, *a, **k))
+    factored = []
+    init = linalg.Factorization.__init__
+    monkeypatch.setattr(linalg.Factorization, "__init__",
+                        lambda fac, M: factored.append(np.shape(M)) or init(fac, M))
+    rows, _ = run_sweep(SweepConfig(function, set_spec, model, parse_deltas("1:0.1:3"),
+                                    x0=(0.4,) * n))
+    monkeypatch.undo()
+    assert all(row.poised and row.bound_f is not None for row in rows)
+    assert (3 * n, 3 * n) not in shapes["eigh"]
+    assert (n, 2 * n) not in shapes["svd"] and (n, 2 * n) not in factored
+    assert (n, 1) not in factored
+    assert (n, n) in shapes["svd"]  # the half frame's own
 
 
 def _unit(tf, set_spec, family):

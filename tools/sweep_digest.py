@@ -24,6 +24,8 @@ adds ``verify|all exit-<code>``.
 
 The optional argument is the root of the checkout whose ``src/dfoq`` and
 ``perfbench`` are run; by default it is the checkout holding this script.
+:func:`outputs` yields the outputs themselves, which ``tools/value_diff.py``
+reads to say how far each line moved.
 BLAS runs on one thread, as in the benchmark and the tests.
 """
 
@@ -96,19 +98,13 @@ def _run(argv):
     return rc, stdout.getvalue().encode()
 
 
-def verify_lines(rc, report):
-    """One digest line per check of a ``dfoq verify all`` report, keyed by the
-    check's name (the second word of its ``PASS|FAIL <name> (<detail>)``
-    line), then ``verify|tally`` for the closing count."""
-    *checks, tally = report.decode().splitlines()
-    lines = [_line(f"verify|{line.split()[1]}", 0, stdout=line.encode()) for line in checks]
-    lines.append(_line("verify|tally", 0, stdout=tally.encode()))
-    return lines + ([] if rc == 0 else [_line("verify|all", rc)])
-
-
-def main(argv=None):
-    args = sys.argv[1:] if argv is None else argv
-    root = pathlib.Path(args[0] if args else pathlib.Path(__file__).resolve().parents[1])
+def outputs(root):
+    """``(key, argv, exit code, {name: bytes})`` of every sweep (its ``csv``
+    and ``summary``), every ``dfoq model`` call (its ``stdout``) and every
+    check of the ``dfoq verify all`` report (its ``stdout`` line, then
+    ``verify|tally`` for the closing count and ``verify|all`` with the exit
+    code when it is not zero), run on the checkout at ``root``.  A stored
+    set's file exists until the next item is asked for."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
 
@@ -118,12 +114,25 @@ def main(argv=None):
             rc, summary = _run(sweep_argv + ["--out", out])
             with open(out, "rb") as fh:
                 csv = fh.read()
-            print(_line(key, rc, csv=csv, summary=summary), flush=True)
+            yield key, sweep_argv, rc, {"csv": csv, "summary": summary}
             os.remove(out)
         for key, call_argv in one_row_calls(workloads, tmp):
             rc, stdout = _run(call_argv)
-            print(_line(key, rc, stdout=stdout), flush=True)
-    print("\n".join(verify_lines(*_run(["verify", "all"]))), flush=True)
+            yield key, call_argv, rc, {"stdout": stdout}
+    rc, report = _run(["verify", "all"])
+    *checks, tally = report.decode().splitlines()
+    for line in checks:
+        yield f"verify|{line.split()[1]}", ["verify", "all"], 0, {"stdout": line.encode()}
+    yield "verify|tally", ["verify", "all"], 0, {"stdout": tally.encode()}
+    if rc != 0:
+        yield "verify|all", ["verify", "all"], rc, {}
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    root = pathlib.Path(args[0] if args else pathlib.Path(__file__).resolve().parents[1])
+    for key, _, rc, fields in outputs(root):
+        print(_line(key, rc, **fields), flush=True)
     return 0
 
 
